@@ -50,7 +50,7 @@ print("monotonicity violations (always none):", len(g.check_monotonicity_exact(c
 
 # the cdf-concavity flags decide this analytically per family
 for spec in (g.make_uniform(), g.make_exponential_unit(), g.make_beta(1, 2), g.make_beta(2, 1)):
-    print(f"  concave cdf? {spec!r}: {g.check_concave_cdf(spec)}")
+    print(f"  concave cdf? {spec!r}: {spec.concave_cdf}")
 
 # a threshold model a triggering model cannot express: the solved
 # triggering-set masses include a negative entry

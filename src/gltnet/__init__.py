@@ -12,17 +12,14 @@ from .graph import (
     GraphError,
     SeedDistribution,
     build_graph,
-    children,
     children_of_set,
     generate_cws,
-    parents,
     parents_of_set,
     sample_seed,
     sample_weights_simplex,
 )
 from .thresholds import (
     ThresholdSpec,
-    check_concave_cdf,
     make_beta,
     make_beta_fit_safe,
     make_exponential_unit,
@@ -41,7 +38,6 @@ from .model import (
     from_ic,
     from_lt,
     simulate_trace,
-    simulate_trace_sequential,
     trace_log_probability,
     transition_probability,
     validate_trace,

@@ -25,7 +25,7 @@ from .estimation import FitOptions, fit_all, fit_node, fit_with_threshold_grid
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .graph import SeedDistribution, generate_cws, sample_seed, sample_weights_simplex
 from .inference import node_covariance, weight_intervals
-from .influence import estimate_spread_mc, exact_spread_via, greedy_im
+from .influence import estimate_spread_mc, exact_evaluator, greedy_im
 from .likelihood import build_node_data, build_pseudo_node_data
 from .model import GltModel, simulate_trace
 from .rng import substream
@@ -46,6 +46,9 @@ from .serialize import (
 from .thresholds import spec_from_dict
 
 __all__ = ["main"]
+
+# fits are serial; the flag stays so existing command lines keep working
+_THREADS_HELP = "accepted for compatibility; has no effect"
 
 
 def _parse_family(text: str) -> dict:
@@ -104,7 +107,7 @@ def _run_fits(args):
     options = _fit_options(args)
     family = _parse_family(args.family)
     if args.pseudo:
-        pseudo = read_pseudo_jsonl(args.pseudo)
+        pseudo = read_pseudo_jsonl(args.pseudo, graph)
         by_node = {}
         for pt in pseudo:
             by_node.setdefault(pt.node, []).append(pt)
@@ -115,7 +118,7 @@ def _run_fits(args):
     else:
         if not args.traces:
             raise SchemaError("supply --traces or --pseudo")
-        traces = read_traces_jsonl(args.traces)
+        traces = read_traces_jsonl(args.traces, graph)
         datasets = None
 
     spec = spec_from_dict(family)
@@ -132,12 +135,12 @@ def _run_fits(args):
                 results[v] = fit_node(data, spec, options)
     elif grid:
         for v in graph.child_nodes():
-            data = build_node_data(traces, graph, v)
+            data = build_node_data(traces, graph, v, validate=False)
             if data.n_informative_rows == 0:
                 continue
             results[v] = fit_with_threshold_grid(data, "beta", grid, options)
     else:
-        results = fit_all(traces, graph, spec, options, threads=args.threads)
+        results = fit_all(traces, graph, spec, options)
     return graph, spec, results, traces, datasets
 
 
@@ -279,7 +282,7 @@ def cmd_spread(args):
         )
         doc = {"mean": est.mean, "se": est.std_error, "replicates": est.replicates}
     else:
-        value = exact_spread_via(model, seed_set, args.evaluator, args.node_cap)
+        value = exact_evaluator(model, args.evaluator, args.node_cap)(seed_set)
         doc = {"mean": value, "se": 0.0, "replicates": 0}
     dump_json(doc, args.out)
     return doc
@@ -351,7 +354,7 @@ def _write_svg(summary, path):
 
 
 def cmd_experiment(args):
-    config_kwargs = {"seed": args.seed, "threads": args.threads}
+    config_kwargs = {"seed": args.seed}
     if args.config:
         raw = load_json(args.config)
         valid = {f.name for f in fields(ExperimentConfig)}
@@ -418,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", help="beta grid, e.g. 1:1,1:2,1:3 or 1,2,3")
         p.add_argument("--epsilon", type=float)
         p.add_argument("--gamma", type=float)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", required=True)
         if name == "fit":
             p.add_argument("--model-out", help="also write the fitted model JSON")
@@ -462,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True, choices=sorted(EXPERIMENTS))
     p.add_argument("--config", help="JSON file of ExperimentConfig overrides")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--plot", action="store_true")
     p.set_defaults(func=cmd_experiment)

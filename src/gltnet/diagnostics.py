@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .graph import Graph, SeedDistribution
-from .model import ExactSpreadOracle, GltModel
+from .model import ExactSpreadOracle, GltModel, child_masks
 
 __all__ = [
     "NodeIdentifiability",
@@ -108,19 +109,16 @@ def _exact_determinant(matrix):
     return int(det)
 
 
-def _achievable_parent_subsets(graph, support, v, state_cap):
+def _achievable_parent_subsets(graph, child_mask, support, v, state_cap):
     """All subsets D_t intersect P(v) reachable while v stays inactive.
 
     Forward search over (active set, frontier) states of feasible trace
-    prefixes, v excluded from every expansion.  Returns (subsets, capped).
+    prefixes, v excluded from every expansion; ``child_mask`` is the graph's
+    :func:`~gltnet.model.child_masks`.  Returns (subsets, capped).
     """
     parent_mask = 0
     for u in graph.parent_list(v):
         parent_mask |= 1 << u
-    child_mask = [0] * graph.n
-    for u in range(graph.n):
-        for c in graph.children(u):
-            child_mask[u] |= 1 << c
     achievable = set()
     visited = set()
     stack = []
@@ -167,11 +165,14 @@ def check_identifiability(graph: Graph, seed_distribution: SeedDistribution, sta
     get the verdict "unknown-cap-exceeded".
     """
     support = seed_distribution.explicit_support(graph.n)
+    child_mask = child_masks(graph)
     nodes = {}
     for v in graph.child_nodes():
         parents = graph.parent_list(v)
         m = len(parents)
-        masks, capped = _achievable_parent_subsets(graph, support, v, state_cap)
+        masks, capped = _achievable_parent_subsets(
+            graph, child_mask, support, v, state_cap
+        )
         subsets = tuple(
             frozenset(u for u in parents if mask >> u & 1) for mask in sorted(masks)
         )
@@ -247,6 +248,12 @@ def _mask_to_set(mask):
     return frozenset(out)
 
 
+def _exact_sigma(model, node_cap):
+    """sigma(mask) from one exact oracle, memoized on the seed bitmask."""
+    oracle = ExactSpreadOracle(model, node_cap=node_cap)
+    return cache(lambda mask: oracle.spread(_mask_to_set(mask)))
+
+
 def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap: int = 10**6, tol: float = 1e-9) -> list:
     """Exhaustive diminishing-returns check against exact spreads.
 
@@ -257,15 +264,7 @@ def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap:
     """
     n = model.graph.n
     budget = n if max_budget is None else min(max_budget, n)
-    oracle = ExactSpreadOracle(model, node_cap=node_cap)
-    spread = {0: 0.0}
-
-    def sigma(mask):
-        got = spread.get(mask)
-        if got is None:
-            got = oracle.spread(_mask_to_set(mask))
-            spread[mask] = got
-        return got
+    sigma = _exact_sigma(model, node_cap)
 
     violations = []
     for s_mask in range(1 << n):
@@ -298,15 +297,7 @@ def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap:
 def check_monotonicity_exact(model: GltModel, node_cap: int = 10**6, tol: float = 1e-9) -> list:
     """Exhaustive sigma(S) <= sigma(S + v) check (should never fail)."""
     n = model.graph.n
-    oracle = ExactSpreadOracle(model, node_cap=node_cap)
-    spread = {0: 0.0}
-
-    def sigma(mask):
-        got = spread.get(mask)
-        if got is None:
-            got = oracle.spread(_mask_to_set(mask))
-            spread[mask] = got
-        return got
+    sigma = _exact_sigma(model, node_cap)
 
     violations = []
     for s_mask in range(1 << n):

@@ -12,7 +12,6 @@ the feasible cone at the solution.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,13 +381,12 @@ def fit_node(node_data: NodeData, spec: ThresholdSpec, options: FitOptions = Non
     )
 
 
-def fit_all(traces, graph: Graph, specs, options: FitOptions = None, threads: int = 1) -> dict:
+def fit_all(traces, graph: Graph, specs, options: FitOptions = None) -> dict:
     """Fit every child node that has informative data.
 
     ``specs`` is a single ThresholdSpec or a per-node sequence.  Per-node
     failures are recorded on the result (``error`` field), never raised, so
-    a batch over many nodes always completes.  Fits are independent, so the
-    thread count does not affect results.
+    a batch over many nodes always completes.
     """
     options = options or FitOptions()
     traces = [validate_trace(graph, t) for t in traces]
@@ -418,13 +416,7 @@ def fit_all(traces, graph: Graph, specs, options: FitOptions = None, threads: in
                 error=str(exc),
             )
 
-    nodes = graph.child_nodes()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, nodes))
-    else:
-        results = [run(v) for v in nodes]
-    return {r.node: r for r in results}
+    return {v: run(v) for v in graph.child_nodes()}
 
 
 def _spec_from_phi(family: str, phi) -> ThresholdSpec:

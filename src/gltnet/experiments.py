@@ -64,7 +64,6 @@ class ExperimentConfig:
     eval_replicates: int = 2000
     n_test: int = 200
     level: float = 0.95
-    threads: int = 1
 
     def __post_init__(self):
         if self.seed is None:
@@ -144,12 +143,7 @@ def run_rmae_vs_traces(config: ExperimentConfig):
             model = _sample_model(config, rep, d_max=d_max, tag=f"d{di}")
             traces = _simulate_traces(config, model, n_max, rep, tag=f"d{di}")
             for count in config.trace_counts:
-                fits = fit_all(
-                    traces[:count],
-                    model.graph,
-                    model.thresholds,
-                    threads=config.threads,
-                )
+                fits = fit_all(traces[:count], model.graph, model.thresholds)
                 est, n_est = _fitted_weight_vector(model.graph, fits)
                 rows.append(
                     {
@@ -170,9 +164,7 @@ def run_rmae_vs_n(config: ExperimentConfig):
         for gi, (n, k) in enumerate(config.size_grid):
             model = _sample_model(config, rep, n=n, k=k, tag=f"g{gi}")
             traces = _simulate_traces(config, model, config.n_traces, rep, tag=f"g{gi}")
-            fits = fit_all(
-                traces, model.graph, model.thresholds, threads=config.threads
-            )
+            fits = fit_all(traces, model.graph, model.thresholds)
             est, n_est = _fitted_weight_vector(model.graph, fits)
             rows.append(
                 {
@@ -193,7 +185,7 @@ def run_ci_coverage(config: ExperimentConfig):
     for rep in range(config.replications):
         model = _sample_model(config, rep)
         traces = _simulate_traces(config, model, config.n_traces, rep)
-        fits = fit_all(traces, model.graph, model.thresholds, threads=config.threads)
+        fits = fit_all(traces, model.graph, model.thresholds)
         for v, fit in sorted(fits.items()):
             if not fit.estimated:
                 continue
@@ -256,7 +248,7 @@ def run_activation_prediction(config: ExperimentConfig):
         train = _simulate_traces(config, truth, config.n_traces, rep, tag="train")
         test = _simulate_traces(config, truth, config.n_test, rep, tag="test")
         for name, spec in _candidate_specs().items():
-            fits = fit_all(train, truth.graph, spec, threads=config.threads)
+            fits = fit_all(train, truth.graph, spec)
             covs = {}
             for v, fit in fits.items():
                 # boundary fits are kept: losing coverage there is exactly how
@@ -343,11 +335,11 @@ def _fit_candidates(config, truth, traces):
         glt_specs.append(fit.spec if fit is not None else make_uniform())
     out["glt"] = GltModel(graph, glt_weights, glt_specs)
 
-    lt_fits = fit_all(traces, graph, make_uniform(), threads=config.threads)
+    lt_fits = fit_all(traces, graph, make_uniform())
     lt_weights, _ = _fitted_weight_vector(graph, lt_fits)
     out["lt"] = GltModel(graph, lt_weights, make_uniform())
 
-    ic_fits = fit_all(traces, graph, make_exponential_unit(), threads=config.threads)
+    ic_fits = fit_all(traces, graph, make_exponential_unit())
     ic_weights, _ = _fitted_weight_vector(graph, ic_fits)
     out["ic"] = GltModel(graph, ic_weights, make_exponential_unit())
 
@@ -438,7 +430,7 @@ def run_spread_comparison(config: ExperimentConfig):
             for i, s in enumerate(test_seeds)
         ]
         for name, spec in candidates.items():
-            fits = fit_all(train, truth.graph, spec, threads=config.threads)
+            fits = fit_all(train, truth.graph, spec)
             est_weights, _ = _fitted_weight_vector(truth.graph, fits)
             fitted = GltModel(truth.graph, est_weights, spec)
             predicted = [

@@ -22,8 +22,6 @@ __all__ = [
     "GraphError",
     "SeedDistribution",
     "build_graph",
-    "parents",
-    "children",
     "parents_of_set",
     "children_of_set",
     "generate_cws",
@@ -124,14 +122,6 @@ class Graph:
 def build_graph(node_count: int, edge_list) -> Graph:
     """Build a simple directed graph; any edge-list order is canonicalized."""
     return Graph(node_count, edge_list)
-
-
-def parents(graph: Graph, v: int) -> set:
-    return graph.parents(v)
-
-
-def children(graph: Graph, v: int) -> set:
-    return graph.children(v)
 
 
 def parents_of_set(graph: Graph, nodes) -> set:

@@ -3,16 +3,17 @@
 The Monte Carlo estimator propagates many replicates at once: thresholds
 are drawn as a replicate-by-node matrix of uniforms, and the final active
 sets are the deterministic closure of the seed under those draws.  Greedy
-selection with the Monte Carlo evaluator reuses one draw matrix per step
-across all candidate seeds (common random numbers), so candidates are
-compared on identical threshold realizations.  Exact evaluation is
-available through trace enumeration and, for bipartite graphs, a closed
-form.
+selection is one loop over an evaluator's marginal gains.  The Monte Carlo
+evaluator reuses one draw matrix per step across all candidate seeds
+(common random numbers), so candidates are compared on identical threshold
+realizations; the exact evaluators take sigma from :func:`exact_evaluator`,
+trace enumeration or, for bipartite graphs, a closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +27,7 @@ __all__ = [
     "InfluenceError",
     "estimate_spread_mc",
     "spread_bipartite_closed_form",
-    "exact_spread_via",
+    "exact_evaluator",
     "greedy_im",
     "optimal_seed_set",
     "im_solution_gap",
@@ -160,18 +161,64 @@ def spread_bipartite_closed_form(model: GltModel, seed_set) -> float:
     return total
 
 
-def _make_exact_evaluator(model, node_cap):
-    oracle = ExactSpreadOracle(model, node_cap=node_cap)
-    return lambda s: oracle.spread(s)
+def exact_evaluator(model: GltModel, evaluator: str, node_cap: int = 10**6):
+    """The exact spread function ``sigma(seed_set)`` of the named evaluator.
 
-
-def exact_spread_via(model: GltModel, seed_set, evaluator: str, node_cap: int = 10**6) -> float:
-    """Exact spread through the named evaluator ("exact" or "bipartite")."""
+    The "exact" oracle is memoized, so it shares work across seed sets.
+    """
     if evaluator == "exact":
-        return ExactSpreadOracle(model, node_cap=node_cap).spread(seed_set)
+        return ExactSpreadOracle(model, node_cap=node_cap).spread
     if evaluator == "bipartite":
-        return spread_bipartite_closed_form(model, seed_set)
-    raise InfluenceError(f"unknown exact evaluator {evaluator!r}")
+        return partial(spread_bipartite_closed_form, model)
+    raise InfluenceError(f"not an exact evaluator: {evaluator!r}")
+
+
+class _ExactGains:
+    """Greedy evaluator over an exact spread function."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+
+    def _value(self, seeds):
+        return self.sigma(set(seeds)) if seeds else 0.0
+
+    def gains(self, seeds, candidates):
+        """sigma(S + v) - sigma(S) for each candidate v."""
+        base = self._value(seeds)
+        return [self.sigma(set(seeds) | {v}) - base for v in candidates]
+
+    def spread(self, seeds) -> SpreadEstimate:
+        return SpreadEstimate(mean=self._value(seeds), std_error=0.0, replicates=0)
+
+
+class _MonteCarloGains:
+    """Greedy evaluator on common random numbers: the step extending
+    ``seeds`` shares the draws of ``(root, "im-step", len(seeds))``."""
+
+    def __init__(self, model, root, replicates):
+        self.model = model
+        self.root = root
+        self.replicates = replicates
+        self.prop = _BatchPropagator(model)
+
+    def gains(self, seeds, candidates):
+        """mean(S + v) - mean(S) on the step's shared draws."""
+        prop = self.prop
+        thresholds = prop.thresholds(
+            _draws(substream(self.root, "im-step", len(seeds)), self.replicates, prop.n)
+        )
+        base = prop.final_sizes(sorted(seeds), thresholds).mean() if seeds else 0.0
+        return [
+            prop.final_sizes(sorted(seeds + [v]), thresholds).mean() - base
+            for v in candidates
+        ]
+
+    def spread(self, seeds) -> SpreadEstimate:
+        if not seeds:
+            return SpreadEstimate(0.0, 0.0, self.replicates)
+        return estimate_spread_mc(
+            self.model, seeds, self.replicates, substream(self.root, "im-final")
+        )
 
 
 def greedy_im(model: GltModel, budget: int, spread_evaluator: str = "mc", rng=None, *, replicates: int = 1000, node_cap: int = 10**6) -> ImSolution:
@@ -187,63 +234,30 @@ def greedy_im(model: GltModel, budget: int, spread_evaluator: str = "mc", rng=No
     n = model.graph.n
     if not (0 <= budget <= n):
         raise InfluenceError(f"budget {budget} outside [0, {n}]")
-    seeds = []
-    gains = []
-    if spread_evaluator == "exact":
-        evaluate = _make_exact_evaluator(model, node_cap)
-    elif spread_evaluator == "bipartite":
-        evaluate = lambda s: spread_bipartite_closed_form(model, s)
-    elif spread_evaluator == "mc":
+    if spread_evaluator == "mc":
         if rng is None:
             raise InfluenceError("the MC evaluator needs an rng or root seed")
         if isinstance(rng, (int, np.integer)):
             root = int(rng)
         else:
             root = int(as_generator(rng).integers(0, 2**63 - 1))
-        prop = _BatchPropagator(model)
+        evaluator = _MonteCarloGains(model, root, replicates)
+    elif spread_evaluator in ("exact", "bipartite"):
+        evaluator = _ExactGains(exact_evaluator(model, spread_evaluator, node_cap))
     else:
         raise InfluenceError(f"unknown spread evaluator {spread_evaluator!r}")
 
-    if spread_evaluator in ("exact", "bipartite"):
-        current = 0.0
-        for _ in range(budget):
-            best_v, best_val = None, None
-            for v in range(n):
-                if v in seeds:
-                    continue
-                val = evaluate(set(seeds) | {v})
-                if best_val is None or val > best_val:
-                    best_v, best_val = v, val
-            seeds.append(best_v)
-            gains.append(best_val - current)
-            current = best_val
-        return ImSolution(
-            seeds=tuple(seeds),
-            gains=tuple(gains),
-            spread=SpreadEstimate(mean=current, std_error=0.0, replicates=0),
-        )
-
-    for step in range(budget):
-        thresholds = prop.thresholds(
-            _draws(substream(root, "im-step", step), replicates, n)
-        )
-        base = (
-            prop.final_sizes(sorted(seeds), thresholds).mean() if seeds else 0.0
-        )
-        best_v, best_gain = None, None
-        for v in range(n):
-            if v in seeds:
-                continue
-            val = prop.final_sizes(sorted(seeds + [v]), thresholds).mean()
-            gain = val - base
-            if best_gain is None or gain > best_gain:
-                best_v, best_gain = v, gain
-        seeds.append(best_v)
-        gains.append(float(best_gain))
-    final = estimate_spread_mc(
-        model, seeds, replicates, substream(root, "im-final")
-    ) if seeds else SpreadEstimate(0.0, 0.0, replicates)
-    return ImSolution(seeds=tuple(seeds), gains=tuple(gains), spread=final)
+    seeds = []
+    gains = []
+    for _ in range(budget):
+        candidates = [v for v in range(n) if v not in seeds]
+        step_gains = evaluator.gains(seeds, candidates)
+        best = max(range(len(candidates)), key=step_gains.__getitem__)
+        seeds.append(candidates[best])
+        gains.append(float(step_gains[best]))
+    return ImSolution(
+        seeds=tuple(seeds), gains=tuple(gains), spread=evaluator.spread(seeds)
+    )
 
 
 def optimal_seed_set(model: GltModel, budget: int, spread_evaluator: str = "exact", node_cap: int = 10**6):
@@ -258,14 +272,7 @@ def optimal_seed_set(model: GltModel, budget: int, spread_evaluator: str = "exac
         raise InfluenceError(f"budget {budget} outside [0, {n}]")
     if budget == 0:
         return frozenset(), 0.0
-    if spread_evaluator == "exact":
-        evaluate = _make_exact_evaluator(model, node_cap)
-    elif spread_evaluator == "bipartite":
-        evaluate = lambda s: spread_bipartite_closed_form(model, s)
-    else:
-        raise InfluenceError(
-            f"exhaustive search needs an exact evaluator, got {spread_evaluator!r}"
-        )
+    evaluate = exact_evaluator(model, spread_evaluator, node_cap)
     best_set, best_val = None, None
     for combo in combinations(range(n), budget):
         val = evaluate(set(combo))
@@ -284,8 +291,5 @@ def im_solution_gap(true_model: GltModel, est_model: GltModel, budget: int, spre
         raise InfluenceError("models must share the same underlying graph")
     s_true, sigma_true = optimal_seed_set(true_model, budget, spread_evaluator, node_cap)
     s_est, _ = optimal_seed_set(est_model, budget, spread_evaluator, node_cap)
-    if spread_evaluator == "exact":
-        evaluate = _make_exact_evaluator(true_model, node_cap)
-    else:
-        evaluate = lambda s: spread_bipartite_closed_form(true_model, s)
+    evaluate = exact_evaluator(true_model, spread_evaluator, node_cap)
     return float(sigma_true - evaluate(s_est))

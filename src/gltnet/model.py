@@ -14,7 +14,7 @@ while sharing work across seed sets.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "validate_trace",
     "transition_probability",
     "simulate_trace",
-    "simulate_trace_sequential",
     "trace_log_probability",
     "enumerate_feasible_traces",
     "exact_spread",
@@ -336,44 +335,6 @@ def simulate_trace(model: GltModel, seed_set, rng) -> Trace:
     return Trace(list(_closure_steps(model, seed, draws)))
 
 
-def simulate_trace_sequential(model: GltModel, seed_set, rng) -> Trace:
-    """Simulate by sampling the conditional kernel step by step.
-
-    Distributionally identical to :func:`simulate_trace`; kept as an
-    independent cross-check of the persistence mechanism.
-    """
-    seed = {int(v) for v in seed_set}
-    if not seed:
-        raise ModelError("seed set must be nonempty")
-    rng = as_generator(rng)
-    graph = model.graph
-    steps = [frozenset(seed)]
-    active = set(seed)
-    prev_active = set()
-    frontier = set(seed)
-    while True:
-        cand = sorted(children_of_set(graph, frontier) - active)
-        if not cand:
-            break
-        u = rng.random(len(cand))
-        newly = set()
-        for i, v in enumerate(cand):
-            spec = model.spec(v)
-            x = model.influence(v, active)
-            y = model.influence(v, prev_active)
-            denom = spec.sf(y)
-            p = 0.0 if denom <= 0.0 else min(1.0, spec.interval_prob(x, y) / denom)
-            if u[i] < p:
-                newly.add(v)
-        if not newly:
-            break
-        steps.append(frozenset(newly))
-        prev_active = set(active)
-        active |= newly
-        frontier = newly
-    return Trace(steps)
-
-
 def trace_log_probability(model: GltModel, trace, seed_log_prob: float = 0.0) -> float:
     """Log-probability of a feasible trace (seed term supplied externally).
 
@@ -408,10 +369,12 @@ def trace_log_probability(model: GltModel, trace, seed_log_prob: float = 0.0) ->
 
 
 def enumerate_feasible_traces(graph: Graph, seed_set, node_cap: int = 10**6) -> list:
-    """All feasible traces starting at the given seed, by recursive expansion.
+    """All feasible traces starting at the given seed, in depth-first order.
 
     Every prefix counts toward the state budget; exceeding ``node_cap``
-    raises :class:`EnumerationCapError` with the state count reached.
+    raises :class:`EnumerationCapError` with the state count reached.  The
+    expansion keeps an explicit stack, so long traces cannot exhaust the
+    interpreter's recursion limit.
     """
     seed = frozenset(int(v) for v in seed_set)
     if not seed:
@@ -419,22 +382,36 @@ def enumerate_feasible_traces(graph: Graph, seed_set, node_cap: int = 10**6) -> 
     for v in seed:
         graph._check(v)
     out = []
-    states = 0
+    stack = []  # (steps, active, iterator over the next step's choices)
 
-    def expand(steps, active, frontier):
-        nonlocal states
-        states += 1
-        if states > node_cap:
-            raise EnumerationCapError(states, node_cap)
+    def visit(steps, active, frontier):
+        if len(out) >= node_cap:
+            raise EnumerationCapError(len(out) + 1, node_cap)
         out.append(Trace(steps))
         cand = sorted(children_of_set(graph, frontier) - active)
-        for r in range(1, len(cand) + 1):
-            for combo in combinations(cand, r):
-                newly = frozenset(combo)
-                expand(steps + [newly], active | newly, newly)
+        choices = chain.from_iterable(
+            combinations(cand, r) for r in range(1, len(cand) + 1)
+        )
+        stack.append((steps, active, choices))
 
-    expand([seed], set(seed), seed)
+    visit([seed], set(seed), seed)
+    while stack:
+        steps, active, choices = stack[-1]
+        combo = next(choices, None)
+        if combo is None:
+            stack.pop()
+            continue
+        newly = frozenset(combo)
+        visit(steps + [newly], active | newly, newly)
     return out
+
+
+def child_masks(graph: Graph) -> list:
+    """Per node, the bitmask of its children."""
+    masks = [0] * graph.n
+    for u, v in graph.edges:
+        masks[u] |= 1 << v
+    return masks
 
 
 class ExactSpreadOracle:
@@ -451,15 +428,13 @@ class ExactSpreadOracle:
         self.model = model
         self.node_cap = node_cap
         graph = model.graph
-        self._child_mask = [0] * graph.n
+        self._child_mask = child_masks(graph)
         self._parent_mask = [0] * graph.n
         self._parent_bits = []
         self._theta = []
         for v in range(graph.n):
             for u in graph.parent_list(v):
                 self._parent_mask[v] |= 1 << u
-            for c in graph.children(v):
-                self._child_mask[v] |= 1 << c
             self._parent_bits.append(tuple(graph.parent_list(v)))
             self._theta.append(model.theta(v))
         self._cdf_cache = {}
@@ -486,15 +461,37 @@ class ExactSpreadOracle:
             mask |= 1 << int(v)
         if mask == 0:
             return 0.0
-        return self._val(mask, mask)
+        return self._val((mask, mask))
 
-    def _val(self, active, frontier):
-        key = (active, frontier)
-        got = self._value.get(key)
-        if got is not None:
-            return got
-        if len(self._value) >= self.node_cap:
-            raise EnumerationCapError(len(self._value) + 1, self.node_cap)
+    def _val(self, key):
+        """Memoized value of a state, by depth-first search on an explicit stack.
+
+        Each stack entry is an :meth:`_expand` generator suspended until it
+        receives the value of a successor not yet memoized.  Values are summed
+        in the order a recursive evaluation would use, and long traces cannot
+        exhaust the interpreter's recursion limit.
+        """
+        value = self._value.get(key)
+        if value is not None:
+            return value
+        stack = [self._expand(key)]
+        while stack:
+            try:
+                key = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                stack.append(self._expand(key))
+                value = None
+        return value
+
+    def _expand(self, key):
+        """Generator: yields unmemoized successor states, receives their values."""
+        memo = self._value
+        if len(memo) >= self.node_cap:
+            raise EnumerationCapError(len(memo) + 1, self.node_cap)
+        active, frontier = key
         cand_mask = 0
         v = frontier
         while v:
@@ -538,8 +535,12 @@ class ExactSpreadOracle:
             if chosen == 0:
                 total += prob * active.bit_count()
             else:
-                total += prob * self._val(active | chosen, chosen)
-        self._value[key] = total
+                successor = (active | chosen, chosen)
+                value = memo.get(successor)
+                if value is None:
+                    value = yield successor
+                total += prob * value
+        memo[key] = total
         return total
 
 

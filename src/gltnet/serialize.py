@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import Graph
 from .likelihood import PseudoTrace
-from .model import GltModel, Trace
+from .model import GltModel, Trace, validate_trace
 from .thresholds import spec_from_dict, spec_to_dict
 
 __all__ = [
@@ -79,6 +79,8 @@ def load_json(path: str):
 
 
 def _need(d, key, where):
+    if not isinstance(d, dict):
+        raise SchemaError(f"expected a JSON object, got {d!r}", where=where)
     if key not in d:
         raise SchemaError(f"missing key {key!r}", where=where)
     return d[key]
@@ -119,10 +121,24 @@ def trace_to_dict(trace: Trace) -> dict:
     return {"steps": [sorted(s) for s in trace.steps]}
 
 
-def trace_from_dict(d: dict, where: str = "trace") -> Trace:
+def _node_ids(values, where):
+    """A JSON array of node ids, each a JSON integer (not a float or bool)."""
+    if not isinstance(values, list):
+        raise SchemaError(f"expected a list of node ids, got {values!r}", where=where)
+    for v in values:
+        if type(v) is not int:
+            raise SchemaError(f"node id {v!r} is not an integer", where=where)
+    return values
+
+
+def trace_from_dict(d: dict, where: str = "trace", graph: Graph = None) -> Trace:
+    """Parse a trace; with ``graph``, also check its feasibility there."""
     steps = _need(d, "steps", where)
+    if not isinstance(steps, list):
+        raise SchemaError(f"expected a list of steps, got {steps!r}", where=where)
     try:
-        return Trace(steps)
+        trace = Trace([_node_ids(step, where) for step in steps])
+        return trace if graph is None else validate_trace(graph, trace)
     except ValueError as exc:
         raise SchemaError(str(exc), where=where) from exc
 
@@ -132,7 +148,8 @@ def write_traces_jsonl(traces, path: str):
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_traces_jsonl(path: str) -> list:
+def read_traces_jsonl(path: str, graph: Graph = None) -> list:
+    """Traces of a JSONL file; with ``graph``, each is checked feasible there."""
     out = []
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -144,7 +161,7 @@ def read_traces_jsonl(path: str) -> list:
                 d = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(str(exc), where=where) from exc
-            out.append(trace_from_dict(d, where=where))
+            out.append(trace_from_dict(d, where=where, graph=graph))
     return out
 
 
@@ -162,7 +179,11 @@ def write_pseudo_jsonl(pseudo_traces, path: str):
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_pseudo_jsonl(path: str) -> list:
+def read_pseudo_jsonl(path: str, graph: Graph = None) -> list:
+    """Pseudo-traces of a JSONL file.
+
+    With ``graph``, each must name a node of it and only that node's parents.
+    """
     out = []
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -174,16 +195,19 @@ def read_pseudo_jsonl(path: str) -> list:
                 d = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(str(exc), where=where) from exc
+            node = _need(d, "node", where)
+            _node_ids([node], where)
+            active = _node_ids(_need(d, "active_parents", where), where)
+            y = _need(d, "y", where)
+            if type(y) is not int:
+                raise SchemaError(f"outcome {y!r} is not an integer", where=where)
             try:
-                out.append(
-                    PseudoTrace(
-                        node=int(_need(d, "node", where)),
-                        active_parents=frozenset(
-                            int(u) for u in _need(d, "active_parents", where)
-                        ),
-                        y=int(_need(d, "y", where)),
-                    )
-                )
+                pt = PseudoTrace(node=node, active_parents=active, y=y)
+                if graph is not None:
+                    stray = pt.active_parents - graph.parents(node)
+                    if stray:
+                        raise ValueError(f"{sorted(stray)} are not parents of node {node}")
+                out.append(pt)
             except ValueError as exc:
                 raise SchemaError(str(exc), where=where) from exc
     return out

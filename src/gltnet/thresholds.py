@@ -28,7 +28,6 @@ __all__ = [
     "make_exponential_unit",
     "make_beta",
     "make_beta_fit_safe",
-    "check_concave_cdf",
     "spec_to_dict",
     "spec_from_dict",
 ]
@@ -215,11 +214,6 @@ def make_beta_fit_safe(alpha: float, beta: float) -> ThresholdSpec:
             f"got ({alpha}, {beta})"
         )
     return make_beta(alpha, beta)
-
-
-def check_concave_cdf(spec: ThresholdSpec) -> bool:
-    """Analytic concavity decision for the cdf (no numerical probing)."""
-    return spec.concave_cdf
 
 
 def spec_to_dict(spec: ThresholdSpec) -> dict:

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from gltnet import (
+    ExactSpreadOracle,
     GltModel,
     Graph,
+    ModelError,
+    Trace,
     build_graph,
     children_of_set,
+    estimate_spread_mc,
     make_beta,
     make_exponential_unit,
     make_uniform,
+    spread_bipartite_closed_form,
 )
+from gltnet.influence import ImSolution, SpreadEstimate, _BatchPropagator, _draws
+from gltnet.rng import as_generator, substream
 
 
 @pytest.fixture
@@ -192,3 +199,101 @@ def parent_subset_seed_distribution():
 
     subsets = [frozenset(c) for r in (1, 2, 3) for c in combinations(range(3), r)]
     return SeedDistribution.explicit([(s, 1.0 / len(subsets)) for s in subsets])
+
+
+def simulate_trace_sequential(model, seed_set, rng):
+    """Simulate by sampling the conditional kernel step by step.
+
+    Distributionally identical to ``simulate_trace``; an independent
+    cross-check of the threshold-persistence mechanism.
+    """
+    seed = {int(v) for v in seed_set}
+    if not seed:
+        raise ModelError("seed set must be nonempty")
+    rng = as_generator(rng)
+    graph = model.graph
+    steps = [frozenset(seed)]
+    active = set(seed)
+    prev_active = set()
+    frontier = set(seed)
+    while True:
+        cand = sorted(children_of_set(graph, frontier) - active)
+        if not cand:
+            break
+        u = rng.random(len(cand))
+        newly = set()
+        for i, v in enumerate(cand):
+            spec = model.spec(v)
+            x = model.influence(v, active)
+            y = model.influence(v, prev_active)
+            denom = spec.sf(y)
+            p = 0.0 if denom <= 0.0 else min(1.0, spec.interval_prob(x, y) / denom)
+            if u[i] < p:
+                newly.add(v)
+        if not newly:
+            break
+        steps.append(frozenset(newly))
+        prev_active = set(active)
+        active |= newly
+        frontier = newly
+    return Trace(steps)
+
+
+def reference_greedy_im(model, budget, spread_evaluator, rng=None, replicates=1000, node_cap=10**6):
+    """Greedy IM with separate exact and Monte Carlo selection loops.
+
+    The exact loop maximizes sigma(S + v) itself; the Monte Carlo loop
+    maximizes the common-random-number gain.  Reference for ``greedy_im``.
+    """
+    n = model.graph.n
+    seeds = []
+    gains = []
+    if spread_evaluator in ("exact", "bipartite"):
+        if spread_evaluator == "exact":
+            oracle = ExactSpreadOracle(model, node_cap=node_cap)
+            evaluate = lambda s: oracle.spread(s)
+        else:
+            evaluate = lambda s: spread_bipartite_closed_form(model, s)
+        current = 0.0
+        for _ in range(budget):
+            best_v, best_val = None, None
+            for v in range(n):
+                if v in seeds:
+                    continue
+                val = evaluate(set(seeds) | {v})
+                if best_val is None or val > best_val:
+                    best_v, best_val = v, val
+            seeds.append(best_v)
+            gains.append(best_val - current)
+            current = best_val
+        return ImSolution(
+            seeds=tuple(seeds),
+            gains=tuple(gains),
+            spread=SpreadEstimate(mean=current, std_error=0.0, replicates=0),
+        )
+    if isinstance(rng, (int, np.integer)):
+        root = int(rng)
+    else:
+        root = int(as_generator(rng).integers(0, 2**63 - 1))
+    prop = _BatchPropagator(model)
+    for step in range(budget):
+        thresholds = prop.thresholds(
+            _draws(substream(root, "im-step", step), replicates, n)
+        )
+        base = (
+            prop.final_sizes(sorted(seeds), thresholds).mean() if seeds else 0.0
+        )
+        best_v, best_gain = None, None
+        for v in range(n):
+            if v in seeds:
+                continue
+            val = prop.final_sizes(sorted(seeds + [v]), thresholds).mean()
+            gain = val - base
+            if best_gain is None or gain > best_gain:
+                best_v, best_gain = v, gain
+        seeds.append(best_v)
+        gains.append(float(best_gain))
+    final = estimate_spread_mc(
+        model, seeds, replicates, substream(root, "im-final")
+    ) if seeds else SpreadEstimate(0.0, 0.0, replicates)
+    return ImSolution(seeds=tuple(seeds), gains=tuple(gains), spread=final)

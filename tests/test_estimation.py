@@ -220,20 +220,6 @@ def test_fit_all_order_invariant():
         assert np.allclose(forward[v].weights, backward[v].weights, atol=1e-12)
 
 
-def test_fit_all_threaded_identical():
-    graph = staggered_fit_graph()
-    model = GltModel(graph, random_weights_within(graph, substream(36, "w")), make_uniform())
-    dist = parent_subset_seed_distribution()
-    traces = [
-        simulate_trace(model, sample_seed(dist, graph, substream(36, "s", i)), substream(36, "t", i))
-        for i in range(200)
-    ]
-    serial = fit_all(traces, graph, make_uniform(), threads=1)
-    threaded = fit_all(traces, graph, make_uniform(), threads=4)
-    for v in serial:
-        assert np.array_equal(serial[v].weights, threaded[v].weights)
-
-
 def test_consistency_trend_mini():
     # quick version of the rate check: mini replication, nested trace counts
     rmaes = {200: [], 1600: []}

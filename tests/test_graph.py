@@ -9,10 +9,8 @@ from gltnet import (
     GraphError,
     SeedDistribution,
     build_graph,
-    children,
     children_of_set,
     generate_cws,
-    parents,
     parents_of_set,
     sample_seed,
     sample_weights_simplex,
@@ -36,16 +34,16 @@ def test_canonicalization_is_order_invariant():
 def test_empty_edge_list():
     g = build_graph(3, [])
     for v in range(3):
-        assert parents(g, v) == set()
-        assert children(g, v) == set()
+        assert g.parents(v) == set()
+        assert g.children(v) == set()
 
 
 def test_star_neighborhoods():
     m = 4
     g = build_graph(m + 1, [(i, m) for i in range(m)])
-    assert parents(g, m) == set(range(m))
-    assert children(g, m) == set()
-    assert parents(g, 2) == set()
+    assert g.parents(m) == set(range(m))
+    assert g.children(m) == set()
+    assert g.parents(2) == set()
 
 
 def test_build_graph_errors():
@@ -86,7 +84,7 @@ def test_cws_ring_lattice_deterministic():
     assert g.edge_count() == 40
     for v in range(10):
         assert g.in_degree(v) == 4
-        assert parents(g, v) == {(v + d) % 10 for d in (-2, -1, 1, 2)}
+        assert g.parents(v) == {(v + d) % 10 for d in (-2, -1, 1, 2)}
 
 
 @pytest.mark.parametrize("p", [0.0, 0.2, 1.0])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gltnet import (
     ExactSpreadOracle,
@@ -19,7 +21,7 @@ from gltnet import (
 )
 from gltnet.rng import substream
 
-from conftest import random_simple_digraph, random_weights_within
+from conftest import random_simple_digraph, random_weights_within, reference_greedy_im
 
 
 def _random_bipartite(n_parents, n_children, rng, spec=None, d_max=1.0):
@@ -236,12 +238,39 @@ def test_prop9_gap_bound_quick():
         assert gap <= bound + 1e-9
 
 
-def test_exact_spread_via_dispatch():
-    from gltnet.influence import exact_spread_via
+def test_exact_evaluator_dispatch():
+    from gltnet.influence import exact_evaluator
 
     model = _random_bipartite(3, 3, substream(73, "m"))
-    a = exact_spread_via(model, {0, 1}, "exact")
-    b = exact_spread_via(model, {0, 1}, "bipartite")
+    a = exact_evaluator(model, "exact")({0, 1})
+    b = exact_evaluator(model, "bipartite")({0, 1})
     assert a == pytest.approx(b, abs=1e-9)
     with pytest.raises(InfluenceError):
-        exact_spread_via(model, {0}, "mc")
+        exact_evaluator(model, "mc")
+
+
+@st.composite
+def _greedy_case(draw):
+    n = draw(st.integers(2, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    spec = draw(st.sampled_from([make_uniform(), make_exponential_unit(), make_beta(1, 2)]))
+    if draw(st.sampled_from(["general", "bipartite"])) == "bipartite":
+        n_parents = draw(st.integers(1, n - 1))
+        model = _random_bipartite(n_parents, n - n_parents, substream(seed, "m"), spec=spec)
+        evaluators = ["exact", "bipartite", "mc"]
+    else:
+        g = random_simple_digraph(n, draw(st.floats(0.1, 0.5)), substream(seed, "g"))
+        model = GltModel(g, random_weights_within(g, substream(seed, "w")), spec)
+        evaluators = ["exact", "mc"]
+    return model, draw(st.integers(0, min(3, n))), draw(st.sampled_from(evaluators)), seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(_greedy_case())
+def test_greedy_matches_reference_loops(case):
+    # one selection loop over gains() reproduces the separate exact and
+    # Monte Carlo loops bit for bit: seeds, gains and every spread field
+    model, budget, evaluator, seed = case
+    got = greedy_im(model, budget, evaluator, seed, replicates=50)
+    want = reference_greedy_im(model, budget, evaluator, seed, replicates=50)
+    assert got == want

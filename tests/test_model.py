@@ -19,14 +19,18 @@ from gltnet import (
     make_exponential_unit,
     make_uniform,
     simulate_trace,
-    simulate_trace_sequential,
     trace_log_probability,
     transition_probability,
     validate_trace,
 )
 from gltnet.rng import substream
 
-from conftest import ic_trace_probability, random_simple_digraph, random_weights_within
+from conftest import (
+    ic_trace_probability,
+    random_simple_digraph,
+    random_weights_within,
+    simulate_trace_sequential,
+)
 
 
 def test_trace_validation():
@@ -195,6 +199,23 @@ def test_exact_spread_single_edge():
     g = build_graph(2, [(0, 1)])
     model = from_lt(g, [0.3])
     assert exact_spread(model, {0}) == pytest.approx(1.3, abs=1e-12)
+
+
+def _path_graph(n):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_exact_spread_long_path():
+    # deeper than the interpreter's recursion limit; sigma = sum_i 0.5^i
+    model = from_lt(_path_graph(1500), np.full(1499, 0.5))
+    assert exact_spread(model, {0}) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_enumerate_long_path():
+    # 1,050 traces: one per prefix of the path
+    traces = enumerate_feasible_traces(_path_graph(1050), {0})
+    assert len(traces) == 1050
+    assert traces[-1].horizon == 1049
 
 
 def test_exact_spread_matches_direct_enumeration():

@@ -63,6 +63,76 @@ def test_jsonl_error_carries_line_number(tmp_path):
     assert ":2" in str(err.value)
 
 
+def _write_lines(path, lines):
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("bad", ["1.5", "true", '"1"'])
+def test_jsonl_readers_reject_non_integer_node_ids(tmp_path, bad):
+    traces = _write_lines(str(tmp_path / "t.jsonl"), ['{"steps": [[0]]}', '{"steps": [[%s]]}' % bad])
+    with pytest.raises(SchemaError, match=r"t\.jsonl:2: node id"):
+        read_traces_jsonl(traces)
+    for line in (
+        '{"node": %s, "active_parents": [0], "y": 1}' % bad,
+        '{"node": 2, "active_parents": [%s], "y": 1}' % bad,
+    ):
+        pseudo = _write_lines(str(tmp_path / "p.jsonl"), [line])
+        with pytest.raises(SchemaError, match=r"p\.jsonl:1: node id"):
+            read_pseudo_jsonl(pseudo)
+
+
+def test_jsonl_readers_reject_malformed_records(tmp_path):
+    bad = _write_lines(str(tmp_path / "r.jsonl"), ["5"])
+    for reader in (read_traces_jsonl, read_pseudo_jsonl):
+        with pytest.raises(SchemaError, match=r"r\.jsonl:1: expected a JSON object"):
+            reader(bad)
+    pseudo = _write_lines(str(tmp_path / "p.jsonl"), ['{"node": 2, "active_parents": [0]}'])
+    with pytest.raises(SchemaError) as err:
+        read_pseudo_jsonl(pseudo)
+    assert str(err.value) == f"{pseudo}:1: missing key 'y'"  # one position, not two
+    for y in ("1.5", "true"):
+        pseudo = _write_lines(str(tmp_path / "p.jsonl"), ['{"node": 2, "active_parents": [0], "y": %s}' % y])
+        with pytest.raises(SchemaError, match=r"p\.jsonl:1: outcome"):
+            read_pseudo_jsonl(pseudo)
+
+
+def test_jsonl_readers_check_nodes_against_the_graph(tmp_path):
+    g = build_graph(3, [(0, 2), (1, 2)])
+    traces = _write_lines(str(tmp_path / "t.jsonl"), ['{"steps": [[0], [2]]}', '{"steps": [[99]]}'])
+    with pytest.raises(SchemaError, match=r"t\.jsonl:2: node 99 out of range for n=3"):
+        read_traces_jsonl(traces, g)
+    infeasible = _write_lines(str(tmp_path / "u.jsonl"), ['{"steps": [[2], [0]]}'])
+    with pytest.raises(SchemaError, match=r"u\.jsonl:1: node 0 activates"):
+        read_traces_jsonl(infeasible, g)
+    assert len(read_traces_jsonl(infeasible)) == 1  # without a graph: syntax only
+    for line, message in (
+        ('{"node": 99, "active_parents": [0], "y": 1}', "node 99 out of range"),
+        ('{"node": 2, "active_parents": [0, 1], "y": 1}', None),
+        ('{"node": 1, "active_parents": [0], "y": 0}', r"\[0\] are not parents of node 1"),
+    ):
+        pseudo = _write_lines(str(tmp_path / "p.jsonl"), [line])
+        if message is None:
+            assert len(read_pseudo_jsonl(pseudo, g)) == 1
+        else:
+            with pytest.raises(SchemaError, match=r"p\.jsonl:1: " + message):
+                read_pseudo_jsonl(pseudo, g)
+
+
+def test_cli_grid_fit_reports_bad_trace_position(tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    assert _run(["generate", "--n", "6", "--k", "2", "--family", "beta:1,2", "--seed", "5", "--out", model]) == 0
+    traces = _write_lines(str(tmp_path / "t.jsonl"), ['{"steps": [[0]]}', '{"steps": [[6]]}'])
+    out = str(tmp_path / "fit.json")
+    argv = ["fit", "--model", model, "--traces", traces, "--family", "beta:1,2", "--out", out]
+    for extra in ([], ["--grid", "1,2"]):
+        assert _run(argv + extra) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "SchemaError"
+        assert "t.jsonl:2: node 6 out of range" in error["message"]
+
+
 def test_schema_error_for_missing_keys():
     with pytest.raises(SchemaError):
         graph_from_dict({"edges": []})

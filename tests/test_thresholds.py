@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gltnet import (
-    check_concave_cdf,
     make_beta,
     make_beta_fit_safe,
     make_exponential_unit,
@@ -40,13 +39,13 @@ def test_flags():
     assert not spec21.concave_cdf
     assert spec21.log_concave_density
     assert not make_beta(0.5, 2).log_concave_density
-    assert check_concave_cdf(make_exponential_unit())
+    assert make_exponential_unit().concave_cdf
 
 
 def test_beta_2_2_not_concave_numerically():
     # derivative oracle: F'' > 0 somewhere near 0 for beta(2, 2)
     spec = make_beta(2, 2)
-    assert not check_concave_cdf(spec)
+    assert not spec.concave_cdf
     xs = np.linspace(0.01, 0.99, 99)
     d2 = np.array(
         [
