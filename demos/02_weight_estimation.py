@@ -27,7 +27,7 @@ for i in range(4000):
 
 
 def estimate(trace_subset, spec):
-    fits = g.fit_all(trace_subset, graph, spec)
+    fits = g.fit_all(g.build_all_node_data(trace_subset, graph), spec)
     est = np.zeros(graph.edge_count())
     for v, fit in fits.items():
         if fit.estimated:
@@ -58,10 +58,11 @@ beta_traces = [
     for i in range(2000)
 ]
 grid = tuple((1, b) for b in range(1, 6))
+beta_rows = g.build_all_node_data(beta_traces, graph)  # shared by every candidate
 pooled = {}
 for alpha, beta in grid:
     spec = g.make_beta(alpha, beta)
-    fits = g.fit_all(beta_traces, graph, spec)
+    fits = g.fit_all(beta_rows, spec)
     pooled[beta] = sum(f.loglik for f in fits.values() if f.estimated)
 best = max(pooled, key=lambda b: pooled[b])
 print("\npooled log-likelihood by candidate beta (truth: beta(1, 3)):")

@@ -25,15 +25,16 @@ traces = [
     for i in range(2000)
 ]
 
-fits = g.fit_all(traces, graph, g.make_uniform())
+# node rows are built once and shared by the fit and the covariance
+datasets = g.build_all_node_data(traces, graph)
+fits = g.fit_all(datasets, g.make_uniform())
 
 # pick an interior-estimate node with a healthy sample size
 node = max(
     (f for f in fits.values() if f.estimated and not f.at_boundary),
     key=lambda f: f.n_obs,
 )
-data = g.build_node_data(traces, graph, node.node)
-cov = g.node_covariance(data, node.weights, node.spec)
+cov = g.node_covariance(datasets[node.node], node.weights, node.spec)
 print(f"node {node.node} (parents {node.parents}, N_v={node.n_obs})")
 print("smallest information eigenvalue:", cov.min_eigenvalue)
 

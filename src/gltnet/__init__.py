@@ -45,6 +45,7 @@ from .model import (
 from .likelihood import (
     NodeData,
     PseudoTrace,
+    build_all_node_data,
     build_node_data,
     build_pseudo_node_data,
     node_gradient,

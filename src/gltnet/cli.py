@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import check_identifiability, check_submodularity_exact
-from .estimation import FitOptions, fit_all, fit_node, fit_with_threshold_grid
+from .estimation import FitOptions, fit_all, fit_with_threshold_grid
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 from .graph import SeedDistribution, generate_cws, sample_seed, sample_weights_simplex
 from .inference import node_covariance, weight_intervals
 from .influence import estimate_spread_mc, exact_evaluator, greedy_im
-from .likelihood import build_node_data, build_pseudo_node_data
+from .likelihood import build_all_node_data, build_pseudo_node_data
 from .model import GltModel, simulate_trace
 from .rng import substream
 from .serialize import (
@@ -103,45 +103,39 @@ def _fit_options(args) -> FitOptions:
 
 
 def _run_fits(args):
+    """``(graph, spec, results, datasets)``: every fit uses the rows in
+    ``datasets``, built once per node."""
     graph, model = _load_graph_or_model(args)
     options = _fit_options(args)
     family = _parse_family(args.family)
     if args.pseudo:
-        pseudo = read_pseudo_jsonl(args.pseudo, graph)
         by_node = {}
-        for pt in pseudo:
+        for pt in read_pseudo_jsonl(args.pseudo, graph):
             by_node.setdefault(pt.node, []).append(pt)
         datasets = {
             v: build_pseudo_node_data(pts, v, graph) for v, pts in sorted(by_node.items())
         }
-        traces = None
-    else:
-        if not args.traces:
-            raise SchemaError("supply --traces or --pseudo")
+    elif args.traces:
+        # the reader has already checked each trace against the graph
         traces = read_traces_jsonl(args.traces, graph)
-        datasets = None
+        datasets = build_all_node_data(traces, graph, validate=False)
+    else:
+        raise SchemaError("supply --traces or --pseudo")
 
     spec = spec_from_dict(family)
     grid = _parse_grid(args.grid) if args.grid else None
     if grid and family["family"] != "beta":
         raise SchemaError("--grid applies to beta thresholds; set --family beta:A,B")
 
-    results = {}
-    if datasets is not None:
-        for v, data in datasets.items():
-            if grid:
-                results[v] = fit_with_threshold_grid(data, "beta", grid, options)
-            else:
-                results[v] = fit_node(data, spec, options)
-    elif grid:
-        for v in graph.child_nodes():
-            data = build_node_data(traces, graph, v, validate=False)
-            if data.n_informative_rows == 0:
-                continue
-            results[v] = fit_with_threshold_grid(data, "beta", grid, options)
+    if grid:
+        results = {
+            v: fit_with_threshold_grid(data, grid, options)
+            for v, data in datasets.items()
+            if data.n_informative_rows
+        }
     else:
-        results = fit_all(traces, graph, spec, options)
-    return graph, spec, results, traces, datasets
+        results = fit_all(datasets, spec, options)
+    return graph, spec, results, datasets
 
 
 def _fitted_model(graph, spec, results):
@@ -178,7 +172,7 @@ def cmd_simulate(args):
 
 
 def cmd_fit(args):
-    graph, spec, results, traces, datasets = _run_fits(args)
+    graph, spec, results, _ = _run_fits(args)
     dump_json(fit_results_to_dict(results), args.out)
     if args.model_out:
         dump_json(model_to_dict(_fitted_model(graph, spec, results)), args.model_out)
@@ -187,16 +181,12 @@ def cmd_fit(args):
 
 
 def cmd_infer(args):
-    graph, spec, results, traces, datasets = _run_fits(args)
+    _, _, results, datasets = _run_fits(args)
     intervals = {}
     for v, fit in results.items():
         if not fit.estimated:
             continue
-        if datasets is not None:
-            data = datasets[v]
-        else:
-            data = build_node_data(traces, graph, v, validate=False)
-        cov = node_covariance(data, fit.weights, fit.spec)
+        cov = node_covariance(datasets[v], fit.weights, fit.spec)
         ints = weight_intervals(fit, cov, args.level) if cov.valid else []
         intervals[v] = (cov, ints)
     dump_json(fit_results_to_dict(results, intervals), args.out)

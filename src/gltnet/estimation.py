@@ -12,14 +12,14 @@ the feasible cone at the solution.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
-from .likelihood import NodeData, build_node_data, node_value_and_gradient
-from .model import Trace, ZeroProbabilityError, default_gamma, validate_trace
-from .thresholds import ThresholdSpec, make_beta, make_exponential_unit, make_uniform
+from .likelihood import NodeData, node_value_and_gradient
+from .model import Trace, ZeroProbabilityError, default_gamma
+from .thresholds import ThresholdSpec, make_beta
 
 __all__ = [
     "FitOptions",
@@ -49,7 +49,6 @@ class FitOptions:
     gamma: float = None  # default: h_v - epsilon for bounded supports, 10 otherwise
     tol: float = 1e-8
     max_iter: int = 2000
-    grid: tuple = None  # threshold-parameter tuples for grid-search fitting
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -89,7 +88,6 @@ class NodeFitResult:
     projected_gradient_norm: float = np.nan
     iterations: int = 0
     error: str = None
-    covariance: object = None  # filled by the inference module
 
     @property
     def estimated(self) -> bool:
@@ -381,31 +379,30 @@ def fit_node(node_data: NodeData, spec: ThresholdSpec, options: FitOptions = Non
     )
 
 
-def fit_all(traces, graph: Graph, specs, options: FitOptions = None) -> dict:
-    """Fit every child node that has informative data.
+def fit_all(datasets: dict, specs, options: FitOptions = None) -> dict:
+    """Fit every node of ``datasets``, a ``{node: NodeData}`` dict such as
+    ``build_all_node_data(traces, graph)``.
 
     ``specs`` is a single ThresholdSpec or a per-node sequence.  Per-node
     failures are recorded on the result (``error`` field), never raised, so
     a batch over many nodes always completes.
     """
     options = options or FitOptions()
-    traces = [validate_trace(graph, t) for t in traces]
     if isinstance(specs, ThresholdSpec):
         spec_of = lambda v: specs
     else:
         specs = tuple(specs)
         spec_of = lambda v: specs[v]
 
-    def run(v):
+    def run(v, data):
         try:
-            data = build_node_data(traces, graph, v, validate=False)
             if data.n_informative_rows == 0:
                 raise EstimationError(f"node {v} has no informative traces")
             return fit_node(data, spec_of(v), options)
         except Exception as exc:  # noqa: BLE001 - per-node isolation is the contract
             return NodeFitResult(
                 node=v,
-                parents=graph.parent_list(v),
+                parents=data.parents,
                 weights=None,
                 converged=False,
                 loglik=np.nan,
@@ -416,18 +413,7 @@ def fit_all(traces, graph: Graph, specs, options: FitOptions = None) -> dict:
                 error=str(exc),
             )
 
-    return {v: run(v) for v in graph.child_nodes()}
-
-
-def _spec_from_phi(family: str, phi) -> ThresholdSpec:
-    if family == "uniform":
-        return make_uniform()
-    if family == "exponential":
-        return make_exponential_unit()
-    if family == "beta":
-        alpha, beta = (phi if isinstance(phi, (tuple, list)) else (1.0, phi))
-        return make_beta(alpha, beta)
-    raise EstimationError(f"unknown threshold family {family!r}")
+    return {v: run(v, data) for v, data in datasets.items()}
 
 
 def default_beta_grid(alpha: float = None) -> tuple:
@@ -441,24 +427,20 @@ def default_beta_grid(alpha: float = None) -> tuple:
     return tuple((a, b) for a in range(1, 11) for b in range(1, 11))
 
 
-def fit_with_threshold_grid(node_data: NodeData, family: str, grid=None, options: FitOptions = None) -> NodeFitResult:
-    """Fit under each grid value of the threshold parameters, keep the best.
+def fit_with_threshold_grid(node_data: NodeData, grid, options: FitOptions = None) -> NodeFitResult:
+    """Fit beta(alpha, beta) thresholds at each ``(alpha, beta)`` of ``grid``,
+    keep the best.
 
-    Ties in log-likelihood break toward the earliest grid position.  The
-    grid falls back to ``options.grid``.  Raises only if every grid fit
-    failed.
+    Ties in log-likelihood break toward the earliest grid position.  Raises
+    only if every grid fit failed.
     """
-    if grid is None and options is not None:
-        grid = options.grid
-    if grid is None:
-        raise EstimationError("no threshold-parameter grid supplied")
     grid = tuple(grid)
     if not grid:
         raise EstimationError("threshold-parameter grid is empty")
     best = None
     failures = []
     for phi in grid:
-        spec = _spec_from_phi(family, phi)
+        spec = make_beta(*phi)
         if not spec.log_concave_density:
             failures.append(f"{phi}: not fit-safe (density not log-concave)")
             continue
@@ -468,7 +450,7 @@ def fit_with_threshold_grid(node_data: NodeData, family: str, grid=None, options
             failures.append(f"{phi}: {exc}")
             continue
         if best is None or result.loglik > best.loglik:
-            result.phi = {"family": family, "params": phi}
+            result.phi = {"family": "beta", "params": phi}
             best = result
     if best is None:
         raise EstimationError(

@@ -27,7 +27,7 @@ from .inference import (
     node_covariance,
     weight_intervals,
 )
-from .likelihood import build_node_data
+from .likelihood import build_all_node_data
 from .metrics import rmae
 from .model import ActivationHistory, GltModel, simulate_trace, transition_probability
 from .influence import estimate_spread_mc, greedy_im
@@ -143,7 +143,8 @@ def run_rmae_vs_traces(config: ExperimentConfig):
             model = _sample_model(config, rep, d_max=d_max, tag=f"d{di}")
             traces = _simulate_traces(config, model, n_max, rep, tag=f"d{di}")
             for count in config.trace_counts:
-                fits = fit_all(traces[:count], model.graph, model.thresholds)
+                datasets = build_all_node_data(traces[:count], model.graph, validate=False)
+                fits = fit_all(datasets, model.thresholds)
                 est, n_est = _fitted_weight_vector(model.graph, fits)
                 rows.append(
                     {
@@ -164,7 +165,8 @@ def run_rmae_vs_n(config: ExperimentConfig):
         for gi, (n, k) in enumerate(config.size_grid):
             model = _sample_model(config, rep, n=n, k=k, tag=f"g{gi}")
             traces = _simulate_traces(config, model, config.n_traces, rep, tag=f"g{gi}")
-            fits = fit_all(traces, model.graph, model.thresholds)
+            datasets = build_all_node_data(traces, model.graph, validate=False)
+            fits = fit_all(datasets, model.thresholds)
             est, n_est = _fitted_weight_vector(model.graph, fits)
             rows.append(
                 {
@@ -185,12 +187,12 @@ def run_ci_coverage(config: ExperimentConfig):
     for rep in range(config.replications):
         model = _sample_model(config, rep)
         traces = _simulate_traces(config, model, config.n_traces, rep)
-        fits = fit_all(traces, model.graph, model.thresholds)
+        datasets = build_all_node_data(traces, model.graph, validate=False)
+        fits = fit_all(datasets, model.thresholds)
         for v, fit in sorted(fits.items()):
             if not fit.estimated:
                 continue
-            data = build_node_data(traces, model.graph, v, validate=False)
-            cov = node_covariance(data, fit.weights, fit.spec)
+            cov = node_covariance(datasets[v], fit.weights, fit.spec)
             interior = not fit.at_boundary and cov.valid
             covered = total = 0
             if interior:
@@ -247,15 +249,15 @@ def run_activation_prediction(config: ExperimentConfig):
         truth = _sample_model(config, rep, specs=make_beta(2, 1))
         train = _simulate_traces(config, truth, config.n_traces, rep, tag="train")
         test = _simulate_traces(config, truth, config.n_test, rep, tag="test")
+        datasets = build_all_node_data(train, truth.graph, validate=False)
         for name, spec in _candidate_specs().items():
-            fits = fit_all(train, truth.graph, spec)
+            fits = fit_all(datasets, spec)
             covs = {}
             for v, fit in fits.items():
                 # boundary fits are kept: losing coverage there is exactly how
                 # a misspecified threshold family shows up
                 if fit.estimated:
-                    data = build_node_data(train, truth.graph, v, validate=False)
-                    covs[v] = node_covariance(data, fit.weights, spec)
+                    covs[v] = node_covariance(datasets[v], fit.weights, spec)
             true_p, pred_p, covered, lengths = [], [], 0, []
             for trace in test:
                 hist = ActivationHistory(trace)
@@ -317,15 +319,15 @@ def _fit_candidates(config, truth, traces):
     """Fit the GLT grid model, LT, IC, and the two heuristics."""
     graph = truth.graph
     out = {}
+    datasets = build_all_node_data(traces, graph, validate=False)
     grid = tuple((1, b) for b in config.beta_grid)
     glt_fits = {}
     options = FitOptions()
-    for v in graph.child_nodes():
-        data = build_node_data(traces, graph, v, validate=False)
+    for v, data in datasets.items():
         if data.n_informative_rows == 0:
             continue
         try:
-            glt_fits[v] = fit_with_threshold_grid(data, "beta", grid, options)
+            glt_fits[v] = fit_with_threshold_grid(data, grid, options)
         except Exception:  # noqa: BLE001 - candidate fit may fail per node
             continue
     glt_weights, _ = _fitted_weight_vector(graph, glt_fits)
@@ -335,11 +337,11 @@ def _fit_candidates(config, truth, traces):
         glt_specs.append(fit.spec if fit is not None else make_uniform())
     out["glt"] = GltModel(graph, glt_weights, glt_specs)
 
-    lt_fits = fit_all(traces, graph, make_uniform())
+    lt_fits = fit_all(datasets, make_uniform())
     lt_weights, _ = _fitted_weight_vector(graph, lt_fits)
     out["lt"] = GltModel(graph, lt_weights, make_uniform())
 
-    ic_fits = fit_all(traces, graph, make_exponential_unit())
+    ic_fits = fit_all(datasets, make_exponential_unit())
     ic_weights, _ = _fitted_weight_vector(graph, ic_fits)
     out["ic"] = GltModel(graph, ic_weights, make_exponential_unit())
 
@@ -429,8 +431,9 @@ def run_spread_comparison(config: ExperimentConfig):
             ).mean
             for i, s in enumerate(test_seeds)
         ]
+        datasets = build_all_node_data(train, truth.graph, validate=False)
         for name, spec in candidates.items():
-            fits = fit_all(train, truth.graph, spec)
+            fits = fit_all(datasets, spec)
             est_weights, _ = _fitted_weight_vector(truth.graph, fits)
             fitted = GltModel(truth.graph, est_weights, spec)
             predicted = [

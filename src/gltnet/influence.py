@@ -143,13 +143,11 @@ def spread_bipartite_closed_form(model: GltModel, seed_set) -> float:
     Raises when some node has both parents and children (not bipartite in
     the required orientation).
     """
+    return exact_evaluator(model, "bipartite")(seed_set)
+
+
+def _bipartite_spread(model: GltModel, seed_set) -> float:
     graph = model.graph
-    for v in range(graph.n):
-        if graph.in_degree(v) and graph.children(v):
-            raise InfluenceError(
-                f"node {v} has both parents and children; graph is not "
-                f"bipartite in the parent-to-child orientation"
-            )
     seed = {int(v) for v in seed_set}
     for v in seed:
         graph._check(v)
@@ -164,12 +162,20 @@ def spread_bipartite_closed_form(model: GltModel, seed_set) -> float:
 def exact_evaluator(model: GltModel, evaluator: str, node_cap: int = 10**6):
     """The exact spread function ``sigma(seed_set)`` of the named evaluator.
 
-    The "exact" oracle is memoized, so it shares work across seed sets.
+    The "exact" oracle is memoized, so it shares work across seed sets; the
+    "bipartite" graph orientation is checked once, here, not per seed set.
     """
     if evaluator == "exact":
         return ExactSpreadOracle(model, node_cap=node_cap).spread
     if evaluator == "bipartite":
-        return partial(spread_bipartite_closed_form, model)
+        graph = model.graph
+        for v in range(graph.n):
+            if graph.in_degree(v) and graph.children(v):
+                raise InfluenceError(
+                    f"node {v} has both parents and children; graph is not "
+                    f"bipartite in the parent-to-child orientation"
+                )
+        return partial(_bipartite_spread, model)
     raise InfluenceError(f"not an exact evaluator: {evaluator!r}")
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "NodeData",
     "PseudoTrace",
     "build_node_data",
+    "build_all_node_data",
     "build_pseudo_node_data",
     "node_log_likelihood",
     "node_value_and_gradient",
@@ -183,6 +184,17 @@ def build_node_data(traces, graph: Graph, v: int, validate: bool = True) -> Node
         outcome=np.array(outcomes, dtype=np.int8),
         trace_index=np.array(trace_ids, dtype=np.int64),
     )
+
+
+def build_all_node_data(traces, graph: Graph, validate: bool = True) -> dict:
+    """Rows of every child node, ``{v: NodeData}`` in ``graph.child_nodes()`` order.
+
+    Each trace is checked once, not once per node.  ``validate=False`` skips
+    the check for traces already known to be feasible on ``graph``.
+    """
+    if validate:
+        traces = [validate_trace(graph, t) for t in traces]
+    return {v: build_node_data(traces, graph, v, validate=False) for v in graph.child_nodes()}
 
 
 def build_pseudo_node_data(pseudo_traces, v: int, graph: Graph = None, parents=None) -> NodeData:

@@ -1,5 +1,9 @@
 """Shared graphs, model builders, and independent oracles for the tests."""
 
+import functools
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,29 @@ from gltnet import (
 )
 from gltnet.influence import ImSolution, SpreadEstimate, _BatchPropagator, _draws
 from gltnet.rng import as_generator, substream
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of ``fn`` made anywhere in gltnet.
+
+    ``fn`` is replaced, in every ``gltnet`` module namespace that bound it,
+    by a wrapper that keeps its behaviour and records each call's bound
+    arguments in the returned list.
+    """
+    calls = []
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "gltnet" or name.startswith("gltnet.")):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
 
 
 @pytest.fixture

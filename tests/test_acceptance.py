@@ -56,7 +56,7 @@ def _lt_fit_rmae(root, rep, counts, n=30, k=4):
     traces = _simulate_collection(model, dist, max(counts), root, rep)
     out = {}
     for count in counts:
-        fits = g.fit_all(traces[:count], graph, g.make_uniform())
+        fits = g.fit_all(g.build_all_node_data(traces[:count], graph), g.make_uniform())
         est = np.zeros(graph.edge_count())
         for v, fit in fits.items():
             if fit.estimated:
@@ -168,12 +168,12 @@ def test_criterion_05_ci_coverage():
         model = g.from_lt(graph, weights)
         dist = g.SeedDistribution.uniform_by_size(5)
         traces = _simulate_collection(model, dist, 2000, 105, rep)
-        fits = g.fit_all(traces, graph, g.make_uniform())
+        datasets = g.build_all_node_data(traces, graph)
+        fits = g.fit_all(datasets, g.make_uniform())
         for v, fit in fits.items():
             if not fit.estimated or fit.at_boundary:
                 continue
-            data = g.build_node_data(traces, graph, v, validate=False)
-            cov = g.node_covariance(data, fit.weights, fit.spec)
+            cov = g.node_covariance(datasets[v], fit.weights, fit.spec)
             if not cov.valid:
                 continue
             interior += 1

@@ -8,6 +8,7 @@ from gltnet import (
     Trace,
     baseline_ptp,
     baseline_wc,
+    build_all_node_data,
     build_graph,
     build_node_data,
     fit_all,
@@ -188,7 +189,7 @@ def test_fit_certificate_and_exact_feasibility():
         simulate_trace(model, sample_seed(dist, graph, substream(34, "s", i)), substream(34, "t", i))
         for i in range(800)
     ]
-    fits = fit_all(traces, graph, make_uniform())
+    fits = fit_all(build_all_node_data(traces, graph), make_uniform())
     for v, fit in fits.items():
         assert fit.estimated
         assert fit.converged
@@ -200,7 +201,7 @@ def test_fit_certificate_and_exact_feasibility():
 def test_fit_all_flags_uninformative_nodes():
     g = build_graph(4, [(0, 1), (2, 3)])
     traces = [Trace([{0}, {1}]), Trace([{0}])]  # node 3 never exposed
-    fits = fit_all(traces, g, make_uniform())
+    fits = fit_all(build_all_node_data(traces, g), make_uniform())
     assert fits[1].estimated
     assert not fits[3].estimated
     assert "no informative" in fits[3].error
@@ -214,8 +215,8 @@ def test_fit_all_order_invariant():
         simulate_trace(model, sample_seed(dist, graph, substream(35, "s", i)), substream(35, "t", i))
         for i in range(300)
     ]
-    forward = fit_all(traces, graph, make_uniform())
-    backward = fit_all(list(reversed(traces)), graph, make_uniform())
+    forward = fit_all(build_all_node_data(traces, graph), make_uniform())
+    backward = fit_all(build_all_node_data(list(reversed(traces)), graph), make_uniform())
     for v in forward:
         assert np.allclose(forward[v].weights, backward[v].weights, atol=1e-12)
 
@@ -235,7 +236,7 @@ def test_consistency_trend_mini():
             for i in range(1600)
         ]
         for count in (200, 1600):
-            fits = fit_all(traces[:count], graph, make_uniform())
+            fits = fit_all(build_all_node_data(traces[:count], graph), make_uniform())
             est = np.zeros(graph.edge_count())
             for v, fit in fits.items():
                 if fit.estimated:
@@ -254,7 +255,7 @@ def test_grid_fit_selects_highest_loglik():
     ]
     data = build_node_data(traces, graph, 3)
     grid = tuple((1, b) for b in range(1, 6))
-    best = fit_with_threshold_grid(data, "beta", grid, FitOptions())
+    best = fit_with_threshold_grid(data, grid, FitOptions())
     assert best.phi["family"] == "beta"
     for phi in grid:
         single = fit_node(data, make_beta(*phi), FitOptions())
@@ -264,7 +265,7 @@ def test_grid_fit_selects_highest_loglik():
 def test_grid_of_one_reduces_to_fit_node():
     data = _bernoulli_data(20, 7)
     single = fit_node(data, make_beta(1, 2), FitOptions())
-    grid = fit_with_threshold_grid(data, "beta", [(1, 2)], FitOptions())
+    grid = fit_with_threshold_grid(data, [(1, 2)], FitOptions())
     assert np.allclose(grid.weights, single.weights, atol=1e-12)
     assert grid.phi == {"family": "beta", "params": (1, 2)}
 
@@ -272,7 +273,7 @@ def test_grid_of_one_reduces_to_fit_node():
 def test_grid_fit_all_failed():
     data = _bernoulli_data(10, 4)
     with pytest.raises(EstimationError):
-        fit_with_threshold_grid(data, "beta", [(0.5, 0.5)], FitOptions())
+        fit_with_threshold_grid(data, [(0.5, 0.5)], FitOptions())
 
 
 def test_baseline_wc():

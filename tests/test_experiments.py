@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gltnet
+from gltnet import experiments
 from gltnet.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -11,6 +13,10 @@ from gltnet.experiments import (
     run_rmae_vs_traces,
     run_spread_comparison,
 )
+from gltnet.graph import generate_cws, sample_weights_simplex
+from gltnet.rng import substream
+
+from conftest import count_calls
 
 
 def test_config_validation():
@@ -110,3 +116,16 @@ def test_all_experiments_are_registered():
         "im-comparison",
         "spread-comparison",
     }
+
+
+def test_fit_candidates_build_rows_once_per_node(monkeypatch):
+    # the grid, LT and IC fits share one row build per child node
+    config = ExperimentConfig(seed=212, n=10, k=2, n_traces=60, beta_grid=(1, 2))
+    graph = generate_cws(config.n, config.k, config.p, substream(212, "g"))
+    weights = sample_weights_simplex(graph, 1.0, substream(212, "w"))
+    truth = gltnet.GltModel(graph, weights, gltnet.make_beta(1, 2))
+    traces = experiments._simulate_traces(config, truth, config.n_traces, 0)
+    builds = count_calls(monkeypatch, gltnet.likelihood.build_node_data)
+    candidates = experiments._fit_candidates(config, truth, traces)
+    assert set(candidates) == {"glt", "lt", "ic", "wc", "ptp"}
+    assert [call["v"] for call in builds] == graph.child_nodes()

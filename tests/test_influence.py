@@ -111,6 +111,17 @@ def test_bipartite_closed_form_rejects_non_bipartite():
         spread_bipartite_closed_form(model, {0})
 
 
+def test_exact_evaluator_rejects_non_bipartite():
+    from gltnet.influence import exact_evaluator
+
+    model = from_lt(build_graph(3, [(0, 1), (1, 2)]), [0.5, 0.5])
+    with pytest.raises(InfluenceError):
+        exact_evaluator(model, "bipartite")
+    # the check runs when the evaluator is built, so even budget 0 fails
+    with pytest.raises(InfluenceError):
+        greedy_im(model, 0, "bipartite")
+
+
 def test_greedy_bipartite_first_pick():
     # parent 0 covers total cdf mass 1.2, parent 1 covers 0.7
     g = build_graph(6, [(0, 2), (0, 3), (0, 4), (1, 4), (1, 5)])

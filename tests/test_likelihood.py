@@ -3,9 +3,11 @@ import pytest
 
 from gltnet import (
     GltModel,
+    ModelError,
     PseudoTrace,
     Trace,
     ZeroProbabilityError,
+    build_all_node_data,
     build_graph,
     build_node_data,
     build_pseudo_node_data,
@@ -19,6 +21,7 @@ from gltnet import (
     simulate_trace,
     trace_log_probability,
 )
+from gltnet.graph import SeedDistribution, generate_cws, sample_seed, sample_weights_simplex
 from gltnet.likelihood import ROW_ACTIVATED, ROW_FOLDED, ROW_TERMINAL
 from gltnet.rng import substream
 
@@ -287,3 +290,32 @@ def test_rows_group_per_trace_in_time_order():
     # at most one activation row per trace
     for n in np.unique(data.trace_index):
         assert (data.outcome[data.trace_index == n] == ROW_ACTIVATED).sum() <= 1
+
+
+def test_build_all_node_data_matches_per_node_builds():
+    graph = generate_cws(20, 4, 0.2, substream(40, "g"))
+    model = from_lt(graph, sample_weights_simplex(graph, 1.0, substream(40, "w")))
+    dist = SeedDistribution.uniform_by_size(4)
+    traces = [
+        simulate_trace(model, sample_seed(dist, graph, substream(40, "s", i)), substream(40, "t", i))
+        for i in range(300)
+    ]
+    for validate in (True, False):
+        datasets = build_all_node_data(traces, graph, validate=validate)
+        assert list(datasets) == graph.child_nodes()
+        for v, data in datasets.items():
+            want = build_node_data(traces, graph, v)
+            assert data.node == v
+            assert data.parents == want.parents
+            for name in ("z_prev", "z_curr", "outcome", "trace_index"):
+                got, ref = getattr(data, name), getattr(want, name)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (v, name)
+
+
+def test_build_all_node_data_checks_feasibility():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    infeasible = Trace([{0}, {2}])  # 2 activates without a newly active parent
+    with pytest.raises(ModelError):
+        build_all_node_data([Trace([{0}, {1}]), infeasible], g)
+    # an already-checked caller may skip the check
+    assert set(build_all_node_data([Trace([{0}, {1}])], g, validate=False)) == {1, 2}

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import gltnet
 from gltnet import GltModel, PseudoTrace, Trace, build_graph, make_beta, make_uniform
 from gltnet.cli import main
 from gltnet.serialize import (
@@ -17,6 +18,8 @@ from gltnet.serialize import (
     write_pseudo_jsonl,
     write_traces_jsonl,
 )
+
+from conftest import count_calls
 
 
 def test_graph_roundtrip_and_canonicalization():
@@ -223,6 +226,41 @@ def test_cli_infer_grid_and_pseudo(tmp_path):
     pfit = os.path.join(base, "pfit.json")
     assert _run(["fit", "--model", model, "--pseudo", pseudo, "--out", pfit]) == 0
     assert "1" in json.load(open(pfit))["nodes"]
+
+
+def test_cli_infer_builds_rows_and_checks_traces_once(pipeline, monkeypatch):
+    # the fits and the covariances share one row build per node, and each
+    # trace is checked once, by the reader
+    base, model_path, traces_path = pipeline
+    builds = count_calls(monkeypatch, gltnet.likelihood.build_node_data)
+    checks = count_calls(monkeypatch, gltnet.model.validate_trace)
+    out = os.path.join(base, "infer.json")
+    assert _run(["infer", "--model", model_path, "--traces", traces_path, "--out", out]) == 0
+    graph = model_from_dict(json.load(open(model_path))).graph
+    assert [call["v"] for call in builds] == graph.child_nodes()
+    assert len(checks) == len(read_traces_jsonl(traces_path)) == 40
+
+
+def test_cli_pseudo_fit_records_node_failures(tmp_path):
+    # as with --traces, a node that cannot be fitted gets an error entry and
+    # the command still succeeds
+    base = str(tmp_path)
+    model = os.path.join(base, "model.json")
+    assert _run(["generate", "--n", "12", "--k", "4", "--seed", "5", "--out", model]) == 0
+    graph = model_from_dict(json.load(open(model))).graph
+    nodes = graph.child_nodes()[:2]
+    pseudo = os.path.join(base, "pseudo.jsonl")
+    write_pseudo_jsonl(
+        [PseudoTrace(v, frozenset({graph.parent_list(v)[0]}), y) for v in nodes for y in (0, 1)],
+        pseudo,
+    )
+    out = os.path.join(base, "pfit.json")
+    assert _run(["fit", "--model", model, "--pseudo", pseudo, "--gamma", "1e-9", "--out", out]) == 0
+    doc = json.load(open(out))["nodes"]
+    assert sorted(doc) == sorted(str(v) for v in nodes)
+    for entry in doc.values():
+        assert "infeasible truncation" in entry["error"]
+        assert "weights" not in entry
 
 
 def test_cli_im_and_spread_exact_consistency(tmp_path):
