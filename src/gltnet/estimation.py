@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .likelihood import NodeData, node_value_and_gradient
+from .likelihood import NodeData, node_hessian, node_value_and_gradient
 from .model import Trace, ZeroProbabilityError, default_gamma
 from .thresholds import ThresholdSpec, make_beta
 
@@ -160,33 +160,34 @@ def projected_gradient_norm(theta, grad, epsilon: float, gamma: float) -> float:
     theta = np.asarray(theta, dtype=float)
     g = np.asarray(grad, dtype=float)
     low = theta <= epsilon + 1e-12
-    sum_active = theta.sum() >= gamma - max(1.0, gamma) * 1e-12
-    if not sum_active:
-        d = g.copy()
-        d[low] = np.maximum(d[low], 0.0)
-        return float(np.linalg.norm(d))
-    # water-filling for the simplex-face multiplier
-    free = ~low
+    d = np.empty_like(g)
 
     def excess(lam):
-        d = g - lam
-        d[low] = np.maximum(d[low], 0.0)
-        return d.sum(), d
+        # d = g - lam with the entries at the lower bound clipped at 0
+        np.subtract(g, lam, out=d)
+        np.maximum(d, 0.0, out=d, where=low)
+        return d.sum()
 
-    total, d = excess(0.0)
-    if total <= 0:
+    sum_active = theta.sum() >= gamma - max(1.0, gamma) * 1e-12
+    if not sum_active:
+        excess(0.0)
+        return float(np.linalg.norm(d))
+    # water-filling for the simplex-face multiplier
+    if excess(0.0) <= 0:
         return float(np.linalg.norm(d))
     lo, hi = 0.0, float(np.max(g)) + 1.0
+    zero = 1e-15 * max(1.0, float(np.abs(g).sum()))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        total, d = excess(mid)
-        if abs(total) <= 1e-15 * max(1.0, float(np.abs(g).sum())):
-            break
+        total = excess(mid)
+        if abs(total) <= zero:
+            break  # d is already the excess at 0.5 * (lo + hi)
         if total > 0:
             lo = mid
         else:
             hi = mid
-    _, d = excess(0.5 * (lo + hi))
+    else:
+        excess(0.5 * (lo + hi))
     return float(np.linalg.norm(d))
 
 
@@ -201,8 +202,6 @@ def _newton_polish(fg, node_data, spec, theta, value, grad, epsilon, gamma, tol,
     accepted when they shrink the projected gradient rather than when they
     raise the objective.  Feasibility stays exact through the projection.
     """
-    from .likelihood import node_hessian
-
     pg = projected_gradient_norm(theta, grad, epsilon, gamma)
     it = 0
     while pg > tol and it < max_polish:
@@ -234,7 +233,7 @@ def _newton_polish(fg, node_data, spec, theta, value, grad, epsilon, gamma, tol,
         damp = 1.0
         for _ in range(25):
             cand = project_truncated_simplex(theta + damp * direction, epsilon, gamma)
-            if np.any(cand != theta):
+            if (cand != theta).any():
                 cand_value, cand_grad = fg(cand)
                 if np.isfinite(cand_value):
                     cand_pg = projected_gradient_norm(cand, cand_grad, epsilon, gamma)
@@ -269,14 +268,14 @@ def _bb_steps(fg, state, epsilon, gamma, tol, limit):
         cand = project_truncated_simplex(theta + s * grad, epsilon, gamma)
         for _ in range(40):
             # escape the ulp regime where the projected point does not move
-            if np.any(cand != theta):
+            if (cand != theta).any():
                 break
             s *= 4.0
             cand = project_truncated_simplex(theta + s * grad, epsilon, gamma)
         accepted = False
         for _ in range(60):
             move = cand - theta
-            if not np.any(move):
+            if not move.any():
                 break
             cand_value, cand_grad = fg(cand)
             if np.isfinite(cand_value) and cand_value >= value + 1e-4 * float(

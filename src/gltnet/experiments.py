@@ -260,7 +260,6 @@ def run_activation_prediction(config: ExperimentConfig):
                     covs[v] = node_covariance(datasets[v], fit.weights, spec)
             true_p, pred_p, covered, lengths = [], [], 0, []
             for trace in test:
-                hist = ActivationHistory(trace)
                 active = trace.all_active()
                 exposed = set()
                 for t in range(len(trace.steps)):

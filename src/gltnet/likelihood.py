@@ -14,6 +14,13 @@ Gradients and Hessians are analytic, using the threshold density and its
 derivative.  Rows are aggregated by distinct indicator patterns before
 evaluation, which makes the cost per likelihood call independent of the
 number of traces.
+
+The value, gradient and Hessian share one kernel.  Per evaluation it computes
+each threshold function once per pattern array (activation arguments
+``z_curr @ theta`` and ``z_prev @ theta``, terminal arguments) and derives the
+interval probabilities, survival factors and their logarithms from those
+arrays; it calls the unchecked array forms of the threshold functions, since
+``z @ theta`` with 0/1 indicators and positive weights is never negative.
 """
 
 from __future__ import annotations
@@ -96,7 +103,10 @@ class NodeData:
             uniq_a, w_a = _group(act, both=True)
             m = len(self.parents)
             uniq_t, w_t = _group(term, both=False)
+            # activation patterns with no previously active parent; None if none
+            empty = ~uniq_a[:, :m].any(axis=1)
             self._packed = {
+                "empty_prev": empty if empty.any() else None,
                 "zp_act": uniq_a[:, :m].astype(float),
                 "zc_act": uniq_a[:, m:].astype(float),
                 "w_act": w_a,
@@ -230,84 +240,73 @@ def build_pseudo_node_data(pseudo_traces, v: int, graph: Graph = None, parents=N
     )
 
 
-def _zero_on_empty(values, patterns):
-    # an all-zero indicator row contributes nothing regardless of the density
-    # value at 0, which may be infinite (e.g. beta with alpha < 1)
-    empty = patterns.sum(axis=1) == 0
-    if np.any(empty):
-        values = np.where(empty, 0.0, values)
-    return values
-
-
-def _interval_terms(node_data, theta, spec):
+def _evaluate(node_data: NodeData, theta, spec, order: int):
+    """The likelihood kernel: the log-likelihood (``order`` 0), it and the
+    gradient (1), or the Hessian (2)."""
     zp_a, zc_a, w_a, zc_t, w_t = node_data.compressed()
     theta = np.asarray(theta, dtype=float)
     x_a = zc_a @ theta
     y_a = zp_a @ theta
     x_t = zc_t @ theta
-    diffs = spec.interval_prob(x_a, y_a)
-    surv = spec.sf(x_t)
+    exponential = spec.family == "exponential"
+    if spec.family == "uniform":
+        diffs = np.maximum(x_a.clip(0.0, 1.0) - y_a.clip(0.0, 1.0), 0.0)
+    else:
+        # beta: the incomplete-beta survival; exponential: exp(-x), which is
+        # also its density
+        sf_x, sf_y = spec._sf(x_a), spec._sf(y_a)
+        diffs = np.maximum(sf_y - sf_x, 0.0)
+    surv = spec._sf(x_t)
     tol = spec.interval_zero_tol()
-    if np.any(np.asarray(diffs) <= tol):
+    if (diffs <= tol).any():
         raise ZeroProbabilityError(
             node_data.node, None, "activation factor vanished at this theta"
         )
-    if np.any(np.asarray(surv) <= tol):
+    if (surv <= tol).any():
         raise ZeroProbabilityError(
             node_data.node, None, "survival factor vanished at this theta"
         )
-    return (zp_a, zc_a, w_a, zc_t, w_t, x_a, y_a, x_t, np.asarray(diffs), np.asarray(surv))
-
-
-def node_log_likelihood(node_data: NodeData, theta, spec) -> float:
-    """Log-likelihood of node_data at parent weights theta."""
-    zp_a, zc_a, w_a, zc_t, w_t, x_a, y_a, x_t, diffs, surv = _interval_terms(
-        node_data, theta, spec
-    )
-    theta = np.asarray(theta, dtype=float)
-    total = 0.0
-    if w_a.size:
-        total += float(w_a @ spec.log_interval_prob(x_a, y_a))
-    if w_t.size:
-        total += float(w_t @ spec.log_sf(x_t))
-    return total
-
-
-def node_value_and_gradient(node_data: NodeData, theta, spec):
-    """Log-likelihood and its analytic gradient, in one pass."""
-    zp_a, zc_a, w_a, zc_t, w_t, x_a, y_a, x_t, diffs, surv = _interval_terms(
-        node_data, theta, spec
-    )
+    if order < 2:
+        # diffs and surv exceed tol >= 0 here, so their logs need no floor
+        value = 0.0
+        if w_a.size:
+            if exponential:
+                log_a = -y_a + np.log(-np.expm1(-(x_a - y_a)))
+            else:
+                log_a = np.log(diffs)
+            value += float(w_a @ log_a)
+        if w_t.size:
+            value += float(w_t @ (-x_t if exponential else np.log(surv)))
+        if order == 0:
+            return value
+    # an all-zero z_prev row contributes nothing regardless of the density
+    # value at 0, which may be infinite (e.g. beta with alpha < 1)
+    empty = node_data._packed["empty_prev"]
     m = len(node_data.parents)
-    value = 0.0
-    grad = np.zeros(m)
-    if w_a.size:
-        value += float(w_a @ spec.log_interval_prob(x_a, y_a))
-        fx = spec.density(x_a)
-        fy = _zero_on_empty(spec.density(y_a), zp_a)
-        grad += zc_a.T @ (w_a * fx / diffs) - zp_a.T @ (w_a * fy / diffs)
-    if w_t.size:
-        value += float(w_t @ spec.log_sf(x_t))
-        grad -= zc_t.T @ (w_t * spec.density(x_t) / surv)
-    return value, grad
-
-
-def node_gradient(node_data: NodeData, theta, spec) -> np.ndarray:
-    return node_value_and_gradient(node_data, theta, spec)[1]
-
-
-def node_hessian(node_data: NodeData, theta, spec) -> np.ndarray:
-    """Analytic Hessian of the node log-likelihood (exactly symmetric)."""
-    zp_a, zc_a, w_a, zc_t, w_t, x_a, y_a, x_t, diffs, surv = _interval_terms(
-        node_data, theta, spec
-    )
-    m = len(node_data.parents)
+    if order == 1:
+        grad = np.zeros(m)
+        if w_a.size:
+            if exponential:
+                fx, fy = sf_x, sf_y
+            else:
+                fx, fy = spec._density(x_a), spec._density(y_a)
+            if empty is not None:
+                fy = np.where(empty, 0.0, fy)
+            grad += zc_a.T @ (w_a * fx / diffs) - zp_a.T @ (w_a * fy / diffs)
+        if w_t.size:
+            ft = surv if exponential else spec._density(x_t)
+            grad -= zc_t.T @ (w_t * ft / surv)
+        return value, grad
     hess = np.zeros((m, m))
     if w_a.size:
-        fx = spec.density(x_a)
-        fy = _zero_on_empty(spec.density(y_a), zp_a)
-        dfx = spec.density_derivative(x_a)
-        dfy = _zero_on_empty(spec.density_derivative(y_a), zp_a)
+        if exponential:
+            fx, fy, dfx, dfy = sf_x, sf_y, -sf_x, -sf_y
+        else:
+            fx, fy = spec._density(x_a), spec._density(y_a)
+            dfx, dfy = spec._density_derivative(x_a), spec._density_derivative(y_a)
+        if empty is not None:
+            fy = np.where(empty, 0.0, fy)
+            dfy = np.where(empty, 0.0, dfy)
         coef_cc = w_a * (dfx / diffs - (fx / diffs) ** 2)
         coef_pp = w_a * (-dfy / diffs - (fy / diffs) ** 2)
         coef_cp = w_a * fx * fy / diffs**2
@@ -316,8 +315,29 @@ def node_hessian(node_data: NodeData, theta, spec) -> np.ndarray:
         cross = (zc_a * coef_cp[:, None]).T @ zp_a
         hess += cross + cross.T
     if w_t.size:
-        fx = spec.density(x_t)
-        dfx = spec.density_derivative(x_t)
+        if exponential:
+            fx, dfx = surv, -surv
+        else:
+            fx, dfx = spec._density(x_t), spec._density_derivative(x_t)
         coef = w_t * (-dfx / surv - (fx / surv) ** 2)
         hess += (zc_t * coef[:, None]).T @ zc_t
     return hess
+
+
+def node_log_likelihood(node_data: NodeData, theta, spec) -> float:
+    """Log-likelihood of node_data at parent weights theta."""
+    return _evaluate(node_data, theta, spec, 0)
+
+
+def node_value_and_gradient(node_data: NodeData, theta, spec):
+    """Log-likelihood and its analytic gradient, in one pass."""
+    return _evaluate(node_data, theta, spec, 1)
+
+
+def node_gradient(node_data: NodeData, theta, spec) -> np.ndarray:
+    return node_value_and_gradient(node_data, theta, spec)[1]
+
+
+def node_hessian(node_data: NodeData, theta, spec) -> np.ndarray:
+    """Analytic Hessian of the node log-likelihood (exactly symmetric)."""
+    return _evaluate(node_data, theta, spec, 2)

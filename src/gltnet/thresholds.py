@@ -13,11 +13,18 @@ analytic flags used downstream:
 
 Survival-function paths avoid the 1 - F cancellation as F -> 1, and
 ``log_interval_prob`` gives a stable log(F(x) - F(y)).
+
+The public methods check their arguments (thresholds are nonnegative, so a
+negative argument raises ``ValueError``).  The likelihood kernel calls the
+unchecked array forms ``_sf``, ``_density`` and ``_density_derivative``
+instead: its arguments are ``z @ theta`` with 0/1 indicators ``z`` and
+positive weights, so they cannot be negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -95,44 +102,51 @@ class ThresholdSpec:
 
     def sf(self, x):
         """Survival function 1 - F(x), computed without cancellation."""
-        x = _check_nonnegative(x)
-        if self.family == "uniform":
-            out = np.clip(1.0 - x, 0.0, 1.0)
-        elif self.family == "exponential":
-            out = np.exp(-x)
-        else:
-            out = special.betainc(self.beta, self.alpha, 1.0 - np.clip(x, 0.0, 1.0))
+        out = self._sf(_check_nonnegative(x))
         return out if out.ndim else float(out)
 
     def density(self, x):
-        x = _check_nonnegative(x)
-        if self.family == "uniform":
-            out = np.where(x <= 1.0, 1.0, 0.0)
-        elif self.family == "exponential":
-            out = np.exp(-x)
-        else:
-            xc = np.clip(x, 0.0, 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.power(xc, self.alpha - 1.0) * np.power(
-                    1.0 - xc, self.beta - 1.0
-                )
-            out = np.where(x > 1.0, 0.0, out / special.beta(self.alpha, self.beta))
+        out = self._density(_check_nonnegative(x))
         return out if out.ndim else float(out)
 
     def density_derivative(self, x):
-        x = _check_nonnegative(x)
-        if self.family == "uniform":
-            out = np.zeros_like(x)
-        elif self.family == "exponential":
-            out = -np.exp(-x)
-        else:
-            a, b = self.alpha, self.beta
-            xc = np.clip(x, 0.0, 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term1 = (a - 1.0) * np.power(xc, a - 2.0) * np.power(1.0 - xc, b - 1.0)
-                term2 = (b - 1.0) * np.power(xc, a - 1.0) * np.power(1.0 - xc, b - 2.0)
-            out = np.where(x > 1.0, 0.0, (term1 - term2) / special.beta(a, b))
+        out = self._density_derivative(_check_nonnegative(x))
         return out if out.ndim else float(out)
+
+    # -- unchecked array forms (the likelihood kernel's entry points) --------
+
+    @cached_property
+    def _beta_norm(self) -> float:
+        return special.beta(self.alpha, self.beta)
+
+    def _sf(self, x):
+        if self.family == "uniform":
+            return (1.0 - x).clip(0.0, 1.0)
+        if self.family == "exponential":
+            return np.exp(-x)
+        return special.betainc(self.beta, self.alpha, 1.0 - x.clip(0.0, 1.0))
+
+    def _density(self, x):
+        if self.family == "uniform":
+            return np.where(x <= 1.0, 1.0, 0.0)
+        if self.family == "exponential":
+            return np.exp(-x)
+        xc = x.clip(0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.power(xc, self.alpha - 1.0) * np.power(1.0 - xc, self.beta - 1.0)
+        return np.where(x > 1.0, 0.0, out / self._beta_norm)
+
+    def _density_derivative(self, x):
+        if self.family == "uniform":
+            return np.zeros_like(x)
+        if self.family == "exponential":
+            return -np.exp(-x)
+        a, b = self.alpha, self.beta
+        xc = x.clip(0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term1 = (a - 1.0) * np.power(xc, a - 2.0) * np.power(1.0 - xc, b - 1.0)
+            term2 = (b - 1.0) * np.power(xc, a - 1.0) * np.power(1.0 - xc, b - 2.0)
+        return np.where(x > 1.0, 0.0, (term1 - term2) / self._beta_norm)
 
     def inverse_cdf(self, p):
         p = np.asarray(p, dtype=float)
@@ -154,7 +168,7 @@ class ThresholdSpec:
             out = -x
         else:
             with np.errstate(divide="ignore"):
-                out = np.log(np.maximum(self.sf(x), 0.0))
+                out = np.log(np.maximum(self._sf(x), 0.0))
         return out if out.ndim else float(out)
 
     def interval_prob(self, x, y):

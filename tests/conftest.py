@@ -133,6 +133,100 @@ def naive_loglik(z_prev, z_curr, outcome, theta, cdf):
     return total
 
 
+def _reference_zero_on_empty(values, patterns):
+    # an all-zero indicator row contributes nothing regardless of the density
+    # value at 0, which may be infinite (e.g. beta with alpha < 1)
+    empty = patterns.sum(axis=1) == 0
+    if np.any(empty):
+        values = np.where(empty, 0.0, values)
+    return values
+
+
+def _reference_interval_terms(node_data, theta, spec):
+    from gltnet import ZeroProbabilityError
+
+    zp_a, zc_a, w_a, zc_t, w_t = node_data.compressed()
+    theta = np.asarray(theta, dtype=float)
+    x_a = zc_a @ theta
+    y_a = zp_a @ theta
+    x_t = zc_t @ theta
+    diffs = spec.interval_prob(x_a, y_a)
+    surv = spec.sf(x_t)
+    tol = spec.interval_zero_tol()
+    if np.any(np.asarray(diffs) <= tol):
+        raise ZeroProbabilityError(
+            node_data.node, None, "activation factor vanished at this theta"
+        )
+    if np.any(np.asarray(surv) <= tol):
+        raise ZeroProbabilityError(
+            node_data.node, None, "survival factor vanished at this theta"
+        )
+    return (zp_a, zc_a, w_a, zc_t, w_t, x_a, y_a, x_t, np.asarray(diffs), np.asarray(surv))
+
+
+def reference_node_log_likelihood(node_data, theta, spec):
+    """Node log-likelihood through the public threshold methods.
+
+    Reference for ``gltnet.likelihood.node_log_likelihood``: every quantity is
+    computed by a separate, argument-checked ``ThresholdSpec`` call.
+    """
+    zp_a, zc_a, w_a, zc_t, w_t, x_a, y_a, x_t, diffs, surv = _reference_interval_terms(
+        node_data, theta, spec
+    )
+    total = 0.0
+    if w_a.size:
+        total += float(w_a @ spec.log_interval_prob(x_a, y_a))
+    if w_t.size:
+        total += float(w_t @ spec.log_sf(x_t))
+    return total
+
+
+def reference_node_value_and_gradient(node_data, theta, spec):
+    """Reference for ``gltnet.likelihood.node_value_and_gradient``."""
+    zp_a, zc_a, w_a, zc_t, w_t, x_a, y_a, x_t, diffs, surv = _reference_interval_terms(
+        node_data, theta, spec
+    )
+    m = len(node_data.parents)
+    value = 0.0
+    grad = np.zeros(m)
+    if w_a.size:
+        value += float(w_a @ spec.log_interval_prob(x_a, y_a))
+        fx = spec.density(x_a)
+        fy = _reference_zero_on_empty(spec.density(y_a), zp_a)
+        grad += zc_a.T @ (w_a * fx / diffs) - zp_a.T @ (w_a * fy / diffs)
+    if w_t.size:
+        value += float(w_t @ spec.log_sf(x_t))
+        grad -= zc_t.T @ (w_t * spec.density(x_t) / surv)
+    return value, grad
+
+
+def reference_node_hessian(node_data, theta, spec):
+    """Reference for ``gltnet.likelihood.node_hessian``."""
+    zp_a, zc_a, w_a, zc_t, w_t, x_a, y_a, x_t, diffs, surv = _reference_interval_terms(
+        node_data, theta, spec
+    )
+    m = len(node_data.parents)
+    hess = np.zeros((m, m))
+    if w_a.size:
+        fx = spec.density(x_a)
+        fy = _reference_zero_on_empty(spec.density(y_a), zp_a)
+        dfx = spec.density_derivative(x_a)
+        dfy = _reference_zero_on_empty(spec.density_derivative(y_a), zp_a)
+        coef_cc = w_a * (dfx / diffs - (fx / diffs) ** 2)
+        coef_pp = w_a * (-dfy / diffs - (fy / diffs) ** 2)
+        coef_cp = w_a * fx * fy / diffs**2
+        hess += (zc_a * coef_cc[:, None]).T @ zc_a
+        hess += (zp_a * coef_pp[:, None]).T @ zp_a
+        cross = (zc_a * coef_cp[:, None]).T @ zp_a
+        hess += cross + cross.T
+    if w_t.size:
+        fx = spec.density(x_t)
+        dfx = spec.density_derivative(x_t)
+        coef = w_t * (-dfx / surv - (fx / surv) ** 2)
+        hess += (zc_t * coef[:, None]).T @ zc_t
+    return hess
+
+
 def all_specs():
     return [make_uniform(), make_exponential_unit(), make_beta(2, 2)]
 

@@ -22,6 +22,7 @@ from gltnet import (
     sample_weights_simplex,
     simulate_trace,
 )
+from gltnet import estimation
 from gltnet.estimation import project_truncated_simplex, projected_gradient_norm
 from gltnet.graph import SeedDistribution, generate_cws
 from gltnet.metrics import rmae
@@ -31,6 +32,8 @@ from conftest import (
     dense_grid_argmax,
     parent_subset_seed_distribution,
     random_weights_within,
+    reference_node_hessian,
+    reference_node_value_and_gradient,
     staggered_fit_graph,
 )
 
@@ -297,3 +300,47 @@ def test_baseline_ptp_normalizes_and_falls_back():
     assert w[g.child_slice(2)].sum() == pytest.approx(1.0)
     # node 3 never activated: uniform fallback
     assert np.allclose(w[g.child_slice(3)], [0.5, 0.5])
+
+
+def _fit_fields(fit):
+    if not fit.estimated:
+        return fit.error
+    return (
+        fit.weights.tobytes(),
+        repr(fit.loglik),
+        repr(fit.projected_gradient_norm),
+        fit.iterations,
+        fit.converged,
+        fit.phi,
+    )
+
+
+def test_fits_match_reference_kernel(monkeypatch):
+    # the solver driven by the shared kernel and by the per-call reference
+    # reaches the same iterates: weights, loglik, certificate and iteration
+    # counts agree bit for bit for every family and for grid fits
+    graph = generate_cws(14, 4, 0.2, substream(39, "g"))
+    model = GltModel(graph, sample_weights_simplex(graph, 0.9, substream(39, "w")), make_beta(1, 3))
+    dist = SeedDistribution.uniform_by_size(3)
+    traces = [
+        simulate_trace(model, sample_seed(dist, graph, substream(39, "s", i)), substream(39, "t", i))
+        for i in range(300)
+    ]
+    datasets = build_all_node_data(traces, graph)
+    specs = (make_uniform(), make_exponential_unit(), make_beta(1, 3), make_beta(2, 2))
+    grid = tuple((1, b) for b in range(1, 6)) + ((2, 2),)
+    informative = [v for v, d in datasets.items() if d.n_informative_rows][:5]
+
+    def run():
+        fits = [fit_all(datasets, spec) for spec in specs]
+        grids = [fit_with_threshold_grid(datasets[v], grid) for v in informative]
+        return [_fit_fields(f) for fit in fits for f in fit.values()] + [
+            _fit_fields(f) for f in grids
+        ]
+
+    got = run()
+    monkeypatch.setattr(estimation, "node_value_and_gradient", reference_node_value_and_gradient)
+    monkeypatch.setattr(estimation, "node_hessian", reference_node_hessian)
+    want = run()
+    assert sum(isinstance(f, tuple) for f in got) >= 40
+    assert got == want

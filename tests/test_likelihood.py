@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gltnet import (
     GltModel,
@@ -22,10 +25,25 @@ from gltnet import (
     trace_log_probability,
 )
 from gltnet.graph import SeedDistribution, generate_cws, sample_seed, sample_weights_simplex
-from gltnet.likelihood import ROW_ACTIVATED, ROW_FOLDED, ROW_TERMINAL
+from gltnet.likelihood import (
+    ROW_ACTIVATED,
+    ROW_FOLDED,
+    ROW_TERMINAL,
+    NodeData,
+    node_value_and_gradient,
+)
+from gltnet.model import default_gamma
 from gltnet.rng import substream
 
-from conftest import all_specs, naive_loglik, random_simple_digraph, random_weights_within
+from conftest import (
+    all_specs,
+    naive_loglik,
+    random_simple_digraph,
+    random_weights_within,
+    reference_node_hessian,
+    reference_node_log_likelihood,
+    reference_node_value_and_gradient,
+)
 
 
 def test_node_data_star_staggered_rows():
@@ -319,3 +337,109 @@ def test_build_all_node_data_checks_feasibility():
         build_all_node_data([Trace([{0}, {1}]), infeasible], g)
     # an already-checked caller may skip the check
     assert set(build_all_node_data([Trace([{0}, {1}])], g, validate=False)) == {1, 2}
+
+
+# -- the shared kernel against the reference built on public threshold calls --
+
+KERNEL_SPECS = [
+    make_uniform(),
+    make_exponential_unit(),
+    make_beta(1, 1),
+    make_beta(1, 3),
+    make_beta(1, 5),
+    make_beta(2, 2),
+    make_beta(0.5, 2),
+]
+_ROW_KINDS = {
+    "mixed": (ROW_ACTIVATED, ROW_TERMINAL, ROW_FOLDED),
+    "activation only": (ROW_ACTIVATED, ROW_FOLDED),
+    "terminal only": (ROW_TERMINAL, ROW_FOLDED),
+    "no informative rows": (ROW_FOLDED,),
+}
+
+
+@st.composite
+def _kernel_case(draw):
+    """Random node data, a threshold spec and a feasible theta.
+
+    Rows look like ``build_node_data`` output: z_curr has at least one active
+    parent and z_prev is a subset of it.  Unless degenerate rows are allowed,
+    z_prev misses at least one parent of z_curr.
+    """
+    m = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(sorted(_ROW_KINDS)))
+    allow_degenerate = draw(st.booleans())
+    bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    z_prev, z_curr, outcome = [], [], []
+    for _ in range(draw(st.integers(kind != "no informative rows", 12))):
+        curr = np.array(draw(bits), dtype=np.uint8)
+        if not curr.any():
+            curr[draw(st.integers(0, m - 1))] = 1
+        prev = curr & np.array(draw(bits), dtype=np.uint8)
+        if not allow_degenerate and np.array_equal(prev, curr):
+            prev[np.flatnonzero(curr)[0]] = 0
+        z_prev.append(prev)
+        z_curr.append(curr)
+        outcome.append(draw(st.sampled_from(_ROW_KINDS[kind])))
+    rows = len(outcome)
+    data = NodeData(
+        node=m,
+        parents=tuple(range(m)),
+        z_prev=np.array(z_prev, dtype=np.uint8).reshape(rows, m),
+        z_curr=np.array(z_curr, dtype=np.uint8).reshape(rows, m),
+        outcome=np.array(outcome, dtype=np.int8),
+        trace_index=np.arange(rows, dtype=np.int64),
+    )
+    spec = draw(st.sampled_from(KERNEL_SPECS))
+    epsilon = 1e-6
+    gamma = default_gamma(spec, epsilon)
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+    if raw.sum() == 0.0:
+        raw[:] = 1.0
+    scale = draw(st.just(1.0) | st.floats(0.0, 1.0))  # 1.0: on the sum bound
+    theta = epsilon + (gamma - m * epsilon) * scale * raw / raw.sum()
+    return data, spec, theta
+
+
+def _outcome(fn, data, theta, spec):
+    try:
+        result = fn(data, theta, spec)
+    except ZeroProbabilityError as exc:
+        return "raised", str(exc)
+    if isinstance(result, tuple):
+        return tuple(np.asarray(r).tobytes() for r in result)
+    return np.asarray(result).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_case())
+def test_kernel_matches_reference_bit_for_bit(case):
+    # value, gradient and Hessian equal the per-call public-method reference
+    # in every bit, and raise ZeroProbabilityError in exactly the same cases
+    data, spec, theta = case
+    for fn, ref in (
+        (node_log_likelihood, reference_node_log_likelihood),
+        (node_value_and_gradient, reference_node_value_and_gradient),
+        (node_hessian, reference_node_hessian),
+    ):
+        assert _outcome(fn, data, theta, spec) == _outcome(ref, data, theta, spec), fn.__name__
+
+
+def test_beta_evaluation_computes_each_survival_once(monkeypatch):
+    # one incomplete-beta call per argument array: z_curr @ theta and
+    # z_prev @ theta of the activation rows, z_curr @ theta of the terminal rows
+    g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
+    traces = [Trace([{0}, {1}, {2}]), Trace([{0}, {1}]), Trace([{1}, {2}])]
+    data = build_node_data(traces, g, 2)
+    zp_a, zc_a, w_a, zc_t, w_t = data.compressed()
+    assert w_a.size and w_t.size
+    calls = []
+    betainc = scipy.special.betainc
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return betainc(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.special, "betainc", counting)
+    node_value_and_gradient(data, np.array([0.3, 0.2]), make_beta(2, 3))
+    assert len(calls) == 3

@@ -134,3 +134,17 @@ def test_json_roundtrip():
         assert spec_from_dict(spec_to_dict(spec)) == spec
     with pytest.raises(ValueError):
         spec_from_dict({"family": "weibull"})
+
+
+@pytest.mark.parametrize(
+    "spec", [make_uniform(), make_exponential_unit(), make_beta(2, 3)], ids=lambda s: s.family
+)
+@pytest.mark.parametrize("method", ["cdf", "sf", "density", "density_derivative", "log_sf"])
+def test_public_methods_reject_negative_arguments(spec, method):
+    # the likelihood kernel uses unchecked forms; the public methods still check
+    fn = getattr(spec, method)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fn(-0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fn(np.array([0.2, -1e-12, 0.5]))
+    fn(np.array([0.0, 0.2]))  # zero is a valid threshold argument
