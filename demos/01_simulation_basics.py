@@ -40,13 +40,13 @@ print("exact expected spread from {0}:", g.exact_spread(lt, {0}))
 
 # Forward simulation draws each node's threshold once per run.
 print("\nthree simulated traces:")
-for _ in range(3):
-    print(" ", g.simulate_trace(lt, {0}, rng))
+for trace in g.simulate_traces(lt, [{0}] * 3, [rng] * 3):
+    print(" ", trace)
 
 # A heterogeneous model: per-node beta thresholds tilt how easily nodes
 # accept influence; beta(1, 3) nodes are easy, beta(3, 1) nodes are hard.
 specs = [g.make_beta(1, 3), g.make_beta(3, 1), g.make_uniform()]
 hetero = g.GltModel(triangle, np.full(6, 0.45), specs)
-sizes = [len(g.simulate_trace(hetero, {0}, rng).all_active()) for _ in range(2000)]
+sizes = [len(t.all_active()) for t in g.simulate_traces(hetero, [{0}] * 2000, [rng] * 2000)]
 print("\nheterogeneous triangle, mean final size from seed {0}:", np.mean(sizes))
 print("exact value:", g.exact_spread(hetero, {0}))

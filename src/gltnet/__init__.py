@@ -38,6 +38,7 @@ from .model import (
     from_ic,
     from_lt,
     simulate_trace,
+    simulate_traces,
     trace_log_probability,
     transition_probability,
     validate_trace,

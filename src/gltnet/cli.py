@@ -27,7 +27,7 @@ from .graph import SeedDistribution, generate_cws, sample_seed, sample_weights_s
 from .inference import node_covariance, weight_intervals
 from .influence import estimate_spread_mc, exact_evaluator, greedy_im
 from .likelihood import build_all_node_data, build_pseudo_node_data
-from .model import GltModel, simulate_trace
+from .model import GltModel, simulate_traces
 from .rng import substream
 from .serialize import (
     SchemaError,
@@ -74,11 +74,11 @@ def _parse_grid(text: str) -> tuple:
         token = token.strip()
         if not token:
             continue
-        if ":" in token:
-            a, b = token.split(":")
+        try:
+            a, b = token.split(":") if ":" in token else ("1", token)
             out.append((float(a), float(b)))
-        else:
-            out.append((1.0, float(token)))
+        except ValueError as exc:
+            raise SchemaError(f"bad grid entry {token!r}; use A:B or B") from exc
     if not out:
         raise SchemaError(f"empty grid {text!r}")
     return tuple(out)
@@ -163,10 +163,10 @@ def cmd_generate(args):
 def cmd_simulate(args):
     model = model_from_dict(load_json(args.model), where=args.model)
     dist = SeedDistribution.uniform_by_size(args.s_max)
-    traces = []
-    for i in range(args.count):
-        seed_set = sample_seed(dist, model.graph, substream(args.seed, "seed", i))
-        traces.append(simulate_trace(model, seed_set, substream(args.seed, "sim", i)))
+    indices = range(args.count)
+    seed_sets = [sample_seed(dist, model.graph, substream(args.seed, "seed", i)) for i in indices]
+    rngs = [substream(args.seed, "sim", i) for i in indices]
+    traces = simulate_traces(model, seed_sets, rngs)
     write_traces_jsonl(traces, args.out)
     return {"out": args.out, "traces": len(traces)}
 

@@ -29,7 +29,7 @@ from .inference import (
 )
 from .likelihood import build_all_node_data
 from .metrics import rmae
-from .model import ActivationHistory, GltModel, simulate_trace, transition_probability
+from .model import ActivationHistory, GltModel, simulate_traces, transition_probability
 from .influence import estimate_spread_mc, greedy_im
 from .rng import substream
 from .thresholds import (
@@ -88,15 +88,12 @@ def _sample_model(config, rep, n=None, k=None, d_max=None, specs=None, tag=""):
 
 def _simulate_traces(config, model, count, rep, tag=""):
     dist = SeedDistribution.uniform_by_size(config.s_max)
-    out = []
-    for i in range(count):
-        seed_set = sample_seed(
-            dist, model.graph, substream(config.seed, "seed", tag, rep, i)
-        )
-        out.append(
-            simulate_trace(model, seed_set, substream(config.seed, "sim", tag, rep, i))
-        )
-    return out
+    seed_sets = [
+        sample_seed(dist, model.graph, substream(config.seed, "seed", tag, rep, i))
+        for i in range(count)
+    ]
+    rngs = [substream(config.seed, "sim", tag, rep, i) for i in range(count)]
+    return simulate_traces(model, seed_sets, rngs)
 
 
 def _fitted_weight_vector(graph, fits):

@@ -41,7 +41,7 @@ class Graph:
     can mutate them freely.
     """
 
-    __slots__ = ("n", "edges", "_parents", "_children", "_child_offsets")
+    __slots__ = ("n", "edges", "_parents", "_children", "_child_offsets", "_parent_index")
 
     def __init__(self, n: int, edge_list):
         if n < 0:
@@ -67,10 +67,9 @@ class Graph:
             chi[u].append(v)
         self._parents = tuple(tuple(p) for p in par)
         self._children = tuple(tuple(sorted(c)) for c in chi)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        for _, v in edges:
-            offsets[v + 1] += 1
-        self._child_offsets = np.cumsum(offsets)
+        # the child-by-parent edge matrix in CSR form: row offsets, parent indices
+        self._child_offsets = np.cumsum([0] + [len(p) for p in par], dtype=np.int64)
+        self._parent_index = np.array([u for u, _ in edges], dtype=np.int64)
 
     # -- neighborhoods -----------------------------------------------------
 

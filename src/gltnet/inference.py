@@ -162,6 +162,8 @@ def activation_probability_interval(
     _require_valid(covariance)
     if not isinstance(history, ActivationHistory):
         history = ActivationHistory(history)
+    if t < 1 or t > len(history):
+        raise InferenceError(f"time {t} outside the history (length {len(history)})")
     v = fit.node
     a_prev = history.active(t - 1)
     if v in a_prev:

@@ -1,13 +1,15 @@
 """Spread estimation and greedy influence maximization.
 
-The Monte Carlo estimator propagates many replicates at once: thresholds
-are drawn as a replicate-by-node matrix of uniforms, and the final active
-sets are the deterministic closure of the seed under those draws.  Greedy
-selection is one loop over an evaluator's marginal gains.  The Monte Carlo
-evaluator reuses one draw matrix per step across all candidate seeds
-(common random numbers), so candidates are compared on identical threshold
-realizations; the exact evaluators take sigma from :func:`exact_evaluator`,
-trace enumeration or, for bipartite graphs, a closed form.
+The Monte Carlo estimator closes many replicates at once with the closure
+kernel of :mod:`gltnet.model`: uniforms ``u`` are drawn as one
+replicate-by-node matrix, thresholds are ``max(F^-1(u), tiny)``, and a node
+activates once its summed active-parent weight reaches its threshold
+(``b >= threshold``).  Greedy selection is one loop over an evaluator's
+marginal gains.  The Monte Carlo evaluator reuses one draw matrix per step
+across all candidate seeds (common random numbers), so candidates are
+compared on identical threshold realizations; the exact evaluators take
+sigma from :func:`exact_evaluator`, trace enumeration or, for bipartite
+graphs, a closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ExactSpreadOracle, GltModel
+from .model import ExactSpreadOracle, GltModel, _closure_rounds, _spec_groups
 from .rng import as_generator, substream
 
 __all__ = [
@@ -58,52 +60,24 @@ class ImSolution:
         return frozenset(self.seeds)
 
 
-class _BatchPropagator:
-    """Vectorized threshold-persistence closure over replicate batches.
-
-    Thresholds are materialized once per replicate batch by pushing uniform
-    draws through the inverse cdfs, so the closure loop is pure linear
-    algebra; candidates sharing a draw matrix see identical thresholds.
-    """
-
-    def __init__(self, model: GltModel):
-        graph = model.graph
-        n = graph.n
-        w = np.zeros((n, n))
-        for k, (u, v) in enumerate(graph.edges):
-            w[u, v] = model.weights[k]
-        self.n = n
-        self.weight_matrix = w
-        groups = {}
-        for v in range(n):
-            groups.setdefault(model.spec(v), []).append(v)
-        self.spec_groups = [(spec, np.array(cols)) for spec, cols in groups.items()]
-
-    def thresholds(self, draws) -> np.ndarray:
-        """Per-replicate, per-node thresholds from U(0, 1] draws."""
-        u = np.empty_like(draws)
-        for spec, cols in self.spec_groups:
-            u[:, cols] = spec.inverse_cdf(draws[:, cols])
-        # a threshold rounded to exactly 0 would let a zero-influence node
-        # self-activate; the true thresholds are almost surely positive
-        return np.maximum(u, np.finfo(float).tiny)
-
-    def final_sizes(self, seed_list, thresholds) -> np.ndarray:
-        """Final active-set sizes for each replicate row of ``thresholds``."""
-        r = thresholds.shape[0]
-        active = np.zeros((r, self.n), dtype=bool)
-        active[:, seed_list] = True
-        while True:
-            b = active @ self.weight_matrix
-            newly = (b >= thresholds) & ~active
-            if not newly.any():
-                return active.sum(axis=1)
-            active |= newly
+def _thresholds(model, rng, replicates):
+    """(n x R) thresholds from a replicate-by-node matrix of U(0, 1] draws."""
+    draws = 1.0 - rng.random((replicates, model.graph.n))
+    out = np.empty_like(draws)
+    for spec, nodes in _spec_groups(model):
+        out[:, nodes] = spec.inverse_cdf(draws[:, nodes])
+    # a threshold rounded to exactly 0 would let a zero-influence node
+    # self-activate; the true thresholds are almost surely positive
+    return np.maximum(out, np.finfo(float).tiny).T
 
 
-def _draws(rng, rows, n):
-    # U(0, 1]: a node with F(B) = 0 can never cross its threshold
-    return 1.0 - rng.random((rows, n))
+def _final_sizes(model, seed_list, thresholds) -> np.ndarray:
+    """Final active-set size of each replicate column of ``thresholds``."""
+    state = np.zeros(thresholds.shape)
+    state[seed_list] = 1.0
+    for _ in _closure_rounds(model, state, lambda b: b >= thresholds):
+        pass
+    return state.sum(axis=0)
 
 
 def estimate_spread_mc(model: GltModel, seed_set, replicates: int, rng) -> SpreadEstimate:
@@ -121,16 +95,10 @@ def estimate_spread_mc(model: GltModel, seed_set, replicates: int, rng) -> Sprea
     for v in seed_list:
         model.graph._check(v)
     rng = as_generator(rng)
-    prop = _BatchPropagator(model)
-    sizes = []
-    done = 0
-    while done < replicates:
-        rows = min(_CHUNK, replicates - done)
-        sizes.append(
-            prop.final_sizes(seed_list, prop.thresholds(_draws(rng, rows, prop.n)))
-        )
-        done += rows
-    sizes = np.concatenate(sizes).astype(float)
+    chunks = [min(_CHUNK, replicates - done) for done in range(0, replicates, _CHUNK)]
+    sizes = np.concatenate(
+        [_final_sizes(model, seed_list, _thresholds(model, rng, rows)) for rows in chunks]
+    )
     mean = float(sizes.mean())
     se = float(sizes.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
     return SpreadEstimate(mean=mean, std_error=se, replicates=replicates)
@@ -205,17 +173,15 @@ class _MonteCarloGains:
         self.model = model
         self.root = root
         self.replicates = replicates
-        self.prop = _BatchPropagator(model)
 
     def gains(self, seeds, candidates):
         """mean(S + v) - mean(S) on the step's shared draws."""
-        prop = self.prop
-        thresholds = prop.thresholds(
-            _draws(substream(self.root, "im-step", len(seeds)), self.replicates, prop.n)
-        )
-        base = prop.final_sizes(sorted(seeds), thresholds).mean() if seeds else 0.0
+        model = self.model
+        rng = substream(self.root, "im-step", len(seeds))
+        thresholds = _thresholds(model, rng, self.replicates)
+        base = _final_sizes(model, sorted(seeds), thresholds).mean() if seeds else 0.0
         return [
-            prop.final_sizes(sorted(seeds + [v]), thresholds).mean() - base
+            _final_sizes(model, sorted(seeds + [v]), thresholds).mean() - base
             for v in candidates
         ]
 
@@ -241,6 +207,8 @@ def greedy_im(model: GltModel, budget: int, spread_evaluator: str = "mc", rng=No
     if not (0 <= budget <= n):
         raise InfluenceError(f"budget {budget} outside [0, {n}]")
     if spread_evaluator == "mc":
+        if replicates < 1:
+            raise InfluenceError(f"need at least one replicate, got {replicates}")
         if rng is None:
             raise InfluenceError("the MC evaluator needs an rng or root seed")
         if isinstance(rng, (int, np.integer)):

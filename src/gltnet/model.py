@@ -6,6 +6,12 @@ summed weight of its active parents reaches its random threshold; thresholds
 are drawn once per node per realization (threshold persistence), which makes
 the final active set a deterministic function of the threshold vector.
 
+One closure kernel propagates every batch of realizations: it reads the
+canonical edge storage as a child-by-parent CSR matrix, and each consumer
+passes its own threshold test.  Simulation (:func:`simulate_traces`, and
+:func:`simulate_trace` as its one-trace case) tests ``F_v(b) >= u``; Monte
+Carlo spread (:mod:`gltnet.influence`) tests ``b >= max(F_v^-1(u), tiny)``.
+
 Exact quantities (per-trace probabilities, expected spread) are available by
 exhaustive enumeration of feasible traces; the spread enumeration is
 memoized on (active set, frontier) states, which computes the identical sum
@@ -32,6 +38,7 @@ __all__ = [
     "validate_trace",
     "transition_probability",
     "simulate_trace",
+    "simulate_traces",
     "trace_log_probability",
     "enumerate_feasible_traces",
     "exact_spread",
@@ -181,7 +188,6 @@ class GltModel:
     __slots__ = ("graph", "weights", "thresholds", "epsilon", "gamma")
 
     def __init__(self, graph, weights, thresholds, epsilon=None, gamma=None):
-        self.graph = graph
         w = np.asarray(weights, dtype=float)
         if w.shape != (graph.edge_count(),):
             raise ModelError(
@@ -227,15 +233,6 @@ class GltModel:
                 total += theta[j]
         return total
 
-    def is_truncated_feasible(self, epsilon=DEFAULT_EPSILON, gamma=None) -> bool:
-        """Whether every child's weights lie in {theta >= eps, sum <= gamma}."""
-        for v in self.graph.child_nodes():
-            g = default_gamma(self.spec(v), epsilon) if gamma is None else gamma
-            theta = self.theta(v)
-            if np.any(theta < epsilon) or theta.sum() > g:
-                return False
-        return True
-
     def with_weights(self, weights) -> "GltModel":
         return GltModel(self.graph, weights, self.thresholds, self.epsilon, self.gamma)
 
@@ -247,9 +244,7 @@ def from_lt(graph: Graph, weights) -> GltModel:
     """Linear threshold model: uniform thresholds, in-degree sums at most 1."""
     from .thresholds import make_uniform
 
-    w = np.asarray(weights, dtype=float)
-    model = GltModel(graph, w, make_uniform())
-    return model
+    return GltModel(graph, weights, make_uniform())
 
 
 def from_ic(graph: Graph, edge_probabilities) -> GltModel:
@@ -298,41 +293,77 @@ def transition_probability(model: GltModel, history, v: int, t: int) -> float:
     return min(1.0, spec.interval_prob(x, y) / denom)
 
 
-def _uniform_draws(rng, n):
-    # U(0, 1]: node v activates once F_v(B_v) >= V_v, so an exact-zero draw
-    # cannot spuriously activate a node with F_v(B_v) = 0
-    return 1.0 - rng.random(n)
+def _spec_groups(model):
+    """``(spec, node index array)`` pairs, one per distinct threshold spec."""
+    groups = {}
+    for v, spec in enumerate(model.thresholds):
+        groups.setdefault(spec, []).append(v)
+    return [(spec, np.array(nodes)) for spec, nodes in groups.items()]
 
 
-def _closure_steps(model, seed, draws):
-    """Deterministic propagation given per-node uniform draws; yields steps."""
+def _closure_rounds(model, state, crosses):
+    """Close the (n x R) 0/1 float ``state`` in place; yield each round's newly
+    active (n x R) mask, the inactive nodes where ``crosses(b)`` holds.
+
+    ``b = W @ state``, where the CSR matrix ``W`` (row pointers: the child
+    offsets; column indices: each child's parents, ascending; data:
+    ``model.weights``) sums active-parent weights in ascending parent order,
+    bit for bit as :meth:`GltModel.influence` does.
+    """
+    from scipy.sparse import csr_array
+
     graph = model.graph
-    active = set(seed)
-    frontier = set(seed)
-    yield frozenset(frontier)
-    while frontier:
-        newly = set()
-        for v in sorted(children_of_set(graph, frontier) - active):
-            b = model.influence(v, active)
-            if model.spec(v).cdf(b) >= draws[v]:
-                newly.add(v)
-        if not newly:
+    csr = (model.weights, graph._parent_index, graph._child_offsets)
+    weights = csr_array(csr, shape=(graph.n, graph.n))
+    while True:
+        newly = crosses(weights @ state) & (state == 0.0)
+        if not newly.any():
             return
-        active |= newly
-        frontier = newly
-        yield frozenset(newly)
+        state += newly
+        yield newly
+
+
+def simulate_traces(model: GltModel, seed_sets, rngs) -> list:
+    """Simulate one trace per (seed set, rng) pair, as one batch.
+
+    Trace j draws each node's threshold once (persistence) from ``rngs[j]``
+    as a ``U(0, 1]`` variate ``u``: node v activates once ``F_v(B_v) >= u_v``.
+    The result equals ``[simulate_trace(model, s, r) for s, r in ...]``, so a
+    Generator repeated in ``rngs`` is consumed in list order.
+    """
+    graph = model.graph
+    seeds = [{int(v) for v in seed_set} for seed_set in seed_sets]
+    rngs = list(rngs)
+    if len(rngs) != len(seeds):
+        raise ModelError(f"{len(seeds)} seed sets but {len(rngs)} rngs")
+    state = np.zeros((graph.n, len(seeds)))
+    draws = np.empty_like(state)
+    for j, (seed, rng) in enumerate(zip(seeds, rngs)):
+        if not seed:
+            raise ModelError("seed set must be nonempty")
+        for v in seed:
+            graph._check(v)
+        state[list(seed), j] = 1.0
+        # U(0, 1]: an exact-zero draw cannot activate a node with F_v(B_v) = 0
+        draws[:, j] = 1.0 - as_generator(rng).random(graph.n)
+    groups = _spec_groups(model)
+
+    def crosses(b):
+        hit = np.empty(b.shape, dtype=bool)
+        for spec, nodes in groups:
+            hit[nodes] = spec._cdf(b[nodes]) >= draws[nodes]
+        return hit
+
+    steps = [[seed] for seed in seeds]
+    for newly in _closure_rounds(model, state, crosses):
+        for j in np.flatnonzero(newly.any(axis=0)):
+            steps[j].append(np.flatnonzero(newly[:, j]).tolist())
+    return [Trace(s) for s in steps]
 
 
 def simulate_trace(model: GltModel, seed_set, rng) -> Trace:
     """Simulate one trace, drawing each node's threshold once (persistence)."""
-    seed = {int(v) for v in seed_set}
-    if not seed:
-        raise ModelError("seed set must be nonempty")
-    for v in seed:
-        model.graph._check(v)
-    rng = as_generator(rng)
-    draws = _uniform_draws(rng, model.graph.n)
-    return Trace(list(_closure_steps(model, seed, draws)))
+    return simulate_traces(model, [seed_set], [rng])[0]
 
 
 def trace_log_probability(model: GltModel, trace, seed_log_prob: float = 0.0) -> float:

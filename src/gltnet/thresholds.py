@@ -17,8 +17,8 @@ Survival-function paths avoid the 1 - F cancellation as F -> 1, and
 The public methods check their arguments (thresholds are nonnegative, so a
 negative argument raises ``ValueError``).  The likelihood kernel calls the
 unchecked array forms ``_sf``, ``_density`` and ``_density_derivative``
-instead: its arguments are ``z @ theta`` with 0/1 indicators ``z`` and
-positive weights, so they cannot be negative.
+instead, and trace simulation calls ``_cdf``: their arguments are sums of
+nonnegative weights over active parents, so they cannot be negative.
 """
 
 from __future__ import annotations
@@ -91,13 +91,7 @@ class ThresholdSpec:
     # -- distribution functions -------------------------------------------
 
     def cdf(self, x):
-        x = _check_nonnegative(x)
-        if self.family == "uniform":
-            out = np.clip(x, 0.0, 1.0)
-        elif self.family == "exponential":
-            out = -np.expm1(-x)
-        else:
-            out = special.betainc(self.alpha, self.beta, np.clip(x, 0.0, 1.0))
+        out = self._cdf(_check_nonnegative(x))
         return out if out.ndim else float(out)
 
     def sf(self, x):
@@ -113,11 +107,18 @@ class ThresholdSpec:
         out = self._density_derivative(_check_nonnegative(x))
         return out if out.ndim else float(out)
 
-    # -- unchecked array forms (the likelihood kernel's entry points) --------
+    # -- unchecked array forms (the likelihood and closure kernels' entry points)
 
     @cached_property
     def _beta_norm(self) -> float:
         return special.beta(self.alpha, self.beta)
+
+    def _cdf(self, x):
+        if self.family == "uniform":
+            return x.clip(0.0, 1.0)
+        if self.family == "exponential":
+            return -np.expm1(-x)
+        return special.betainc(self.alpha, self.beta, x.clip(0.0, 1.0))
 
     def _sf(self, x):
         if self.family == "uniform":

@@ -21,7 +21,7 @@ from gltnet import (
     make_uniform,
     spread_bipartite_closed_form,
 )
-from gltnet.influence import ImSolution, SpreadEstimate, _BatchPropagator, _draws
+from gltnet.influence import ImSolution, SpreadEstimate
 from gltnet.rng import as_generator, substream
 
 
@@ -360,6 +360,102 @@ def simulate_trace_sequential(model, seed_set, rng):
     return Trace(steps)
 
 
+def reference_closure_steps(model, seed, draws):
+    """Set-based propagation given per-node U(0, 1] draws; yields steps.
+
+    Reference for the closure kernel in simulation: each round tests the
+    inactive children of the last step with one scalar ``F_v(B_v) >= u_v``.
+    """
+    graph = model.graph
+    active = set(seed)
+    frontier = set(seed)
+    yield frozenset(frontier)
+    while frontier:
+        newly = set()
+        for v in sorted(children_of_set(graph, frontier) - active):
+            b = model.influence(v, active)
+            if model.spec(v).cdf(b) >= draws[v]:
+                newly.add(v)
+        if not newly:
+            return
+        active |= newly
+        frontier = newly
+        yield frozenset(newly)
+
+
+def reference_simulate_trace(model, seed_set, rng):
+    """``simulate_trace`` by :func:`reference_closure_steps`, same draws."""
+    seed = {int(v) for v in seed_set}
+    if not seed:
+        raise ModelError("seed set must be nonempty")
+    for v in seed:
+        model.graph._check(v)
+    draws = 1.0 - as_generator(rng).random(model.graph.n)
+    return Trace(list(reference_closure_steps(model, seed, draws)))
+
+
+def reference_draws(rng, rows, n):
+    # U(0, 1]: a node with F(B) = 0 can never cross its threshold
+    return 1.0 - rng.random((rows, n))
+
+
+class ReferenceBatchPropagator:
+    """Dense replicate-by-node closure; reference for the Monte Carlo kernel.
+
+    Holds the n x n weight matrix ``w[u, v]`` and propagates a
+    replicate-by-node boolean state with ``active @ w``.
+    """
+
+    def __init__(self, model):
+        graph = model.graph
+        n = graph.n
+        w = np.zeros((n, n))
+        for k, (u, v) in enumerate(graph.edges):
+            w[u, v] = model.weights[k]
+        self.n = n
+        self.weight_matrix = w
+        groups = {}
+        for v in range(n):
+            groups.setdefault(model.spec(v), []).append(v)
+        self.spec_groups = [(spec, np.array(cols)) for spec, cols in groups.items()]
+
+    def thresholds(self, draws):
+        """Per-replicate, per-node thresholds from U(0, 1] draws."""
+        u = np.empty_like(draws)
+        for spec, cols in self.spec_groups:
+            u[:, cols] = spec.inverse_cdf(draws[:, cols])
+        return np.maximum(u, np.finfo(float).tiny)
+
+    def final_sizes(self, seed_list, thresholds):
+        """Final active-set sizes for each replicate row of ``thresholds``."""
+        r = thresholds.shape[0]
+        active = np.zeros((r, self.n), dtype=bool)
+        active[:, seed_list] = True
+        while True:
+            b = active @ self.weight_matrix
+            newly = (b >= thresholds) & ~active
+            if not newly.any():
+                return active.sum(axis=1)
+            active |= newly
+
+
+def reference_estimate_spread_mc(model, seed_set, replicates, rng, chunk=16384):
+    """``estimate_spread_mc`` on :class:`ReferenceBatchPropagator`, same draws."""
+    seed_list = sorted(int(v) for v in seed_set)
+    rng = as_generator(rng)
+    prop = ReferenceBatchPropagator(model)
+    sizes = []
+    done = 0
+    while done < replicates:
+        rows = min(chunk, replicates - done)
+        thresholds = prop.thresholds(reference_draws(rng, rows, prop.n))
+        sizes.append(prop.final_sizes(seed_list, thresholds))
+        done += rows
+    sizes = np.concatenate(sizes).astype(float)
+    se = float(sizes.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
+    return SpreadEstimate(mean=float(sizes.mean()), std_error=se, replicates=replicates)
+
+
 def reference_greedy_im(model, budget, spread_evaluator, rng=None, replicates=1000, node_cap=10**6):
     """Greedy IM with separate exact and Monte Carlo selection loops.
 
@@ -396,10 +492,10 @@ def reference_greedy_im(model, budget, spread_evaluator, rng=None, replicates=10
         root = int(rng)
     else:
         root = int(as_generator(rng).integers(0, 2**63 - 1))
-    prop = _BatchPropagator(model)
+    prop = ReferenceBatchPropagator(model)
     for step in range(budget):
         thresholds = prop.thresholds(
-            _draws(substream(root, "im-step", step), replicates, n)
+            reference_draws(substream(root, "im-step", step), replicates, n)
         )
         base = (
             prop.final_sizes(sorted(seeds), thresholds).mean() if seeds else 0.0

@@ -40,12 +40,10 @@ def _report(number, text):
 
 
 def _simulate_collection(model, dist, count, root, *labels):
-    graph = model.graph
-    out = []
-    for i in range(count):
-        seed_set = g.sample_seed(dist, graph, substream(root, "seed", *labels, i))
-        out.append(g.simulate_trace(model, seed_set, substream(root, "sim", *labels, i)))
-    return out
+    seed_sets = [
+        g.sample_seed(dist, model.graph, substream(root, "seed", *labels, i)) for i in range(count)
+    ]
+    return g.simulate_traces(model, seed_sets, [substream(root, "sim", *labels, i) for i in range(count)])
 
 
 def _lt_fit_rmae(root, rep, counts, n=30, k=4):

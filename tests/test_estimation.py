@@ -20,7 +20,7 @@ from gltnet import (
     make_uniform,
     sample_seed,
     sample_weights_simplex,
-    simulate_trace,
+    simulate_traces,
 )
 from gltnet import estimation
 from gltnet.estimation import project_truncated_simplex, projected_gradient_norm
@@ -114,10 +114,11 @@ def test_fit_non_convergence_returns_best_iterate():
     graph = staggered_fit_graph()
     model = GltModel(graph, random_weights_within(graph, substream(39, "w")), make_uniform())
     dist = parent_subset_seed_distribution()
-    traces = [
-        simulate_trace(model, sample_seed(dist, graph, substream(39, "s", i)), substream(39, "t", i))
-        for i in range(300)
-    ]
+    traces = simulate_traces(
+        model,
+        [sample_seed(dist, graph, substream(39, "s", i)) for i in range(300)],
+        [substream(39, "t", i) for i in range(300)],
+    )
     data = build_node_data(traces, graph, 3)
     starved = fit_node(data, make_uniform(), FitOptions(max_iter=1))
     assert not starved.converged
@@ -166,14 +167,11 @@ def test_fit_matches_dense_grid_search(spec, options):
     rng = substream(33, "grid", spec.family)
     weights = random_weights_within(graph, rng, scale=0.85)
     model = GltModel(graph, weights, spec)
-    traces = [
-        simulate_trace(
-            model,
-            sample_seed(seed_dist, graph, substream(33, "seed", spec.family, i)),
-            substream(33, "sim", spec.family, i),
-        )
-        for i in range(900)
-    ]
+    traces = simulate_traces(
+        model,
+        [sample_seed(seed_dist, graph, substream(33, "seed", spec.family, i)) for i in range(900)],
+        [substream(33, "sim", spec.family, i) for i in range(900)],
+    )
     for v in (1, 2, 3):
         data = build_node_data(traces, graph, v)
         fit = fit_node(data, spec, options)
@@ -188,10 +186,11 @@ def test_fit_certificate_and_exact_feasibility():
     weights = sample_weights_simplex(graph, 1.0, substream(34, "w"))
     model = from_lt(graph, weights)
     dist = SeedDistribution.uniform_by_size(4)
-    traces = [
-        simulate_trace(model, sample_seed(dist, graph, substream(34, "s", i)), substream(34, "t", i))
-        for i in range(800)
-    ]
+    traces = simulate_traces(
+        model,
+        [sample_seed(dist, graph, substream(34, "s", i)) for i in range(800)],
+        [substream(34, "t", i) for i in range(800)],
+    )
     fits = fit_all(build_all_node_data(traces, graph), make_uniform())
     for v, fit in fits.items():
         assert fit.estimated
@@ -214,10 +213,11 @@ def test_fit_all_order_invariant():
     graph = staggered_fit_graph()
     model = GltModel(graph, random_weights_within(graph, substream(35, "w")), make_uniform())
     dist = parent_subset_seed_distribution()
-    traces = [
-        simulate_trace(model, sample_seed(dist, graph, substream(35, "s", i)), substream(35, "t", i))
-        for i in range(300)
-    ]
+    traces = simulate_traces(
+        model,
+        [sample_seed(dist, graph, substream(35, "s", i)) for i in range(300)],
+        [substream(35, "t", i) for i in range(300)],
+    )
     forward = fit_all(build_all_node_data(traces, graph), make_uniform())
     backward = fit_all(build_all_node_data(list(reversed(traces)), graph), make_uniform())
     for v in forward:
@@ -232,12 +232,11 @@ def test_consistency_trend_mini():
         weights = sample_weights_simplex(graph, 1.0, substream(37, "w", rep))
         model = from_lt(graph, weights)
         dist = SeedDistribution.uniform_by_size(4)
-        traces = [
-            simulate_trace(
-                model, sample_seed(dist, graph, substream(37, "s", rep, i)), substream(37, "t", rep, i)
-            )
-            for i in range(1600)
-        ]
+        traces = simulate_traces(
+            model,
+            [sample_seed(dist, graph, substream(37, "s", rep, i)) for i in range(1600)],
+            [substream(37, "t", rep, i) for i in range(1600)],
+        )
         for count in (200, 1600):
             fits = fit_all(build_all_node_data(traces[:count], graph), make_uniform())
             est = np.zeros(graph.edge_count())
@@ -252,10 +251,11 @@ def test_grid_fit_selects_highest_loglik():
     graph = staggered_fit_graph()
     model = GltModel(graph, random_weights_within(graph, substream(38, "w")), make_beta(1, 3))
     dist = parent_subset_seed_distribution()
-    traces = [
-        simulate_trace(model, sample_seed(dist, graph, substream(38, "s", i)), substream(38, "t", i))
-        for i in range(600)
-    ]
+    traces = simulate_traces(
+        model,
+        [sample_seed(dist, graph, substream(38, "s", i)) for i in range(600)],
+        [substream(38, "t", i) for i in range(600)],
+    )
     data = build_node_data(traces, graph, 3)
     grid = tuple((1, b) for b in range(1, 6))
     best = fit_with_threshold_grid(data, grid, FitOptions())
@@ -322,10 +322,11 @@ def test_fits_match_reference_kernel(monkeypatch):
     graph = generate_cws(14, 4, 0.2, substream(39, "g"))
     model = GltModel(graph, sample_weights_simplex(graph, 0.9, substream(39, "w")), make_beta(1, 3))
     dist = SeedDistribution.uniform_by_size(3)
-    traces = [
-        simulate_trace(model, sample_seed(dist, graph, substream(39, "s", i)), substream(39, "t", i))
-        for i in range(300)
-    ]
+    traces = simulate_traces(
+        model,
+        [sample_seed(dist, graph, substream(39, "s", i)) for i in range(300)],
+        [substream(39, "t", i) for i in range(300)],
+    )
     datasets = build_all_node_data(traces, graph)
     specs = (make_uniform(), make_exponential_unit(), make_beta(1, 3), make_beta(2, 2))
     grid = tuple((1, b) for b in range(1, 6)) + ((2, 2),)

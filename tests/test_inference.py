@@ -16,7 +16,7 @@ from gltnet import (
     make_uniform,
     node_covariance,
     sample_seed,
-    simulate_trace,
+    simulate_traces,
     transition_probability,
     weight_difference_test,
     weight_intervals,
@@ -64,10 +64,11 @@ def test_covariance_matches_fd_hessian_inverse():
     graph = staggered_fit_graph()
     model = GltModel(graph, random_weights_within(graph, substream(41, "w")), make_uniform())
     dist = parent_subset_seed_distribution()
-    traces = [
-        simulate_trace(model, sample_seed(dist, graph, substream(41, "s", i)), substream(41, "t", i))
-        for i in range(400)
-    ]
+    traces = simulate_traces(
+        model,
+        [sample_seed(dist, graph, substream(41, "s", i)) for i in range(400)],
+        [substream(41, "t", i) for i in range(400)],
+    )
     data = build_node_data(traces, graph, 3)
     fit = fit_node(data, make_uniform())
     cov = node_covariance(data, fit.weights, make_uniform())
@@ -169,12 +170,11 @@ def test_weight_difference_type_i_error():
     reps = 500
     used = 0
     for rep in range(reps):
-        traces = [
-            simulate_trace(
-                model, sample_seed(dist, g, substream(42, "s", rep, i)), substream(42, "t", rep, i)
-            )
-            for i in range(400)
-        ]
+        traces = simulate_traces(
+            model,
+            [sample_seed(dist, g, substream(42, "s", rep, i)) for i in range(400)],
+            [substream(42, "t", rep, i) for i in range(400)],
+        )
         data = build_node_data(traces, g, 2)
         fit = fit_node(data, make_uniform())
         if fit.at_boundary:
@@ -203,14 +203,28 @@ def test_activation_probability_interval_zero_influence():
     assert interval.width == 0.0
 
 
+def test_activation_probability_interval_rejects_times_outside_history():
+    g = build_graph(2, [(0, 1)])
+    fit = _fake_fit([0.2])
+    fit.node = 1
+    cov = CovarianceResult(node=1, sigma=np.array([[0.01]]), valid=True, min_eigenvalue=0.01)
+    hist = ActivationHistory([{0}])
+    for t in (0, 2, -1):
+        with pytest.raises(InferenceError, match=f"time {t} outside the history"):
+            activation_probability_interval(fit, cov, g, hist, t)
+    point, _ = activation_probability_interval(fit, cov, g, hist, 1)
+    assert point == pytest.approx(0.2)
+
+
 def test_activation_probability_gradient_matches_fd():
     graph = staggered_fit_graph()
     model = GltModel(graph, random_weights_within(graph, substream(43, "w")), make_uniform())
     dist = parent_subset_seed_distribution()
-    traces = [
-        simulate_trace(model, sample_seed(dist, graph, substream(43, "s", i)), substream(43, "t", i))
-        for i in range(400)
-    ]
+    traces = simulate_traces(
+        model,
+        [sample_seed(dist, graph, substream(43, "s", i)) for i in range(400)],
+        [substream(43, "t", i) for i in range(400)],
+    )
     data = build_node_data(traces, graph, 3)
     fit = fit_node(data, make_uniform())
     cov = node_covariance(data, fit.weights, make_uniform())
@@ -252,12 +266,11 @@ def test_interval_coverage_quick():
     dist = parent_subset_seed_distribution()
     covered = total = 0
     for rep in range(120):
-        traces = [
-            simulate_trace(
-                model, sample_seed(dist, g, substream(44, "s", rep, i)), substream(44, "t", rep, i)
-            )
-            for i in range(400)
-        ]
+        traces = simulate_traces(
+            model,
+            [sample_seed(dist, g, substream(44, "s", rep, i)) for i in range(400)],
+            [substream(44, "t", rep, i) for i in range(400)],
+        )
         data = build_node_data(traces, g, 2)
         fit = fit_node(data, make_uniform())
         if fit.at_boundary:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,18 @@ def test_greedy_validation():
         greedy_im(model, 1, "mc")  # rng required
     with pytest.raises(InfluenceError):
         greedy_im(model, 1, "frobnicate", 1)
+
+
+def test_greedy_mc_rejects_bad_replicate_counts():
+    # refused before any work: no empty-slice warnings, no numpy ValueError,
+    # and not even a budget of 0 gets through
+    g = build_graph(2, [(0, 1)])
+    model = from_lt(g, [0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for budget, replicates in [(1, 0), (1, -5), (0, 0)]:
+            with pytest.raises(InfluenceError, match="need at least one replicate"):
+                greedy_im(model, budget, "mc", 1, replicates=replicates)
 
 
 def test_im_solution_gap_zero_for_equal_models():

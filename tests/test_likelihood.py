@@ -21,7 +21,7 @@ from gltnet import (
     node_gradient,
     node_hessian,
     node_log_likelihood,
-    simulate_trace,
+    simulate_traces,
     trace_log_probability,
 )
 from gltnet.graph import SeedDistribution, generate_cws, sample_seed, sample_weights_simplex
@@ -101,10 +101,11 @@ def test_likelihood_matches_naive_loop():
     g = random_simple_digraph(7, 0.35, rng)
     w = random_weights_within(g, rng)
     model = GltModel(g, w, make_beta(2, 2))
-    traces = [
-        simulate_trace(model, {int(rng.integers(0, 7))}, substream(21, "s", i))
-        for i in range(200)
-    ]
+    traces = simulate_traces(
+        model,
+        [{int(rng.integers(0, 7))} for _ in range(200)],
+        [substream(21, "s", i) for i in range(200)],
+    )
     for v in g.child_nodes():
         data = build_node_data(traces, g, v)
         if data.n_informative_rows == 0:
@@ -122,10 +123,11 @@ def test_decomposition_identity():
         g = random_simple_digraph(8, 0.3, substream(22, "g", spec.family))
         w = random_weights_within(g, substream(22, "w", spec.family))
         model = GltModel(g, w, spec)
-        traces = [
-            simulate_trace(model, {0, int(rng.integers(1, 8))}, substream(22, "s", spec.family, i))
-            for i in range(120)
-        ]
+        traces = simulate_traces(
+            model,
+            [{0, int(rng.integers(1, 8))} for _ in range(120)],
+            [substream(22, "s", spec.family, i) for i in range(120)],
+        )
         total_traces = sum(trace_log_probability(model, t) for t in traces)
         total_nodes = 0.0
         for v in g.child_nodes():
@@ -146,9 +148,7 @@ def test_gradient_matches_finite_differences(spec):
     g = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])
     w = random_weights_within(g, rng)
     model = GltModel(g, w, spec)
-    traces = [
-        simulate_trace(model, {0}, substream(23, "s", spec.family, i)) for i in range(300)
-    ]
+    traces = simulate_traces(model, [{0}] * 300, [substream(23, "s", spec.family, i) for i in range(300)])
     data = build_node_data(traces, g, 3)
     gamma = 1.0 - 1e-6 if np.isfinite(spec.support_bound) else 2.0
     for trial in range(20):
@@ -173,9 +173,7 @@ def test_hessian_matches_gradient_differences(spec):
     g = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])
     w = random_weights_within(g, rng)
     model = GltModel(g, w, spec)
-    traces = [
-        simulate_trace(model, {0}, substream(24, "s", spec.family, i)) for i in range(300)
-    ]
+    traces = simulate_traces(model, [{0}] * 300, [substream(24, "s", spec.family, i) for i in range(300)])
     data = build_node_data(traces, g, 3)
     gamma = 1.0 - 1e-6 if np.isfinite(spec.support_bound) else 2.0
     for trial in range(20):
@@ -200,10 +198,9 @@ def test_hessian_negative_semidefinite_for_log_concave():
     w = random_weights_within(g, rng)
     for spec in all_specs():
         model = GltModel(g, w, spec)
-        traces = [
-            simulate_trace(model, {0}, substream(25, "s", spec.family, i))
-            for i in range(200)
-        ]
+        traces = simulate_traces(
+            model, [{0}] * 200, [substream(25, "s", spec.family, i) for i in range(200)]
+        )
         data = build_node_data(traces, g, 3)
         gamma = 1.0 - 1e-6 if np.isfinite(spec.support_bound) else 2.0
         for _ in range(10):
@@ -228,10 +225,9 @@ def test_likelihood_concavity_along_chords():
     w = random_weights_within(g, rng)
     for spec in all_specs():
         model = GltModel(g, w, spec)
-        traces = [
-            simulate_trace(model, {0}, substream(26, "s", spec.family, i))
-            for i in range(200)
-        ]
+        traces = simulate_traces(
+            model, [{0}] * 200, [substream(26, "s", spec.family, i) for i in range(200)]
+        )
         data = build_node_data(traces, g, 3)
         gamma = 1.0 - 1e-6 if np.isfinite(spec.support_bound) else 2.0
         for _ in range(100):
@@ -298,7 +294,7 @@ def test_rows_group_per_trace_in_time_order():
     g = build_graph(4, [(0, 1), (0, 3), (1, 3), (0, 2), (1, 2), (2, 3)])
     model = from_lt(g, [0.3, 0.2, 0.2, 0.3, 0.3, 0.2])
     rng = substream(27, "order")
-    traces = [simulate_trace(model, {0}, rng) for _ in range(100)]
+    traces = simulate_traces(model, [{0}] * 100, [rng] * 100)
     data = build_node_data(traces, g, 3)
     assert np.all(np.diff(data.trace_index) >= 0)
     # z_prev <= z_curr coordinatewise, and activation rows strictly grow
@@ -314,10 +310,11 @@ def test_build_all_node_data_matches_per_node_builds():
     graph = generate_cws(20, 4, 0.2, substream(40, "g"))
     model = from_lt(graph, sample_weights_simplex(graph, 1.0, substream(40, "w")))
     dist = SeedDistribution.uniform_by_size(4)
-    traces = [
-        simulate_trace(model, sample_seed(dist, graph, substream(40, "s", i)), substream(40, "t", i))
-        for i in range(300)
-    ]
+    traces = simulate_traces(
+        model,
+        [sample_seed(dist, graph, substream(40, "s", i)) for i in range(300)],
+        [substream(40, "t", i) for i in range(300)],
+    )
     for validate in (True, False):
         datasets = build_all_node_data(traces, graph, validate=validate)
         assert list(datasets) == graph.child_nodes()

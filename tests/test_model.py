@@ -19,6 +19,7 @@ from gltnet import (
     make_exponential_unit,
     make_uniform,
     simulate_trace,
+    simulate_traces,
     trace_log_probability,
     transition_probability,
     validate_trace,
@@ -115,8 +116,7 @@ def test_empirical_activation_matches_transition_probability():
     rng = substream(4, "mc")
     n = 100_000
     hits = 0
-    for _ in range(n):
-        t = simulate_trace(model, {0, 1}, rng)
+    for t in simulate_traces(model, [{0, 1}] * n, [rng] * n):
         if len(t) > 1 and 2 in t.steps[1]:
             hits += 1
     se = np.sqrt(p * (1 - p) / n)
@@ -273,10 +273,10 @@ def test_model_validation():
 
 
 def _trace_frequencies(model, seed, n, simulator, rng):
-    counts = Counter()
-    for _ in range(n):
-        counts[simulator(model, seed, rng)] += 1
-    return counts
+    # simulate_traces takes the whole batch, reusing rng in order
+    if simulator is simulate_traces:
+        return Counter(simulate_traces(model, [seed] * n, [rng] * n))
+    return Counter(simulator(model, seed, rng) for _ in range(n))
 
 
 def test_simulation_matches_exact_probabilities():
@@ -288,7 +288,7 @@ def test_simulation_matches_exact_probabilities():
         for t in enumerate_feasible_traces(g, {0})
     }
     n = 100_000
-    counts = _trace_frequencies(model, {0}, n, simulate_trace, substream(10, "freq"))
+    counts = _trace_frequencies(model, {0}, n, simulate_traces, substream(10, "freq"))
     assert sum(counts.values()) == n
     for trace, p in probs.items():
         se = np.sqrt(p * (1 - p) / n)
@@ -305,7 +305,7 @@ def test_threshold_persistence_equivalence():
     }
     n = 40_000
     for simulator, label in [
-        (simulate_trace, "persistence"),
+        (simulate_traces, "persistence"),
         (simulate_trace_sequential, "sequential"),
     ]:
         counts = _trace_frequencies(model, {0}, n, simulator, substream(11, label))

@@ -136,6 +136,19 @@ def test_cli_grid_fit_reports_bad_trace_position(tmp_path, capsys):
         assert "t.jsonl:2: node 6 out of range" in error["message"]
 
 
+def test_cli_grid_rejects_malformed_entries(tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    assert _run(["generate", "--n", "6", "--k", "2", "--family", "beta:1,2", "--seed", "5", "--out", model]) == 0
+    traces = _write_lines(str(tmp_path / "t.jsonl"), ['{"steps": [[0]]}'])
+    argv = ["fit", "--model", model, "--traces", traces, "--family", "beta:1,2",
+            "--out", str(tmp_path / "fit.json"), "--grid"]
+    for grid, token in [("1:2:3", "'1:2:3'"), ("2,a", "'a'"), ("x:2", "'x:2'")]:
+        assert _run(argv + [grid]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "SchemaError"
+        assert f"bad grid entry {token}" in error["message"]
+
+
 def test_schema_error_for_missing_keys():
     with pytest.raises(SchemaError):
         graph_from_dict({"edges": []})
