@@ -17,12 +17,10 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from . import __version__
 from .diagnostics import check_identifiability, check_submodularity_exact
 from .estimation import FitOptions, fit_all, fit_with_threshold_grid
-from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, _fitted_model, run_experiment
 from .graph import SeedDistribution, generate_cws, sample_seed, sample_weights_simplex
 from .inference import node_covariance, weight_intervals
 from .influence import estimate_spread_mc, exact_evaluator, greedy_im
@@ -31,6 +29,7 @@ from .model import GltModel, simulate_traces
 from .rng import substream
 from .serialize import (
     SchemaError,
+    _node_ids,
     atomic_write_text,
     dump_json,
     fit_results_to_dict,
@@ -138,17 +137,6 @@ def _run_fits(args):
     return graph, spec, results, datasets
 
 
-def _fitted_model(graph, spec, results):
-    weights = np.zeros(graph.edge_count())
-    specs = []
-    for v in range(graph.n):
-        r = results.get(v)
-        if r is not None and r.estimated:
-            weights[graph.child_slice(v)] = r.weights
-        specs.append(r.spec if r is not None else spec)
-    return GltModel(graph, weights, specs)
-
-
 def cmd_generate(args):
     graph = generate_cws(args.n, args.k, args.p, substream(args.seed, "graph"))
     weights = sample_weights_simplex(graph, args.d_max, substream(args.seed, "weights"))
@@ -197,9 +185,18 @@ def cmd_diagnose(args):
     graph, model = _load_graph_or_model(args)
     if args.seeds:
         raw = load_json(args.seeds)
-        dist = SeedDistribution.explicit(
-            [(frozenset(int(v) for v in entry[0]), float(entry[1])) for entry in raw]
-        )
+        pair = "a [[nodes...], probability] pair"
+        if not isinstance(raw, list):
+            raise SchemaError(f"expected a list, each entry {pair}", where=args.seeds)
+        support = []
+        for entry in raw:
+            if not (isinstance(entry, list) and len(entry) == 2 and type(entry[1]) in (int, float)):
+                raise SchemaError(f"expected {pair}, got {entry!r}", where=args.seeds)
+            support.append((frozenset(_node_ids(entry[0], args.seeds)), entry[1]))
+        try:
+            dist = SeedDistribution.explicit(support)
+        except ValueError as exc:
+            raise SchemaError(str(exc), where=args.seeds) from exc
     else:
         dist = SeedDistribution.uniform_by_size(args.s_max)
     report = check_identifiability(graph, dist, state_cap=args.state_cap)
@@ -265,7 +262,12 @@ def cmd_im(args):
 
 def cmd_spread(args):
     model = model_from_dict(load_json(args.model), where=args.model)
-    seed_set = {int(v) for v in args.seed_set.split(",") if v != ""}
+    seed_set = set()
+    for token in filter(None, args.seed_set.split(",")):
+        try:
+            seed_set.add(int(token))
+        except ValueError as exc:
+            raise SchemaError(f"bad seed-set entry {token!r}; use comma-separated node ids") from exc
     if args.evaluator == "mc":
         est = estimate_spread_mc(
             model, seed_set, args.replicates, substream(args.seed, "spread")

@@ -165,6 +165,9 @@ def check_identifiability(graph: Graph, seed_distribution: SeedDistribution, sta
     get the verdict "unknown-cap-exceeded".
     """
     support = seed_distribution.explicit_support(graph.n)
+    for seed, _ in support:
+        for u in seed:
+            graph._check(u)
     child_mask = child_masks(graph)
     nodes = {}
     for v in graph.child_nodes():

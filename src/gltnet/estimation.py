@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import Graph
 from .likelihood import NodeData, node_hessian, node_value_and_gradient
-from .model import Trace, ZeroProbabilityError, default_gamma
+from .model import NEVER, ZeroProbabilityError, _activation_rounds, default_gamma
 from .thresholds import ThresholdSpec, make_beta
 
 __all__ = [
@@ -488,36 +488,20 @@ def baseline_ptp(traces, graph: Graph) -> np.ndarray:
     child's parent weights sum to 1, falling back to the uniform 1/indegree
     when all of a child's scores are zero.
     """
-    traces = [t if isinstance(t, Trace) else Trace(t) for t in traces]
-    times = []
-    for trace in traces:
-        at = {}
-        for t, step in enumerate(trace.steps):
-            for v in step:
-                at[v] = t
-        times.append(at)
+    return _ptp_weights(_activation_rounds(traces, graph.n)[0], graph)
+
+
+def _ptp_weights(rounds, graph: Graph) -> np.ndarray:
+    """PTP weights from the (traces x n) activation-round table."""
     weights = np.zeros(graph.edge_count())
-    for v in range(graph.n):
+    for v in graph.child_nodes():
         parents = graph.parent_list(v)
-        if not parents:
-            continue
-        raw = np.zeros(len(parents))
-        for j, u in enumerate(parents):
-            num = 0
-            den = 0
-            for at in times:
-                tu = at.get(u)
-                if tu is None:
-                    continue
-                den += 1
-                tv = at.get(v)
-                if tv is not None and tu < tv:
-                    num += 1
-            raw[j] = num / den if den else 0.0
+        parent_rounds = rounds[:, list(parents)]
+        r_v = rounds[:, [v]]
+        den = (parent_rounds != NEVER).sum(axis=0)
+        num = ((parent_rounds < r_v) & (r_v != NEVER)).sum(axis=0)
+        raw = np.divide(num, den, out=np.zeros(len(parents)), where=den > 0)
         total = raw.sum()
-        if total > 0:
-            raw /= total
-        else:
-            raw[:] = 1.0 / len(parents)
+        raw = raw / total if total > 0 else np.full(len(parents), 1.0 / len(parents))
         weights[graph.child_slice(v)] = _cap_unit_sum(raw)
     return weights

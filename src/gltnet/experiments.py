@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimation import (
     FitOptions,
-    baseline_ptp,
+    _ptp_weights,
     baseline_wc,
     fit_all,
     fit_with_threshold_grid,
@@ -27,9 +27,16 @@ from .inference import (
     node_covariance,
     weight_intervals,
 )
-from .likelihood import build_all_node_data
+from .likelihood import _node_rows, build_all_node_data
 from .metrics import rmae
-from .model import ActivationHistory, GltModel, simulate_traces, transition_probability
+from .model import (
+    NEVER,
+    ActivationHistory,
+    GltModel,
+    _activation_rounds,
+    simulate_traces,
+    transition_probability,
+)
 from .influence import estimate_spread_mc, greedy_im
 from .rng import substream
 from .thresholds import (
@@ -104,6 +111,13 @@ def _fitted_weight_vector(graph, fits):
             weights[graph.child_slice(v)] = r.weights
             estimated += 1
     return weights, estimated
+
+
+def _fitted_model(graph, spec, fits):
+    """The model of ``fits``, with ``spec`` at the nodes they do not cover."""
+    weights, _ = _fitted_weight_vector(graph, fits)
+    specs = [fits[v].spec if v in fits else spec for v in range(graph.n)]
+    return GltModel(graph, weights, specs)
 
 
 def _aggregate(rows, group_keys, value_key):
@@ -247,6 +261,9 @@ def run_activation_prediction(config: ExperimentConfig):
         train = _simulate_traces(config, truth, config.n_traces, rep, tag="train")
         test = _simulate_traces(config, truth, config.n_test, rep, tag="test")
         datasets = build_all_node_data(train, truth.graph, validate=False)
+        rounds, horizons = _activation_rounds(test, truth.graph.n)
+        # the last round each node is inactive in each held-out trace
+        last_inactive = np.where(rounds == NEVER, horizons[:, None], rounds - 1)
         for name, spec in _candidate_specs().items():
             fits = fit_all(datasets, spec)
             covs = {}
@@ -256,23 +273,14 @@ def run_activation_prediction(config: ExperimentConfig):
                 if fit.estimated:
                     covs[v] = node_covariance(datasets[v], fit.weights, spec)
             true_p, pred_p, covered, lengths = [], [], 0, []
-            for trace in test:
+            for trace, last in zip(test, last_inactive.tolist()):
                 active = trace.all_active()
-                exposed = set()
-                for t in range(len(trace.steps)):
-                    for v in trace.steps[t]:
-                        exposed.update(truth.graph.children(v))
+                exposed = {c for u in active for c in truth.graph.children(u)}
                 for v in sorted((active | exposed) - trace.steps[0]):
-                    if truth.graph.in_degree(v) == 0:
+                    # covs holds exactly the estimated fits
+                    if v not in covs or not covs[v].valid:
                         continue
-                    fit = fits.get(v)
-                    if fit is None or not fit.estimated or v not in covs:
-                        continue
-                    if not covs[v].valid:
-                        continue
-                    t_last = _last_inactive(trace, v)
-                    if t_last is None or t_last + 1 > trace.horizon + 1:
-                        continue
+                    fit, t_last = fits[v], last[v]
                     prefix = ActivationHistory(trace.steps[: t_last + 1])
                     p_true = transition_probability(truth, prefix, v, t_last + 1)
                     point, interval = activation_probability_interval(
@@ -298,16 +306,6 @@ def run_activation_prediction(config: ExperimentConfig):
     )
 
 
-def _last_inactive(trace, v):
-    """Last time v is not active, or None when v is seeded."""
-    if v in trace.steps[0]:
-        return None
-    for t in range(1, len(trace.steps)):
-        if v in trace.steps[t]:
-            return t - 1
-    return trace.horizon
-
-
 # -- influence-maximization studies ---------------------------------------------
 
 
@@ -315,7 +313,9 @@ def _fit_candidates(config, truth, traces):
     """Fit the GLT grid model, LT, IC, and the two heuristics."""
     graph = truth.graph
     out = {}
-    datasets = build_all_node_data(traces, graph, validate=False)
+    # one activation-round table feeds the node rows and the PTP scores
+    rounds, horizons = _activation_rounds(traces, graph.n)
+    datasets = {v: _node_rows(rounds, horizons, graph.parent_list(v), v) for v in graph.child_nodes()}
     grid = tuple((1, b) for b in config.beta_grid)
     glt_fits = {}
     options = FitOptions()
@@ -326,23 +326,14 @@ def _fit_candidates(config, truth, traces):
             glt_fits[v] = fit_with_threshold_grid(data, grid, options)
         except Exception:  # noqa: BLE001 - candidate fit may fail per node
             continue
-    glt_weights, _ = _fitted_weight_vector(graph, glt_fits)
-    glt_specs = []
-    for v in range(graph.n):
-        fit = glt_fits.get(v)
-        glt_specs.append(fit.spec if fit is not None else make_uniform())
-    out["glt"] = GltModel(graph, glt_weights, glt_specs)
+    out["glt"] = _fitted_model(graph, make_uniform(), glt_fits)
 
-    lt_fits = fit_all(datasets, make_uniform())
-    lt_weights, _ = _fitted_weight_vector(graph, lt_fits)
-    out["lt"] = GltModel(graph, lt_weights, make_uniform())
-
-    ic_fits = fit_all(datasets, make_exponential_unit())
-    ic_weights, _ = _fitted_weight_vector(graph, ic_fits)
-    out["ic"] = GltModel(graph, ic_weights, make_exponential_unit())
+    lt, ic = make_uniform(), make_exponential_unit()
+    out["lt"] = _fitted_model(graph, lt, fit_all(datasets, lt))
+    out["ic"] = _fitted_model(graph, ic, fit_all(datasets, ic))
 
     out["wc"] = GltModel(graph, baseline_wc(graph), make_uniform())
-    out["ptp"] = GltModel(graph, baseline_ptp(traces, graph), make_uniform())
+    out["ptp"] = GltModel(graph, _ptp_weights(rounds, graph), make_uniform())
     return out
 
 

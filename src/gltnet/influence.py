@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ExactSpreadOracle, GltModel, _closure_rounds, _spec_groups
+from .model import _CHUNK, ExactSpreadOracle, GltModel, _closure_rounds, _spec_groups
 from .rng import as_generator, substream
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "optimal_seed_set",
     "im_solution_gap",
 ]
-
-_CHUNK = 16384
 
 
 class InfluenceError(ValueError):

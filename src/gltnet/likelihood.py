@@ -1,11 +1,18 @@
 """Per-node sufficient data and log-likelihood evaluation.
 
 For a child node v, every (trace, time) pair at which v gains a newly active
-parent contributes a row: the cumulative 0/1 parent indicators before and
-after the gain, plus an outcome.  Intermediate non-activation rows are kept
-for bookkeeping (they determine the sample size N_v) but marked FOLDED: the
-trace likelihood telescopes them away, so only the activation row (if any)
-or the final-exposure row of each trace carries a likelihood term:
+parent, up to the last time v is inactive, contributes a row: the cumulative
+0/1 parent indicators before and after the gain, plus an outcome.  All rows
+come from one (traces x n) table of first-active rounds r (``model.NEVER``
+for nodes that never activate), read once per trace set.  With v's last
+inactive round ``r_v - 1`` (or the horizon if v never activates; -1 if v is
+seeded), the rows are the distinct (trace, parent round <= last) keys in
+trace-then-round order, ``z_curr = parent rounds <= round``, and ``z_prev``
+is the trace's previous row (zeros for its first).  Intermediate
+non-activation rows are kept for bookkeeping (they determine the sample size
+N_v) but marked FOLDED: the trace likelihood telescopes them away, so only
+each trace's last row, the activation row or the final-exposure row,
+carries a likelihood term:
 
     activated-now row:         log[F(theta clast) - F(theta cprev)]
     not-activated-terminal:    log[1 - F(theta clast)]
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph
-from .model import Trace, ZeroProbabilityError, validate_trace
+from .model import NEVER, ZeroProbabilityError, _activation_rounds, validate_trace
 
 __all__ = [
     "ROW_TERMINAL",
@@ -136,7 +143,7 @@ class PseudoTrace:
 
 
 def build_node_data(traces, graph: Graph, v: int, validate: bool = True) -> NodeData:
-    """Extract node v's rows from full traces.
+    """Extract node v's rows from full traces (one node of :func:`build_all_node_data`).
 
     Seeded appearances contribute nothing; traces where v never has an
     active parent contribute nothing.  Rows stop at the last time v is
@@ -145,66 +152,41 @@ def build_node_data(traces, graph: Graph, v: int, validate: bool = True) -> Node
     parents = graph.parent_list(v)
     if not parents:
         raise ValueError(f"node {v} has no parents")
-    index = {u: j for j, u in enumerate(parents)}
-    m = len(parents)
-    zp_rows, zc_rows, outcomes, trace_ids = [], [], [], []
-    for n, trace in enumerate(traces):
-        if validate:
-            trace = validate_trace(graph, trace)
-        elif not isinstance(trace, Trace):
-            trace = Trace(trace)
-        if v in trace.steps[0]:
-            continue
-        activated_at = None
-        for t in range(1, len(trace.steps)):
-            if v in trace.steps[t]:
-                activated_at = t
-                break
-        last_inactive = (activated_at - 1) if activated_at else trace.horizon
-        cum = np.zeros(m, dtype=np.uint8)
-        gains = []  # cumulative indicator after each gain time <= last_inactive
-        for t in range(last_inactive + 1):
-            hit = False
-            for u in trace.steps[t]:
-                j = index.get(u)
-                if j is not None:
-                    cum[j] = 1
-                    hit = True
-            if hit:
-                gains.append(cum.copy())
-        if not gains:
-            continue
-        prev = np.zeros(m, dtype=np.uint8)
-        for i, z in enumerate(gains):
-            last = i == len(gains) - 1
-            if last:
-                kind = ROW_ACTIVATED if activated_at else ROW_TERMINAL
-            else:
-                kind = ROW_FOLDED
-            zp_rows.append(prev)
-            zc_rows.append(z)
-            outcomes.append(kind)
-            trace_ids.append(n)
-            prev = z
-    return NodeData(
-        node=v,
-        parents=parents,
-        z_prev=np.array(zp_rows, dtype=np.uint8).reshape(len(outcomes), m),
-        z_curr=np.array(zc_rows, dtype=np.uint8).reshape(len(outcomes), m),
-        outcome=np.array(outcomes, dtype=np.int8),
-        trace_index=np.array(trace_ids, dtype=np.int64),
-    )
+    if validate:
+        traces = [validate_trace(graph, t) for t in traces]
+    return _node_rows(*_activation_rounds(traces, graph.n), parents, v)
 
 
 def build_all_node_data(traces, graph: Graph, validate: bool = True) -> dict:
     """Rows of every child node, ``{v: NodeData}`` in ``graph.child_nodes()`` order.
 
-    Each trace is checked once, not once per node.  ``validate=False`` skips
-    the check for traces already known to be feasible on ``graph``.
+    Each trace is checked once and read once, into the activation-round
+    table.  ``validate=False`` skips the check for traces already known to
+    be feasible on ``graph``.
     """
     if validate:
         traces = [validate_trace(graph, t) for t in traces]
-    return {v: build_node_data(traces, graph, v, validate=False) for v in graph.child_nodes()}
+    rounds, horizons = _activation_rounds(traces, graph.n)
+    return {v: _node_rows(rounds, horizons, graph.parent_list(v), v) for v in graph.child_nodes()}
+
+
+def _node_rows(rounds, horizons, parents, v) -> NodeData:
+    """Node v's rows from the activation-round table (see the module docstring)."""
+    r_v = rounds[:, v]
+    last = np.where(r_v == NEVER, horizons, r_v - 1)
+    parent_rounds = rounds[:, list(parents)]
+    gained = parent_rounds <= last[:, None]
+    # distinct (trace, gain round) keys, sorted by trace, then round
+    span = horizons.max(initial=0) + 1
+    keys = np.unique(np.nonzero(gained)[0] * span + parent_rounds[gained])
+    trace_index, t = np.divmod(keys, span)
+    z_curr = (parent_rounds[trace_index] <= t[:, None]).astype(np.uint8)
+    first = np.diff(trace_index, prepend=-1) != 0  # each trace's first row
+    final = np.diff(trace_index, append=-1) != 0  # and its last
+    z_prev = np.roll(z_curr, 1, axis=0) * ~first[:, None]
+    outcome = np.full(keys.size, ROW_FOLDED, dtype=np.int8)
+    outcome[final] = np.where(r_v[trace_index[final]] == NEVER, ROW_TERMINAL, ROW_ACTIVATED)
+    return NodeData(v, parents, z_prev, z_curr, outcome, trace_index)
 
 
 def build_pseudo_node_data(pseudo_traces, v: int, graph: Graph = None, parents=None) -> NodeData:
@@ -215,29 +197,20 @@ def build_pseudo_node_data(pseudo_traces, v: int, graph: Graph = None, parents=N
         parents = graph.parent_list(v)
     parents = tuple(parents)
     index = {u: j for j, u in enumerate(parents)}
-    m = len(parents)
-    zp_rows, zc_rows, outcomes, trace_ids = [], [], [], []
+    pseudo_traces = list(pseudo_traces)
+    z_curr = np.zeros((len(pseudo_traces), len(parents)), dtype=np.uint8)
     for n, pt in enumerate(pseudo_traces):
         if pt.node != v:
             raise ValueError(f"pseudo-trace references node {pt.node}, expected {v}")
-        z = np.zeros(m, dtype=np.uint8)
         for u in pt.active_parents:
             j = index.get(u)
             if j is None:
                 raise ValueError(f"parent {u} is not a parent of node {v}")
-            z[j] = 1
-        zp_rows.append(np.zeros(m, dtype=np.uint8))
-        zc_rows.append(z)
-        outcomes.append(ROW_ACTIVATED if pt.y else ROW_TERMINAL)
-        trace_ids.append(n)
-    return NodeData(
-        node=v,
-        parents=parents,
-        z_prev=np.array(zp_rows, dtype=np.uint8).reshape(len(outcomes), m),
-        z_curr=np.array(zc_rows, dtype=np.uint8).reshape(len(outcomes), m),
-        outcome=np.array(outcomes, dtype=np.int8),
-        trace_index=np.array(trace_ids, dtype=np.int64),
-    )
+            z_curr[n, j] = 1
+    outcomes = [ROW_ACTIVATED if pt.y else ROW_TERMINAL for pt in pseudo_traces]
+    outcome = np.array(outcomes, dtype=np.int8)
+    trace_index = np.arange(len(pseudo_traces), dtype=np.int64)
+    return NodeData(v, parents, np.zeros_like(z_curr), z_curr, outcome, trace_index)
 
 
 def _evaluate(node_data: NodeData, theta, spec, order: int):

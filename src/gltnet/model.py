@@ -49,6 +49,8 @@ __all__ = [
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_GAMMA_UNBOUNDED = 10.0
+NEVER = np.iinfo(np.int64).max  # activation round of a node that never activates
+_CHUNK = 16384  # realizations per closure batch, bounding its memory
 
 
 class ModelError(ValueError):
@@ -158,22 +160,35 @@ def validate_trace(graph: Graph, trace) -> Trace:
     """Check Definition-1 feasibility of a trace on a graph."""
     if not isinstance(trace, Trace):
         trace = Trace(trace)
-    active = set()
     for t, d in enumerate(trace.steps):
         for v in d:
             graph._check(v)
         if t > 0:
-            prev = trace.steps[t - 1]
             for v in d:
-                if v in active:
-                    raise ModelError(f"node {v} re-activated at time {t}")
-                if not (graph.parents(v) & prev):
+                if not (graph.parents(v) & trace.steps[t - 1]):
                     raise ModelError(
                         f"node {v} activates at time {t} without a newly "
                         f"activated parent"
                     )
-        active |= d
     return trace
+
+
+def _activation_rounds(traces, n: int):
+    """``(rounds, horizons)``: the (traces x n) int64 first-active round of
+    every node in every trace (``NEVER`` if it never activates) and each
+    trace's horizon, from one pass over each trace's steps."""
+    traces = [t if isinstance(t, Trace) else Trace(t) for t in traces]
+    index, nodes, times = [], [], []
+    for i, trace in enumerate(traces):
+        for t, step in enumerate(trace.steps):
+            index += [i] * len(step)
+            nodes += step
+            times += [t] * len(step)
+    if nodes and not 0 <= min(nodes) <= max(nodes) < n:
+        raise ModelError(f"trace nodes outside 0..{n - 1}")
+    rounds = np.full((len(traces), n), NEVER, dtype=np.int64)
+    rounds[index, nodes] = times
+    return rounds, np.array([t.horizon for t in traces], dtype=np.int64)
 
 
 class GltModel:
@@ -324,18 +339,26 @@ def _closure_rounds(model, state, crosses):
 
 
 def simulate_traces(model: GltModel, seed_sets, rngs) -> list:
-    """Simulate one trace per (seed set, rng) pair, as one batch.
+    """Simulate one trace per (seed set, rng) pair, in batches of ``_CHUNK``.
 
     Trace j draws each node's threshold once (persistence) from ``rngs[j]``
     as a ``U(0, 1]`` variate ``u``: node v activates once ``F_v(B_v) >= u_v``.
     The result equals ``[simulate_trace(model, s, r) for s, r in ...]``, so a
     Generator repeated in ``rngs`` is consumed in list order.
     """
-    graph = model.graph
     seeds = [{int(v) for v in seed_set} for seed_set in seed_sets]
     rngs = list(rngs)
     if len(rngs) != len(seeds):
         raise ModelError(f"{len(seeds)} seed sets but {len(rngs)} rngs")
+    traces = []
+    for start in range(0, len(seeds), _CHUNK):
+        stop = start + _CHUNK
+        traces += _simulate_batch(model, seeds[start:stop], rngs[start:stop])
+    return traces
+
+
+def _simulate_batch(model, seeds, rngs) -> list:
+    graph = model.graph
     state = np.zeros((graph.n, len(seeds)))
     draws = np.empty_like(state)
     for j, (seed, rng) in enumerate(zip(seeds, rngs)):

@@ -133,6 +133,106 @@ def naive_loglik(z_prev, z_curr, outcome, theta, cdf):
     return total
 
 
+def reference_build_node_data(traces, graph, v, validate=True):
+    """Node v's rows by a per-node walk over every trace's steps; oracle for
+    the activation-round table in ``gltnet.likelihood``."""
+    from gltnet import validate_trace
+    from gltnet.likelihood import ROW_ACTIVATED, ROW_FOLDED, ROW_TERMINAL, NodeData
+
+    parents = graph.parent_list(v)
+    if not parents:
+        raise ValueError(f"node {v} has no parents")
+    index = {u: j for j, u in enumerate(parents)}
+    m = len(parents)
+    zp_rows, zc_rows, outcomes, trace_ids = [], [], [], []
+    for n, trace in enumerate(traces):
+        if validate:
+            trace = validate_trace(graph, trace)
+        elif not isinstance(trace, Trace):
+            trace = Trace(trace)
+        if v in trace.steps[0]:
+            continue
+        activated_at = None
+        for t in range(1, len(trace.steps)):
+            if v in trace.steps[t]:
+                activated_at = t
+                break
+        last_inactive = (activated_at - 1) if activated_at else trace.horizon
+        cum = np.zeros(m, dtype=np.uint8)
+        gains = []  # cumulative indicator after each gain time <= last_inactive
+        for t in range(last_inactive + 1):
+            hit = False
+            for u in trace.steps[t]:
+                j = index.get(u)
+                if j is not None:
+                    cum[j] = 1
+                    hit = True
+            if hit:
+                gains.append(cum.copy())
+        if not gains:
+            continue
+        prev = np.zeros(m, dtype=np.uint8)
+        for i, z in enumerate(gains):
+            last = i == len(gains) - 1
+            if last:
+                kind = ROW_ACTIVATED if activated_at else ROW_TERMINAL
+            else:
+                kind = ROW_FOLDED
+            zp_rows.append(prev)
+            zc_rows.append(z)
+            outcomes.append(kind)
+            trace_ids.append(n)
+            prev = z
+    return NodeData(
+        node=v,
+        parents=parents,
+        z_prev=np.array(zp_rows, dtype=np.uint8).reshape(len(outcomes), m),
+        z_curr=np.array(zc_rows, dtype=np.uint8).reshape(len(outcomes), m),
+        outcome=np.array(outcomes, dtype=np.int8),
+        trace_index=np.array(trace_ids, dtype=np.int64),
+    )
+
+
+def reference_baseline_ptp(traces, graph):
+    """PTP weights from per-trace activation-time dicts; oracle for
+    ``gltnet.baseline_ptp``."""
+    from gltnet.estimation import _cap_unit_sum
+
+    traces = [t if isinstance(t, Trace) else Trace(t) for t in traces]
+    times = []
+    for trace in traces:
+        at = {}
+        for t, step in enumerate(trace.steps):
+            for v in step:
+                at[v] = t
+        times.append(at)
+    weights = np.zeros(graph.edge_count())
+    for v in range(graph.n):
+        parents = graph.parent_list(v)
+        if not parents:
+            continue
+        raw = np.zeros(len(parents))
+        for j, u in enumerate(parents):
+            num = 0
+            den = 0
+            for at in times:
+                tu = at.get(u)
+                if tu is None:
+                    continue
+                den += 1
+                tv = at.get(v)
+                if tv is not None and tu < tv:
+                    num += 1
+            raw[j] = num / den if den else 0.0
+        total = raw.sum()
+        if total > 0:
+            raw /= total
+        else:
+            raw[:] = 1.0 / len(parents)
+        weights[graph.child_slice(v)] = _cap_unit_sum(raw)
+    return weights
+
+
 def _reference_zero_on_empty(values, patterns):
     # an all-zero indicator row contributes nothing regardless of the density
     # value at 0, which may be infinite (e.g. beta with alpha < 1)

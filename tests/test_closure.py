@@ -1,9 +1,11 @@
 """The closure kernel against the set-based and dense reference propagators."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gltnet
 from gltnet import (
     GltModel,
     estimate_spread_mc,
@@ -168,3 +170,23 @@ def test_mc_spread_within_four_se_of_exact():
             est = estimate_spread_mc(model, seed, 20_000, substream(82, index, trial))
             exact = exact_spread(model, seed)
             assert abs(est.mean - exact) <= 4 * est.std_error + 1e-12, (index, trial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_models(), st.data())
+def test_simulation_in_blocks_equals_one_batch(model, data):
+    # traces closed in blocks of 3 equal one batch of them all, also with one
+    # Generator repeated in the list, because draws are taken in list order
+    count = data.draw(st.integers(0, 11))
+    seed_sets = _seed_sets(data.draw, model.graph.n, count)
+    root = data.draw(st.integers(0, 2**32 - 1))
+    picks = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+
+    def rngs():
+        shared = np.random.default_rng(root)
+        return [shared if pick else substream(root, i) for i, pick in enumerate(picks)]
+
+    want = simulate_traces(model, seed_sets, rngs())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gltnet.model, "_CHUNK", 3)
+        assert simulate_traces(model, seed_sets, rngs()) == want

@@ -3,6 +3,7 @@ import pytest
 
 from gltnet import (
     GltModel,
+    GraphError,
     SeedDistribution,
     build_graph,
     check_identifiability,
@@ -186,3 +187,10 @@ def test_triggering_embedding_validation():
         solve_triggering_embedding(GltModel(g, np.array([0.2, 0.2]), make_uniform()))
     with pytest.raises(ValueError):
         solve_triggering_embedding([0.1, 0.2, 0.3])  # cdf required
+
+
+@pytest.mark.parametrize("node", [100, 8, -1])
+def test_identifiability_rejects_seed_nodes_outside_the_graph(node):
+    graph = build_graph(8, [(0, 2), (1, 2)])
+    with pytest.raises(GraphError, match=f"node {node} out of range"):
+        check_identifiability(graph, SeedDistribution.explicit([({node}, 1.0)]))

@@ -119,13 +119,16 @@ def test_all_experiments_are_registered():
 
 
 def test_fit_candidates_build_rows_once_per_node(monkeypatch):
-    # the grid, LT and IC fits share one row build per child node
+    # the grid, LT and IC fits share one row build per child node, and the
+    # rows and the PTP scores share one activation-round table
     config = ExperimentConfig(seed=212, n=10, k=2, n_traces=60, beta_grid=(1, 2))
     graph = generate_cws(config.n, config.k, config.p, substream(212, "g"))
     weights = sample_weights_simplex(graph, 1.0, substream(212, "w"))
     truth = gltnet.GltModel(graph, weights, gltnet.make_beta(1, 2))
     traces = experiments._simulate_traces(config, truth, config.n_traces, 0)
-    builds = count_calls(monkeypatch, gltnet.likelihood.build_node_data)
+    tables = count_calls(monkeypatch, gltnet.model._activation_rounds)
+    builds = count_calls(monkeypatch, gltnet.likelihood._node_rows)
     candidates = experiments._fit_candidates(config, truth, traces)
     assert set(candidates) == {"glt", "lt", "ic", "wc", "ptp"}
+    assert len(tables) == 1
     assert [call["v"] for call in builds] == graph.child_nodes()

@@ -1,25 +1,32 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gltnet
 from gltnet import GltModel, PseudoTrace, Trace, build_graph, make_beta, make_uniform
 from gltnet.cli import main
 from gltnet.serialize import (
     SchemaError,
+    dump_json,
     graph_from_dict,
     graph_to_dict,
+    load_json,
     model_from_dict,
     model_to_dict,
     read_pseudo_jsonl,
     read_traces_jsonl,
+    trace_from_dict,
+    trace_to_dict,
     write_pseudo_jsonl,
     write_traces_jsonl,
 )
 
-from conftest import count_calls
+from conftest import count_calls, random_simple_digraph
 
 
 def test_graph_roundtrip_and_canonicalization():
@@ -149,6 +156,81 @@ def test_cli_grid_rejects_malformed_entries(tmp_path, capsys):
         assert f"bad grid entry {token}" in error["message"]
 
 
+@st.composite
+def _traces(draw):
+    """Traces without a graph: disjoint nonempty steps of node ids."""
+    nodes = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, len(nodes) - 1))) if len(nodes) > 1 else [])
+    bounds = [0, *cuts, len(nodes)]
+    return Trace([nodes[a:b] for a, b in zip(bounds, bounds[1:])])
+
+
+_SPECS = st.one_of(
+    st.just(make_uniform()),
+    st.just(gltnet.make_exponential_unit()),
+    st.builds(make_beta, st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+)
+
+
+@st.composite
+def _models(draw):
+    n = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = random_simple_digraph(n, draw(st.floats(0.0, 0.8)), rng)
+    specs = [draw(_SPECS) for _ in range(n)]
+    weights = np.zeros(graph.edge_count())
+    for v in graph.child_nodes():
+        m = graph.in_degree(v)
+        high = 1e3 if specs[v].family == "exponential" else 0.999 / m
+        draws = st.lists(st.floats(0.0, high), min_size=m, max_size=m)
+        weights[graph.child_slice(v)] = draw(draws)
+    return GltModel(graph, weights, specs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traces())
+def test_trace_dict_round_trip(trace):
+    assert trace_from_dict(json.loads(json.dumps(trace_to_dict(trace)))) == trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(_models())
+def test_model_json_round_trip_keeps_weight_bytes_and_specs(model):
+    with tempfile.TemporaryDirectory() as base:
+        path = os.path.join(base, "model.json")
+        dump_json(model_to_dict(model), path)
+        back = model_from_dict(load_json(path))
+    assert back.graph == model.graph
+    assert back.weights.tobytes() == model.weights.tobytes()
+    assert back.thresholds == model.thresholds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_traces(), max_size=6))
+def test_traces_jsonl_round_trip(traces):
+    with tempfile.TemporaryDirectory() as base:
+        path = os.path.join(base, "traces.jsonl")
+        write_traces_jsonl(traces, path)
+        assert read_traces_jsonl(path) == traces
+
+
+_PSEUDO = st.builds(
+    PseudoTrace,
+    node=st.integers(0, 50),
+    active_parents=st.frozensets(st.integers(0, 50), min_size=1, max_size=6),
+    y=st.sampled_from([0, 1]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_PSEUDO, max_size=6))
+def test_pseudo_jsonl_round_trip(pseudo_traces):
+    with tempfile.TemporaryDirectory() as base:
+        path = os.path.join(base, "pseudo.jsonl")
+        write_pseudo_jsonl(pseudo_traces, path)
+        assert read_pseudo_jsonl(path) == pseudo_traces
+
+
 def test_schema_error_for_missing_keys():
     with pytest.raises(SchemaError):
         graph_from_dict({"edges": []})
@@ -242,14 +324,16 @@ def test_cli_infer_grid_and_pseudo(tmp_path):
 
 
 def test_cli_infer_builds_rows_and_checks_traces_once(pipeline, monkeypatch):
-    # the fits and the covariances share one row build per node, and each
-    # trace is checked once, by the reader
+    # the fits and the covariances share one row build per node, from one
+    # activation-round table, and each trace is checked once, by the reader
     base, model_path, traces_path = pipeline
-    builds = count_calls(monkeypatch, gltnet.likelihood.build_node_data)
+    tables = count_calls(monkeypatch, gltnet.model._activation_rounds)
+    builds = count_calls(monkeypatch, gltnet.likelihood._node_rows)
     checks = count_calls(monkeypatch, gltnet.model.validate_trace)
     out = os.path.join(base, "infer.json")
     assert _run(["infer", "--model", model_path, "--traces", traces_path, "--out", out]) == 0
     graph = model_from_dict(json.load(open(model_path))).graph
+    assert len(tables) == 1
     assert [call["v"] for call in builds] == graph.child_nodes()
     assert len(checks) == len(read_traces_jsonl(traces_path)) == 40
 
@@ -309,6 +393,44 @@ def test_cli_diagnose(tmp_path):
     assert _run(["diagnose", "--graph", graph_path, "--seeds", seeds_path, "--out", out]) == 0
     doc = json.load(open(out))
     assert doc["identifiability"]["2"]["verdict"] == "not-identifiable"
+
+
+@pytest.mark.parametrize(
+    "seeds, kind, message",
+    [
+        ([[[100], 1.0]], "GraphError", "node 100 out of range"),
+        ([[[-1], 1.0]], "GraphError", "node -1 out of range"),
+        ([5], "SchemaError", "expected a [[nodes...], probability] pair, got 5"),
+        ([[[1.5], 1.0]], "SchemaError", "node id 1.5 is not an integer"),
+        ({"0": 1.0}, "SchemaError", "expected a list"),
+        ([[[0], 0.5]], "SchemaError", "seed probabilities sum to 0.5"),
+    ],
+)
+def test_cli_diagnose_rejects_bad_seed_files(tmp_path, capsys, seeds, kind, message):
+    graph_path = str(tmp_path / "graph.json")
+    seeds_path = str(tmp_path / "seeds.json")
+    with open(graph_path, "w") as fh:
+        json.dump({"n": 8, "edges": [[0, 2], [1, 2]]}, fh)
+    with open(seeds_path, "w") as fh:
+        json.dump(seeds, fh)
+    argv = ["diagnose", "--graph", graph_path, "--seeds", seeds_path, "--out", str(tmp_path / "d.json")]
+    assert _run(argv) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == kind
+    assert message in error["message"]
+    if kind == "SchemaError":
+        assert error["message"].startswith(seeds_path)
+
+
+def test_cli_spread_rejects_bad_seed_set_tokens(tmp_path, capsys):
+    model = str(tmp_path / "model.json")
+    assert _run(["generate", "--n", "6", "--k", "2", "--seed", "5", "--out", model]) == 0
+    for seed_set, token in [("1,x", "'x'"), ("1.5", "'1.5'")]:
+        argv = ["spread", "--model", model, "--seed-set", seed_set, "--out", str(tmp_path / "s.json")]
+        assert _run(argv) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "SchemaError"
+        assert f"bad seed-set entry {token}" in error["message"]
 
 
 def test_cli_error_is_machine_readable(tmp_path, capsys):
