@@ -164,10 +164,7 @@ def check_identifiability(graph: Graph, seed_distribution: SeedDistribution, sta
     integer arithmetic.  Nodes whose forward search exceeds ``state_cap``
     get the verdict "unknown-cap-exceeded".
     """
-    support = seed_distribution.explicit_support(graph.n)
-    for seed, _ in support:
-        for u in seed:
-            graph._check(u)
+    support = [(frozenset(map(graph._check, s)), p) for s, p in seed_distribution.explicit_support(graph.n)]
     child_mask = child_masks(graph)
     nodes = {}
     for v in graph.child_nodes():

@@ -102,9 +102,13 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def _check(self, v):
-        if not (0 <= v < self.n):
+    def _check(self, v) -> int:
+        """``v`` as an int node id; GraphError unless an integer in range."""
+        if not isinstance(v, (int, np.integer)):
+            raise GraphError(f"node id {v!r} is not an integer")
+        if not 0 <= v < self.n:
             raise GraphError(f"node {v} out of range for n={self.n}")
+        return int(v)
 
     def __eq__(self, other):
         return (

@@ -6,10 +6,11 @@ replicate-by-node matrix, thresholds are ``max(F^-1(u), tiny)``, and a node
 activates once its summed active-parent weight reaches its threshold
 (``b >= threshold``).  Greedy selection is one loop over an evaluator's
 marginal gains.  The Monte Carlo evaluator reuses one draw matrix per step
-across all candidate seeds (common random numbers), so candidates are
-compared on identical threshold realizations; the exact evaluators take
-sigma from :func:`exact_evaluator`, trace enumeration or, for bipartite
-graphs, a closed form.
+across all candidate seeds (common random numbers), closes the step's base
+set S once on it, and closes each candidate v from closure(S) + v, which is
+exact: on fixed thresholds closure(S + v) = closure(closure(S) + v).  The
+exact evaluators take sigma from :func:`exact_evaluator`, trace enumeration
+or, for bipartite graphs, a closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import _CHUNK, ExactSpreadOracle, GltModel, _closure_rounds, _spec_groups
+from .model import _CHUNK, ExactSpreadOracle, GltModel, _closure_rounds, _parent_weights, _spec_groups
 from .rng import as_generator, substream
 
 __all__ = [
@@ -59,21 +60,23 @@ class ImSolution:
 
 
 def _thresholds(model, rng, replicates):
-    """(n x R) thresholds from a replicate-by-node matrix of U(0, 1] draws."""
+    """C-ordered (n x R) thresholds from a replicate-by-node matrix of U(0, 1] draws."""
     draws = 1.0 - rng.random((replicates, model.graph.n))
     out = np.empty_like(draws)
     for spec, nodes in _spec_groups(model):
         out[:, nodes] = spec.inverse_cdf(draws[:, nodes])
     # a threshold rounded to exactly 0 would let a zero-influence node
     # self-activate; the true thresholds are almost surely positive
-    return np.maximum(out, np.finfo(float).tiny).T
+    return np.ascontiguousarray(np.maximum(out, np.finfo(float).tiny, out=out).T)
 
 
-def _final_sizes(model, seed_list, thresholds) -> np.ndarray:
-    """Final active-set size of each replicate column of ``thresholds``."""
-    state = np.zeros(thresholds.shape)
-    state[seed_list] = 1.0
-    for _ in _closure_rounds(model, state, lambda b: b >= thresholds):
+def _final_sizes(weights, thresholds, seeds, state=None) -> np.ndarray:
+    """Activate the rows ``seeds`` of the 0/1 ``state`` (default: all zero),
+    close it in place on ``thresholds`` and return each column's size."""
+    if state is None:
+        state = np.zeros(thresholds.shape)
+    state[seeds] = 1.0
+    for _ in _closure_rounds(weights, state, thresholds, np.greater_equal):
         pass
     return state.sum(axis=0)
 
@@ -87,15 +90,14 @@ def estimate_spread_mc(model: GltModel, seed_set, replicates: int, rng) -> Sprea
     """
     if replicates < 1:
         raise InfluenceError(f"need at least one replicate, got {replicates}")
-    seed_list = sorted(int(v) for v in seed_set)
+    seed_list = sorted(model.graph._check(v) for v in seed_set)
     if not seed_list:
         raise InfluenceError("seed set must be nonempty")
-    for v in seed_list:
-        model.graph._check(v)
     rng = as_generator(rng)
+    weights = _parent_weights(model)
     chunks = [min(_CHUNK, replicates - done) for done in range(0, replicates, _CHUNK)]
     sizes = np.concatenate(
-        [_final_sizes(model, seed_list, _thresholds(model, rng, rows)) for rows in chunks]
+        [_final_sizes(weights, _thresholds(model, rng, rows), seed_list) for rows in chunks]
     )
     mean = float(sizes.mean())
     se = float(sizes.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
@@ -114,9 +116,7 @@ def spread_bipartite_closed_form(model: GltModel, seed_set) -> float:
 
 def _bipartite_spread(model: GltModel, seed_set) -> float:
     graph = model.graph
-    seed = {int(v) for v in seed_set}
-    for v in seed:
-        graph._check(v)
+    seed = {graph._check(v) for v in seed_set}
     total = float(len(seed))
     for v in graph.child_nodes():
         if v in seed:
@@ -165,23 +165,34 @@ class _ExactGains:
 
 class _MonteCarloGains:
     """Greedy evaluator on common random numbers: the step extending
-    ``seeds`` shares the draws of ``(root, "im-step", len(seeds))``."""
+    ``seeds`` shares the draws of ``(root, "im-step", len(seeds))``.
+
+    A step closes its base set S once.  On fixed thresholds the final set is
+    the least fixed point above the seeds, so closure(S + v) =
+    closure(closure(S) + v): candidate v keeps the base size where closure(S)
+    holds v and closes the other replicates from closure(S) + v.  The row
+    sums ``b`` are the same, so every size is bit-identical to a fresh one.
+    """
 
     def __init__(self, model, root, replicates):
         self.model = model
         self.root = root
         self.replicates = replicates
+        self.weights = _parent_weights(model)
 
     def gains(self, seeds, candidates):
         """mean(S + v) - mean(S) on the step's shared draws."""
-        model = self.model
         rng = substream(self.root, "im-step", len(seeds))
-        thresholds = _thresholds(model, rng, self.replicates)
-        base = _final_sizes(model, sorted(seeds), thresholds).mean() if seeds else 0.0
-        return [
-            _final_sizes(model, sorted(seeds + [v]), thresholds).mean() - base
-            for v in candidates
-        ]
+        thresholds = _thresholds(self.model, rng, self.replicates)
+        base = np.zeros(thresholds.shape)
+        base_sizes = _final_sizes(self.weights, thresholds, seeds, base)
+        out = []
+        for v in candidates:
+            cold = np.flatnonzero(base[v] == 0.0)
+            sizes = base_sizes.copy()
+            sizes[cold] = _final_sizes(self.weights, thresholds.take(cold, axis=1), [v], base.take(cold, axis=1))
+            out.append(sizes.mean() - base_sizes.mean())
+        return out
 
     def spread(self, seeds) -> SpreadEstimate:
         if not seeds:

@@ -316,26 +316,44 @@ def _spec_groups(model):
     return [(spec, np.array(nodes)) for spec, nodes in groups.items()]
 
 
-def _closure_rounds(model, state, crosses):
-    """Close the (n x R) 0/1 float ``state`` in place; yield each round's newly
-    active (n x R) mask, the inactive nodes where ``crosses(b)`` holds.
-
-    ``b = W @ state``, where the CSR matrix ``W`` (row pointers: the child
-    offsets; column indices: each child's parents, ascending; data:
-    ``model.weights``) sums active-parent weights in ascending parent order,
-    bit for bit as :meth:`GltModel.influence` does.
-    """
+def _parent_weights(model):
+    """The child-by-parent CSR matrix of ``model.weights``, parents ascending."""
     from scipy.sparse import csr_array
 
     graph = model.graph
     csr = (model.weights, graph._parent_index, graph._child_offsets)
-    weights = csr_array(csr, shape=(graph.n, graph.n))
+    return csr_array(csr, shape=(graph.n, graph.n))
+
+
+def _closure_rounds(weights, state, levels, crosses):
+    """Close the (n x R) 0/1 float ``state`` in place; each round yield
+    ``(cols, newly)``: the live block's column indices and its newly active
+    mask, the inactive nodes where ``crosses(b, levels)`` holds.
+
+    ``b = weights @ state`` (:func:`_parent_weights`) sums active-parent
+    weights in ascending parent order, bit for bit as
+    :meth:`GltModel.influence`.  A column that gains nothing is final.  Once
+    at most a third of the block grows, the block is written back to
+    ``state`` and its growing columns, with their ``levels``, become the
+    block, so later rounds multiply only those in one block's memory.
+    """
+    cols = np.arange(state.shape[1])
+    live, live_levels = state, levels
     while True:
-        newly = crosses(weights @ state) & (state == 0.0)
-        if not newly.any():
-            return
-        state += newly
-        yield newly
+        newly = crosses(weights @ live, live_levels) & (live == 0.0)
+        gained = newly.any(axis=0)
+        if not gained.any():
+            break
+        live += newly
+        yield cols, newly
+        if 3 * np.count_nonzero(gained) <= gained.size:
+            if live is not state:
+                state[:, cols] = live
+            cols = cols[gained]
+            live = live_levels = None  # free the old block before copying
+            live, live_levels = state.take(cols, axis=1), levels.take(cols, axis=1)
+    if live is not state:
+        state[:, cols] = live
 
 
 def simulate_traces(model: GltModel, seed_sets, rngs) -> list:
@@ -346,7 +364,7 @@ def simulate_traces(model: GltModel, seed_sets, rngs) -> list:
     The result equals ``[simulate_trace(model, s, r) for s, r in ...]``, so a
     Generator repeated in ``rngs`` is consumed in list order.
     """
-    seeds = [{int(v) for v in seed_set} for seed_set in seed_sets]
+    seeds = [{model.graph._check(v) for v in seed_set} for seed_set in seed_sets]
     rngs = list(rngs)
     if len(rngs) != len(seeds):
         raise ModelError(f"{len(seeds)} seed sets but {len(rngs)} rngs")
@@ -364,23 +382,21 @@ def _simulate_batch(model, seeds, rngs) -> list:
     for j, (seed, rng) in enumerate(zip(seeds, rngs)):
         if not seed:
             raise ModelError("seed set must be nonempty")
-        for v in seed:
-            graph._check(v)
         state[list(seed), j] = 1.0
         # U(0, 1]: an exact-zero draw cannot activate a node with F_v(B_v) = 0
         draws[:, j] = 1.0 - as_generator(rng).random(graph.n)
     groups = _spec_groups(model)
 
-    def crosses(b):
+    def crosses(b, u):
         hit = np.empty(b.shape, dtype=bool)
         for spec, nodes in groups:
-            hit[nodes] = spec._cdf(b[nodes]) >= draws[nodes]
+            hit[nodes] = spec._cdf(b[nodes]) >= u[nodes]
         return hit
 
     steps = [[seed] for seed in seeds]
-    for newly in _closure_rounds(model, state, crosses):
+    for cols, newly in _closure_rounds(_parent_weights(model), state, draws, crosses):
         for j in np.flatnonzero(newly.any(axis=0)):
-            steps[j].append(np.flatnonzero(newly[:, j]).tolist())
+            steps[cols[j]].append(np.flatnonzero(newly[:, j]).tolist())
     return [Trace(s) for s in steps]
 
 
@@ -430,11 +446,9 @@ def enumerate_feasible_traces(graph: Graph, seed_set, node_cap: int = 10**6) -> 
     expansion keeps an explicit stack, so long traces cannot exhaust the
     interpreter's recursion limit.
     """
-    seed = frozenset(int(v) for v in seed_set)
+    seed = frozenset(graph._check(v) for v in seed_set)
     if not seed:
         raise ModelError("seed set must be nonempty")
-    for v in seed:
-        graph._check(v)
     out = []
     stack = []  # (steps, active, iterator over the next step's choices)
 
@@ -511,8 +525,7 @@ class ExactSpreadOracle:
     def spread(self, seed_set) -> float:
         mask = 0
         for v in seed_set:
-            self.model.graph._check(int(v))
-            mask |= 1 << int(v)
+            mask |= 1 << self.model.graph._check(v)
         if mask == 0:
             return 0.0
         return self._val((mask, mask))

@@ -526,8 +526,8 @@ class ReferenceBatchPropagator:
             u[:, cols] = spec.inverse_cdf(draws[:, cols])
         return np.maximum(u, np.finfo(float).tiny)
 
-    def final_sizes(self, seed_list, thresholds):
-        """Final active-set sizes for each replicate row of ``thresholds``."""
+    def final_active(self, seed_list, thresholds):
+        """Final (replicates x n) active sets for each row of ``thresholds``."""
         r = thresholds.shape[0]
         active = np.zeros((r, self.n), dtype=bool)
         active[:, seed_list] = True
@@ -535,8 +535,12 @@ class ReferenceBatchPropagator:
             b = active @ self.weight_matrix
             newly = (b >= thresholds) & ~active
             if not newly.any():
-                return active.sum(axis=1)
+                return active
             active |= newly
+
+    def final_sizes(self, seed_list, thresholds):
+        """Final active-set sizes for each replicate row of ``thresholds``."""
+        return self.final_active(seed_list, thresholds).sum(axis=1)
 
 
 def reference_estimate_spread_mc(model, seed_set, replicates, rng, chunk=16384):

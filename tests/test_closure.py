@@ -17,7 +17,7 @@ from gltnet import (
     simulate_traces,
 )
 from gltnet.influence import _final_sizes
-from gltnet.model import _closure_rounds
+from gltnet.model import _closure_rounds, _parent_weights
 from gltnet.rng import substream
 
 from conftest import (
@@ -88,11 +88,11 @@ def test_csr_influence_equals_model_influence(model, data):
     state[:, 0] = 1.0  # every parent active: the longest sums
     seen = []
 
-    def record(b):
+    def record(b, levels):
         seen.append(b.copy())
         return np.zeros(b.shape, dtype=bool)
 
-    assert list(_closure_rounds(model, state, record)) == []
+    assert list(_closure_rounds(_parent_weights(model), state, state, record)) == []
     (b,) = seen
     for j in range(count):
         active = set(np.flatnonzero(state[:, j]).tolist())
@@ -132,14 +132,10 @@ def test_simulation_matches_reference_closure(model, data):
     assert simulate_traces(model, seed_sets, [shared] * count) == want
 
 
-@settings(max_examples=100, deadline=None)
-@given(_models(), st.data())
-def test_mc_sizes_match_dense_reference(model, data):
-    # final sizes equal the dense propagator's, with thresholds exactly
-    # equal to b at the seed's and at the full parent influence
+def _tied_thresholds(data, model, seeds, count):
+    """(n x count) thresholds, some exactly b at the seed's or at the full
+    parent influence."""
     n = model.graph.n
-    count = data.draw(st.integers(1, 6))
-    seeds = sorted(_seed_sets(data.draw, n, 1)[0])
     ties = _tie_values(model, set(seeds))
     thresholds = np.empty((n, count))
     for v in range(n):
@@ -149,8 +145,27 @@ def test_mc_sizes_match_dense_reference(model, data):
                 thresholds[v, j] = data.draw(st.floats(np.finfo(float).tiny, 1.5))
             else:
                 thresholds[v, j] = max(ties[v][kind == "full-tie"], np.finfo(float).tiny)
+    return thresholds
+
+
+def _closed(model, thresholds, seeds, state=None):
+    """The kernel's closure of ``seeds`` added to a copy of ``state``."""
+    state = np.zeros(thresholds.shape) if state is None else state.copy()
+    _final_sizes(_parent_weights(model), thresholds, seeds, state)
+    return state
+
+
+@settings(max_examples=100, deadline=None)
+@given(_models(), st.data())
+def test_mc_sizes_match_dense_reference(model, data):
+    # final sizes equal the dense propagator's, with thresholds exactly
+    # equal to b at the seed's and at the full parent influence
+    n = model.graph.n
+    count = data.draw(st.integers(1, 6))
+    seeds = sorted(_seed_sets(data.draw, n, 1)[0])
+    thresholds = _tied_thresholds(data, model, seeds, count)
     want = ReferenceBatchPropagator(model).final_sizes(seeds, thresholds.T)
-    assert _final_sizes(model, seeds, thresholds).tolist() == want.tolist()
+    assert _final_sizes(_parent_weights(model), thresholds, seeds).tolist() == want.tolist()
     root = data.draw(st.integers(0, 2**32 - 1))
     replicates = data.draw(st.integers(1, 40))
     got = estimate_spread_mc(model, seeds, replicates, root)
@@ -190,3 +205,52 @@ def test_simulation_in_blocks_equals_one_batch(model, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gltnet.model, "_CHUNK", 3)
         assert simulate_traces(model, seed_sets, rngs()) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_models(), st.data())
+def test_closure_is_monotone_in_the_seed_set(model, data):
+    # per realisation, S inside T gives closure(S) inside closure(T)
+    n = model.graph.n
+    count = data.draw(st.integers(1, 6))
+    small = sorted(_seed_sets(data.draw, n, 1)[0])
+    large = sorted(set(small) | data.draw(st.frozensets(st.integers(0, n - 1))))
+    thresholds = _tied_thresholds(data, model, small, count)
+    closed_small = _closed(model, thresholds, small)
+    closed_large = _closed(model, thresholds, large)
+    assert np.all(closed_small <= closed_large)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_models(), st.data())
+def test_closure_restarts_from_the_closed_base(model, data):
+    # closure(closure(S) + v) = closure(S + v) per realisation, the identity
+    # greedy's base-closure reuse rests on; checked against the dense reference
+    n = model.graph.n
+    count = data.draw(st.integers(1, 6))
+    seeds = sorted(data.draw(st.frozensets(st.integers(0, n - 1))))
+    v = data.draw(st.integers(0, n - 1))
+    thresholds = _tied_thresholds(data, model, seeds, count)
+    base = _closed(model, thresholds, seeds)
+    want = ReferenceBatchPropagator(model).final_active(sorted(set(seeds) | {v}), thresholds.T)
+    assert np.array_equal(_closed(model, thresholds, [v], base), want.T.astype(float))
+
+
+def test_simulation_with_staggered_stops_matches_reference():
+    # traces in one batch stop at many rounds, from 0 to 20 and beyond, so
+    # the kernel shrinks its live block several times; each trace must
+    # still equal the one-trace reference
+    n = 40
+    g = gltnet.build_graph(n, [(v, v + 1) for v in range(n - 1)] + [(v, v + 2) for v in range(0, n - 2, 3)])
+    rng = substream(91, "w")
+    weights = np.where(rng.random(g.edge_count()) < 0.8, 1.0, 0.5)
+    for v in range(n):
+        sl = g.child_slice(v)
+        weights[sl] /= max(1.0, weights[sl].sum())
+    model = GltModel(g, weights, make_uniform())
+    seed_sets = [{v} for v in range(n)] + [{v, (7 * v) % n} for v in range(n)]
+    want = [reference_simulate_trace(model, s, substream(92, i)) for i, s in enumerate(seed_sets)]
+    got = simulate_traces(model, seed_sets, [substream(92, i) for i in range(len(seed_sets))])
+    assert got == want
+    horizons = sorted(t.horizon for t in want)
+    assert horizons[0] == 0 and horizons[-1] >= 20 and len(set(horizons)) >= 10

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import gltnet
 from gltnet import (
     GraphError,
     SeedDistribution,
@@ -200,3 +201,36 @@ def test_explicit_support_expansion_matches_sampler():
     assert abs(support[frozenset({1})] - 0.5 / 4) < 1e-12
     assert abs(support[frozenset({1, 3})] - 0.5 / 6) < 1e-12
     assert abs(sum(support.values()) - 1.0) < 1e-9
+
+
+def _star_model():
+    # parents 0..6 of node 7: every entry point below accepts this graph
+    from gltnet import GltModel, make_uniform
+
+    return GltModel(build_graph(8, [(u, 7) for u in range(7)]), np.full(7, 0.1), make_uniform())
+
+
+NODE_ID_ENTRY_POINTS = {
+    "estimate_spread_mc": lambda m, s: gltnet.estimate_spread_mc(m, s, 10, 1),
+    "simulate_traces": lambda m, s: gltnet.simulate_traces(m, [s], [substream(1)]),
+    "bipartite_spread": lambda m, s: gltnet.spread_bipartite_closed_form(m, s),
+    "exact_spread": lambda m, s: gltnet.ExactSpreadOracle(m).spread(s),
+    "check_identifiability": lambda m, s: gltnet.check_identifiability(
+        m.graph, SeedDistribution.explicit([(s, 1.0)])
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NODE_ID_ENTRY_POINTS))
+@pytest.mark.parametrize("node", [1.5, 2.0, np.float64(1.0), "1"])
+def test_entry_points_reject_non_integer_node_ids(entry, node):
+    # 1.5 once ran as seed {1}; identifiability raised a bare TypeError
+    with pytest.raises(GraphError, match="is not an integer"):
+        NODE_ID_ENTRY_POINTS[entry](_star_model(), {node, 3})
+
+
+@pytest.mark.parametrize("entry", sorted(NODE_ID_ENTRY_POINTS))
+def test_entry_points_take_numpy_integer_node_ids(entry):
+    model = _star_model()
+    got = NODE_ID_ENTRY_POINTS[entry](model, {np.int64(1), np.int32(3)})
+    assert repr(got) == repr(NODE_ID_ENTRY_POINTS[entry](model, {1, 3}))

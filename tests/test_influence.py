@@ -287,15 +287,18 @@ def _greedy_case(draw):
         g = random_simple_digraph(n, draw(st.floats(0.1, 0.5)), substream(seed, "g"))
         model = GltModel(g, random_weights_within(g, substream(seed, "w")), spec)
         evaluators = ["exact", "mc"]
-    return model, draw(st.integers(0, min(3, n))), draw(st.sampled_from(evaluators)), seed
+    budget = draw(st.integers(0, min(4, n)))
+    return model, budget, draw(st.sampled_from(evaluators)), seed, draw(st.integers(1, 60))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_greedy_case())
 def test_greedy_matches_reference_loops(case):
     # one selection loop over gains() reproduces the separate exact and
-    # Monte Carlo loops bit for bit: seeds, gains and every spread field
-    model, budget, evaluator, seed = case
-    got = greedy_im(model, budget, evaluator, seed, replicates=50)
-    want = reference_greedy_im(model, budget, evaluator, seed, replicates=50)
+    # Monte Carlo loops bit for bit: seeds, gains and every spread field;
+    # budgets up to 4 reach steps where candidates are already active in
+    # some base replicates, or where every replicate stops in round 0
+    model, budget, evaluator, seed, replicates = case
+    got = greedy_im(model, budget, evaluator, seed, replicates=replicates)
+    want = reference_greedy_im(model, budget, evaluator, seed, replicates=replicates)
     assert got == want
