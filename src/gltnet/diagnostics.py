@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .graph import Graph, SeedDistribution
-from .model import ExactSpreadOracle, GltModel, child_masks
+from .model import ExactSpreadOracle, GltModel, _frontier_children, _node_mask, child_masks
 
 __all__ = [
     "NodeIdentifiability",
@@ -116,18 +116,14 @@ def _achievable_parent_subsets(graph, child_mask, support, v, state_cap):
     prefixes, v excluded from every expansion; ``child_mask`` is the graph's
     :func:`~gltnet.model.child_masks`.  Returns (subsets, capped).
     """
-    parent_mask = 0
-    for u in graph.parent_list(v):
-        parent_mask |= 1 << u
+    parent_mask = _node_mask(graph.parent_list(v))
     achievable = set()
     visited = set()
     stack = []
     for seed, prob in support:
         if prob <= 0 or v in seed:
             continue
-        mask = 0
-        for u in seed:
-            mask |= 1 << u
+        mask = _node_mask(seed)
         if (mask, mask) not in visited:
             visited.add((mask, mask))
             stack.append((mask, mask))
@@ -136,13 +132,7 @@ def _achievable_parent_subsets(graph, child_mask, support, v, state_cap):
         sub = frontier & parent_mask
         if sub:
             achievable.add(sub)
-        cand = 0
-        f = frontier
-        while f:
-            low = f & -f
-            cand |= child_mask[low.bit_length() - 1]
-            f ^= low
-        cand &= ~active & ~(1 << v)
+        cand = _frontier_children(child_mask, frontier) & ~active & ~(1 << v)
         # enumerate nonempty subsets of the candidate set
         sub_mask = cand
         while sub_mask:

@@ -6,7 +6,8 @@ solver is projected gradient ascent with Barzilai-Borwein steps and Armijo
 backtracking; the projection is the exact shifted simplex projection, so
 feasibility of the returned point is exact rather than approximate.  The
 binding optimality certificate is the norm of the gradient projected onto
-the feasible cone at the solution.
+the feasible cone at the solution; its sum-face multiplier comes from the
+same sort-based threshold as the projection.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+_POLISH_STEPS = 25  # Newton steps per polish round
 
 
 class EstimationError(ValueError):
@@ -111,18 +113,25 @@ class NodeFitResult:
 # -- feasible-set geometry ---------------------------------------------------
 
 
-def _project_nonneg_l1ball(w: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum(w) <= radius}."""
-    w = np.maximum(w, 0.0)
-    s = w.sum()
-    if s <= radius:
-        return w
-    u = np.sort(w)[::-1]
-    css = np.cumsum(u) - radius
-    idx = np.arange(1, w.size + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(w - tau, 0.0)
+def _face_threshold(clipped, target, free_sum=0.0, n_free=0) -> float:
+    """The t solving sum(max(clipped - t, 0)) + free_sum - n_free * t = target.
+
+    The left side is piecewise linear and nonincreasing in t, so its root
+    follows from one descending sort of ``clipped`` (Duchi et al., ICML
+    2008; Condat, Math. Program. 2016): the largest prefix of entries above
+    t fixes the linear piece.  With no free entries and a nonpositive
+    target, every t >= max(clipped) is a root; the smallest one is returned.
+    """
+    u = np.sort(clipped)[::-1]
+    css = np.cumsum(u) + (free_sum - target)
+    idx = np.arange(n_free + 1, n_free + u.size + 1)
+    above = np.nonzero(u - css / idx > 0)[0]
+    if above.size:
+        rho = above[-1]
+        return css[rho] / (rho + 1.0 + n_free)
+    if n_free:
+        return (free_sum - target) / n_free
+    return u[0]
 
 
 def project_truncated_simplex(theta, epsilon: float, gamma: float) -> np.ndarray:
@@ -135,10 +144,13 @@ def project_truncated_simplex(theta, epsilon: float, gamma: float) -> np.ndarray
     """
     theta = np.asarray(theta, dtype=float)
     radius = gamma - theta.size * epsilon
-    w = _project_nonneg_l1ball(theta - epsilon, radius)
-    s = w.sum()
-    if s > radius and s > 0.0:
-        w *= radius / s
+    # shift to the nonnegative l1 ball {w >= 0, sum(w) <= radius}
+    w = np.maximum(theta - epsilon, 0.0)
+    if w.sum() > radius:
+        w = np.maximum(w - _face_threshold(w, radius), 0.0)
+        s = w.sum()
+        if s > radius and s > 0.0:
+            w *= radius / s
     out = np.maximum(w + epsilon, epsilon)
     for _ in range(1000):
         if out.sum() <= gamma:
@@ -155,57 +167,50 @@ def projected_gradient_norm(theta, grad, epsilon: float, gamma: float) -> float:
     """Norm of the gradient projected onto the feasible cone at theta.
 
     At a constrained maximizer this is zero: ascent directions that leave
-    the polytope are removed before taking the norm.
+    the polytope are removed before taking the norm.  On the sum face the
+    multiplier lam >= 0 makes the projected direction sum to zero; it is the
+    face threshold of the gradient, with the coordinates at the lower bound
+    clipped and the others free.
     """
     theta = np.asarray(theta, dtype=float)
     g = np.asarray(grad, dtype=float)
     low = theta <= epsilon + 1e-12
-    d = np.empty_like(g)
-
-    def excess(lam):
-        # d = g - lam with the entries at the lower bound clipped at 0
-        np.subtract(g, lam, out=d)
-        np.maximum(d, 0.0, out=d, where=low)
-        return d.sum()
-
-    sum_active = theta.sum() >= gamma - max(1.0, gamma) * 1e-12
-    if not sum_active:
-        excess(0.0)
-        return float(np.linalg.norm(d))
-    # water-filling for the simplex-face multiplier
-    if excess(0.0) <= 0:
-        return float(np.linalg.norm(d))
-    lo, hi = 0.0, float(np.max(g)) + 1.0
-    zero = 1e-15 * max(1.0, float(np.abs(g).sum()))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        total = excess(mid)
-        if abs(total) <= zero:
-            break  # d is already the excess at 0.5 * (lo + hi)
-        if total > 0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        excess(0.5 * (lo + hi))
+    lam = 0.0
+    if theta.sum() >= gamma - max(1.0, gamma) * 1e-12:
+        g_free = g[~low]
+        lam = max(_face_threshold(g[low], 0.0, g_free.sum(), g_free.size), 0.0)
+    d = g - lam
+    np.maximum(d, 0.0, out=d, where=low)
     return float(np.linalg.norm(d))
 
 
 # -- solver -------------------------------------------------------------------
 
 
-def _newton_polish(fg, node_data, spec, theta, value, grad, epsilon, gamma, tol, max_polish=60):
-    """Active-set Newton refinement driven by the projected-gradient norm.
+class _SolverState:
+    __slots__ = ("theta", "value", "grad", "pg", "step")
+
+    def __init__(self, theta, value, grad, pg, step):
+        self.theta = theta
+        self.value = value
+        self.grad = grad
+        self.pg = pg
+        self.step = step
+
+
+def _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol):
+    """Active-set Newton refinement driven by the projected-gradient norm;
+    returns the number of Newton steps taken.
 
     Near a solution, objective differences fall below floating-point noise
     while the first-order residual is still measurable, so steps are
     accepted when they shrink the projected gradient rather than when they
     raise the objective.  Feasibility stays exact through the projection.
     """
-    pg = projected_gradient_norm(theta, grad, epsilon, gamma)
     it = 0
-    while pg > tol and it < max_polish:
+    while state.pg > tol and it < _POLISH_STEPS:
         it += 1
+        theta, grad = state.theta, state.grad
         low = theta <= epsilon + _BOUNDARY_TOL
         face = theta.sum() >= gamma - _BOUNDARY_TOL
         free = ~low
@@ -237,25 +242,15 @@ def _newton_polish(fg, node_data, spec, theta, value, grad, epsilon, gamma, tol,
                 cand_value, cand_grad = fg(cand)
                 if np.isfinite(cand_value):
                     cand_pg = projected_gradient_norm(cand, cand_grad, epsilon, gamma)
-                    if cand_pg < pg:
-                        theta, value, grad, pg = cand, cand_value, cand_grad, cand_pg
+                    if cand_pg < state.pg:
+                        state.theta, state.value, state.grad = cand, cand_value, cand_grad
+                        state.pg = cand_pg
                         improved = True
                         break
             damp *= 0.5
         if not improved:
             break
-    return theta, value, grad, pg, it
-
-
-class _SolverState:
-    __slots__ = ("theta", "value", "grad", "pg", "step")
-
-    def __init__(self, theta, value, grad, pg, step):
-        self.theta = theta
-        self.value = value
-        self.grad = grad
-        self.pg = pg
-        self.step = step
+    return it
 
 
 def _bb_steps(fg, state, epsilon, gamma, tol, limit):
@@ -327,11 +322,7 @@ def _maximize(node_data, spec, epsilon, gamma, tol, max_iter):
     # gradient bursts until the certificate holds or nothing moves
     it = _bb_steps(fg, state, epsilon, gamma, tol, min(25, max_iter))
     while state.pg > tol and it < max_iter:
-        theta, value, grad, pg, polished = _newton_polish(
-            fg, node_data, spec, state.theta, state.value, state.grad,
-            epsilon, gamma, tol, max_polish=25,
-        )
-        state.theta, state.value, state.grad, state.pg = theta, value, grad, pg
+        polished = _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol)
         it += max(polished, 1)
         if state.pg <= tol:
             break

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 
+NODE_ID_TYPES = (int, np.integer)  # what a node id must be an instance of
+
+
 class GraphError(ValueError):
     """Invalid graph construction or query."""
 
@@ -104,7 +107,7 @@ class Graph:
 
     def _check(self, v) -> int:
         """``v`` as an int node id; GraphError unless an integer in range."""
-        if not isinstance(v, (int, np.integer)):
+        if not isinstance(v, NODE_ID_TYPES):
             raise GraphError(f"node id {v!r} is not an integer")
         if not 0 <= v < self.n:
             raise GraphError(f"node {v} out of range for n={self.n}")

@@ -24,7 +24,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .graph import Graph, children_of_set
+from .graph import NODE_ID_TYPES, Graph, children_of_set
 from .rng import as_generator
 from .thresholds import ThresholdSpec
 
@@ -84,13 +84,20 @@ def default_gamma(spec: ThresholdSpec, epsilon: float = DEFAULT_EPSILON) -> floa
     return h - epsilon if np.isfinite(h) else DEFAULT_GAMMA_UNBOUNDED
 
 
+def _node_id(v) -> int:
+    """``v`` as an int; ModelError unless it is an integer (never truncated)."""
+    if not isinstance(v, NODE_ID_TYPES):
+        raise ModelError(f"node id {v!r} is not an integer")
+    return int(v)
+
+
 class Trace:
     """A propagation trace: ordered disjoint sets of newly activated nodes."""
 
     __slots__ = ("steps",)
 
     def __init__(self, steps):
-        steps = tuple(frozenset(int(v) for v in s) for s in steps)
+        steps = tuple(frozenset(map(_node_id, s)) for s in steps)
         if not steps or not steps[0]:
             raise ModelError("a trace must start with a nonempty seed set")
         seen = set()
@@ -135,7 +142,7 @@ class ActivationHistory:
     def __init__(self, steps):
         if isinstance(steps, Trace):
             steps = steps.steps
-        self.steps = tuple(frozenset(int(v) for v in s) for s in steps)
+        self.steps = tuple(frozenset(map(_node_id, s)) for s in steps)
         cum = []
         acc = set()
         for d in self.steps:
@@ -474,12 +481,27 @@ def enumerate_feasible_traces(graph: Graph, seed_set, node_cap: int = 10**6) -> 
     return out
 
 
+def _node_mask(nodes) -> int:
+    """The bitmask of a collection of int node ids."""
+    mask = 0
+    for u in nodes:
+        mask |= 1 << u
+    return mask
+
+
 def child_masks(graph: Graph) -> list:
     """Per node, the bitmask of its children."""
-    masks = [0] * graph.n
-    for u, v in graph.edges:
-        masks[u] |= 1 << v
-    return masks
+    return [_node_mask(graph.children(u)) for u in range(graph.n)]
+
+
+def _frontier_children(child_mask, frontier: int) -> int:
+    """The union of ``child_mask`` over the nodes of the ``frontier`` mask."""
+    children = 0
+    while frontier:
+        low = frontier & -frontier
+        children |= child_mask[low.bit_length() - 1]
+        frontier ^= low
+    return children
 
 
 class ExactSpreadOracle:
@@ -497,14 +519,9 @@ class ExactSpreadOracle:
         self.node_cap = node_cap
         graph = model.graph
         self._child_mask = child_masks(graph)
-        self._parent_mask = [0] * graph.n
-        self._parent_bits = []
-        self._theta = []
-        for v in range(graph.n):
-            for u in graph.parent_list(v):
-                self._parent_mask[v] |= 1 << u
-            self._parent_bits.append(tuple(graph.parent_list(v)))
-            self._theta.append(model.theta(v))
+        self._parent_bits = [graph.parent_list(v) for v in range(graph.n)]
+        self._parent_mask = [_node_mask(parents) for parents in self._parent_bits]
+        self._theta = [model.theta(v) for v in range(graph.n)]
         self._cdf_cache = {}
         self._value = {}
 
@@ -523,9 +540,7 @@ class ExactSpreadOracle:
         return got
 
     def spread(self, seed_set) -> float:
-        mask = 0
-        for v in seed_set:
-            mask |= 1 << self.model.graph._check(v)
+        mask = _node_mask(map(self.model.graph._check, seed_set))
         if mask == 0:
             return 0.0
         return self._val((mask, mask))
@@ -559,13 +574,7 @@ class ExactSpreadOracle:
         if len(memo) >= self.node_cap:
             raise EnumerationCapError(len(memo) + 1, self.node_cap)
         active, frontier = key
-        cand_mask = 0
-        v = frontier
-        while v:
-            low = v & -v
-            cand_mask |= self._child_mask[low.bit_length() - 1]
-            v ^= low
-        cand_mask &= ~active
+        cand_mask = _frontier_children(self._child_mask, frontier) & ~active
         certain = 0
         random_nodes = []
         prev_active = active & ~frontier

@@ -327,6 +327,72 @@ def reference_node_hessian(node_data, theta, spec):
     return hess
 
 
+def _reference_project_nonneg_l1ball(w, radius):
+    """Euclidean projection onto {w >= 0, sum(w) <= radius}."""
+    w = np.maximum(w, 0.0)
+    s = w.sum()
+    if s <= radius:
+        return w
+    u = np.sort(w)[::-1]
+    css = np.cumsum(u) - radius
+    idx = np.arange(1, w.size + 1)
+    rho = np.nonzero(u - css / idx > 0)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(w - tau, 0.0)
+
+
+def reference_project_truncated_simplex(theta, epsilon, gamma):
+    """Projection onto {theta >= epsilon, ||theta||_1 <= gamma} through a
+    separate nonnegative l1-ball projection; byte-for-byte oracle for
+    ``estimation.project_truncated_simplex``."""
+    theta = np.asarray(theta, dtype=float)
+    radius = gamma - theta.size * epsilon
+    w = _reference_project_nonneg_l1ball(theta - epsilon, radius)
+    s = w.sum()
+    if s > radius and s > 0.0:
+        w *= radius / s
+    out = np.maximum(w + epsilon, epsilon)
+    for _ in range(1000):
+        if out.sum() <= gamma:
+            return out
+        j = int(np.argmax(out))
+        out[j] = np.nextafter(out[j], 0.0)
+    raise AssertionError("reference projection failed to satisfy the sum bound")
+
+
+def reference_projected_gradient_norm(theta, grad, epsilon, gamma):
+    """Projected-gradient norm with the simplex-face multiplier found by
+    bisection; oracle for ``estimation.projected_gradient_norm``."""
+    theta = np.asarray(theta, dtype=float)
+    g = np.asarray(grad, dtype=float)
+    low = theta <= epsilon + 1e-12
+    d = np.empty_like(g)
+
+    def excess(lam):
+        # d = g - lam with the entries at the lower bound clipped at 0
+        np.subtract(g, lam, out=d)
+        np.maximum(d, 0.0, out=d, where=low)
+        return d.sum()
+
+    sum_active = theta.sum() >= gamma - max(1.0, gamma) * 1e-12
+    if excess(0.0) <= 0 or not sum_active:
+        return float(np.linalg.norm(d))
+    lo, hi = 0.0, float(np.max(g)) + 1.0
+    zero = 1e-15 * max(1.0, float(np.abs(g).sum()))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        total = excess(mid)
+        if abs(total) <= zero:
+            break  # d is already the excess at 0.5 * (lo + hi)
+        if total > 0:
+            lo = mid
+        else:
+            hi = mid
+    else:
+        excess(0.5 * (lo + hi))
+    return float(np.linalg.norm(d))
+
+
 def all_specs():
     return [make_uniform(), make_exponential_unit(), make_beta(2, 2)]
 

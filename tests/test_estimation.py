@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gltnet import (
     EstimationError,
@@ -34,6 +36,8 @@ from conftest import (
     random_weights_within,
     reference_node_hessian,
     reference_node_value_and_gradient,
+    reference_project_truncated_simplex,
+    reference_projected_gradient_norm,
     staggered_fit_graph,
 )
 
@@ -90,6 +94,78 @@ def test_projected_gradient_norm_cases():
     assert projected_gradient_norm(theta, g, eps, gamma) == pytest.approx(
         np.sqrt(2.0), abs=1e-9
     )
+    # gamma within m * 1e-12 of m * eps: every coordinate at eps with the sum
+    # face active, so the multiplier is max(g) and nothing is left over
+    theta = np.full(4, eps)
+    g = np.array([3.0, -1.0, 3.0, 0.5])
+    assert projected_gradient_norm(theta, g, eps, 4 * eps + 1e-13) == 0.0
+
+
+# dyadic values keep theta - eps, the clipped sum and gamma - m * eps exact,
+# so a drawn input can sit exactly on the sum bound; arbitrary floats cover
+# the rest
+_EPS = 2.0**-10
+_dyadic = st.integers(-64, 64).map(lambda k: k / 16.0)
+_repeated = st.sampled_from([0.0, 0.5, 1.0, 1.5])
+_any = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def projection_inputs(draw):
+    values = draw(st.sampled_from([_dyadic | _repeated, _dyadic | _repeated | _any]))
+    theta = np.array(draw(st.lists(values, min_size=1, max_size=8)))
+    m = theta.size
+    clipped = np.maximum(theta - _EPS, 0.0).sum()
+    if clipped > 0 and draw(st.booleans()):
+        radius = clipped  # the clipped sum equals the radius exactly
+    else:
+        radius = draw(st.integers(1, 256)) / 32.0
+    return theta, _EPS, radius + m * _EPS
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=projection_inputs())
+@example(case=(np.array([1.0, 1.0, 1.0]), _EPS, 1.5 + 3 * _EPS))  # ties above the bound
+@example(case=(np.array([0.5, 0.5, -1.0]), _EPS, 1.0 - 2 * _EPS + 3 * _EPS))  # clipped sum = radius
+def test_projection_properties(case):
+    theta, eps, gamma = case
+    out = project_truncated_simplex(theta, eps, gamma)
+    assert np.all(out >= eps)
+    assert out.sum() <= gamma
+    again = project_truncated_simplex(out, eps, gamma)
+    assert np.abs(again - out).max() <= 4 * np.spacing(max(1.0, gamma))
+    assert out.tobytes() == reference_project_truncated_simplex(theta, eps, gamma).tobytes()
+
+
+@st.composite
+def certificate_inputs(draw):
+    m = draw(st.integers(1, 8))
+    eps = draw(st.sampled_from([1e-6, 1e-3]))
+    at_low = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    free = draw(st.lists(st.floats(1e-3, 2.0), min_size=m, max_size=m))
+    theta = np.where(at_low, eps, eps + np.array(free))
+    face = draw(st.sampled_from(["sum", "near", "off"]))
+    if face == "sum":
+        gamma = theta.sum()
+    elif face == "near":
+        gamma = theta.sum() + draw(st.floats(0.0, 0.9e-12))  # still counts as on the face
+    else:
+        gamma = theta.sum() + draw(st.floats(1e-6, 5.0))
+    # ties among the lower-bound gradients come from a small shared pool
+    g_low = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 3.0]), min_size=m, max_size=m))
+    g_free = draw(st.lists(st.floats(-50.0, 50.0), min_size=m, max_size=m))
+    return theta, np.where(at_low, g_low, g_free), eps, gamma
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=certificate_inputs())
+@example(case=(np.full(3, 1e-6), np.array([2.0, 2.0, -1.0]), 1e-6, 3e-6 + 1e-13))  # all at eps
+@example(case=(np.array([1e-6, 0.4, 0.6]), np.array([5.0, 1.0, 1.0]), 1e-6, 1.000001))
+def test_projected_gradient_norm_matches_bisection(case):
+    theta, g, eps, gamma = case
+    got = projected_gradient_norm(theta, g, eps, gamma)
+    want = reference_projected_gradient_norm(theta, g, eps, gamma)
+    assert abs(got - want) <= 1e-12 * max(1.0, np.abs(g).sum())
 
 
 def test_fit_interior_bernoulli():

@@ -24,6 +24,7 @@ from gltnet import (
     transition_probability,
     validate_trace,
 )
+from gltnet.model import NEVER, _activation_rounds
 from gltnet.rng import substream
 
 from conftest import (
@@ -47,6 +48,26 @@ def test_trace_validation():
     with pytest.raises(ModelError):
         validate_trace(g, Trace([{0}, {2}]))  # 2 has no parent in {0}
     validate_trace(g, Trace([{0}, {1}, {2}]))
+
+
+@pytest.mark.parametrize("bad", [0.7, 1.0, "0", None])
+def test_trace_paths_reject_non_integer_node_ids(bad):
+    g = build_graph(3, [(0, 1), (1, 2)])
+    model = from_lt(g, [0.5, 0.5])
+    raw = [[bad], [1]]  # a raw step list, as every entry point accepts
+    match = f"node id {bad!r} is not an integer"
+    for call in (
+        lambda: Trace(raw),
+        lambda: ActivationHistory(raw),
+        lambda: trace_log_probability(model, raw),
+        lambda: transition_probability(model, raw, 2, 2),
+        lambda: _activation_rounds([raw], g.n),
+    ):
+        with pytest.raises(ModelError, match=match):
+            call()
+    # numpy integers are node ids like Python ints
+    assert Trace([[np.int64(0)], [np.int32(1)]]) == Trace([{0}, {1}])
+    assert _activation_rounds([[[np.int64(0)], [1]]], g.n)[0].tolist() == [[0, 1, NEVER]]
 
 
 def test_transition_probability_single_parent_uniform():
