@@ -2,12 +2,16 @@
 
 Each child node is fitted independently by maximizing its log-likelihood
 over the truncated polytope {theta >= eps, ||theta||_1 <= gamma}.  The
-solver is projected gradient ascent with Barzilai-Borwein steps and Armijo
-backtracking; the projection is the exact shifted simplex projection, so
-feasibility of the returned point is exact rather than approximate.  The
-binding optimality certificate is the norm of the gradient projected onto
-the feasible cone at the solution; its sum-face multiplier comes from the
-same sort-based threshold as the projection.
+solver is active-set projected Newton.  When the threshold density is
+log-concave the node log-likelihood is concave, so Newton starts at the
+interior point; otherwise a short first-order warm-up comes first.  Bursts
+of projected gradient ascent with Barzilai-Borwein steps and Armijo
+backtracking are the fallback whenever Newton stalls.  The projection is
+the exact shifted simplex projection, so feasibility of the returned point
+is exact rather than approximate.  The binding optimality certificate is
+the norm of the gradient projected onto the feasible cone at the solution;
+its sum-face multiplier comes from the same sort-based threshold as the
+projection.
 """
 
 from __future__ import annotations
@@ -198,9 +202,9 @@ class _SolverState:
         self.step = step
 
 
-def _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol):
+def _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol, budget):
     """Active-set Newton refinement driven by the projected-gradient norm;
-    returns the number of Newton steps taken.
+    returns the number of Newton steps taken, at most ``budget``.
 
     Near a solution, objective differences fall below floating-point noise
     while the first-order residual is still measurable, so steps are
@@ -208,7 +212,7 @@ def _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol):
     raise the objective.  Feasibility stays exact through the projection.
     """
     it = 0
-    while state.pg > tol and it < _POLISH_STEPS:
+    while state.pg > tol and it < min(_POLISH_STEPS, budget):
         it += 1
         theta, grad = state.theta, state.grad
         low = theta <= epsilon + _BOUNDARY_TOL
@@ -220,18 +224,21 @@ def _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol):
         hess = node_hessian(node_data, theta, spec)
         h_ff = hess[np.ix_(free, free)]
         g_f = grad[free]
+        if face:
+            lhs = np.zeros((k + 1, k + 1))
+            lhs[:k, :k] = h_ff
+            lhs[:k, k] = 1.0
+            lhs[k, :k] = 1.0
+            rhs = np.concatenate([-g_f, [0.0]])
+        else:
+            lhs, rhs = h_ff, -g_f
         try:
-            if face:
-                kkt = np.zeros((k + 1, k + 1))
-                kkt[:k, :k] = h_ff
-                kkt[:k, k] = 1.0
-                kkt[k, :k] = 1.0
-                sol = np.linalg.solve(kkt, np.concatenate([-g_f, [0.0]]))
-                d_f = sol[:k]
-            else:
-                d_f = np.linalg.solve(h_ff, -g_f)
+            d_f = np.linalg.solve(lhs, rhs)[:k]
         except np.linalg.LinAlgError:
-            break
+            # parents seen only together leave a ridge of maximizers and an
+            # exactly singular Hessian; the minimum-norm step heads for the
+            # ridge without sliding along it
+            d_f = np.linalg.lstsq(lhs, rhs, rcond=None)[0][:k]
         direction = np.zeros_like(theta)
         direction[free] = d_f
         improved = False
@@ -318,18 +325,25 @@ def _maximize(node_data, spec, epsilon, gamma, tol, max_iter):
         projected_gradient_norm(theta, grad, epsilon, gamma),
         1.0 / max(1.0, float(np.linalg.norm(grad))),
     )
-    # a short first-order warmup, then alternate second-order refinement with
-    # gradient bursts until the certificate holds or nothing moves
-    it = _bb_steps(fg, state, epsilon, gamma, tol, min(25, max_iter))
+    # A concave objective (log-concave density) has no stationary point but
+    # the maximum, so Newton starts at once.  Otherwise a short first-order
+    # warm-up comes first: the pg-driven Newton acceptance could settle on a
+    # stationary point that is not a maximum.  Then Newton polish alternates
+    # with gradient bursts until the certificate holds, nothing moves or the
+    # budget is spent.
+    it = 0
+    if not spec.log_concave_density:
+        it = _bb_steps(fg, state, epsilon, gamma, tol, min(25, max_iter))
     while state.pg > tol and it < max_iter:
-        polished = _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol)
-        it += max(polished, 1)
+        start = state.theta
+        it += _newton_polish(
+            fg, node_data, spec, state, epsilon, gamma, tol, max_iter - it
+        )
         if state.pg <= tol:
             break
-        stepped = _bb_steps(fg, state, epsilon, gamma, tol, 10)
-        it += stepped
-        if polished == 0 and stepped == 0:
-            break  # numerically stuck; report the certificate as it stands
+        it += _bb_steps(fg, state, epsilon, gamma, tol, min(10, max_iter - it))
+        if state.theta is start:
+            break  # stuck: a repeat round would move nothing either
     return state.theta, state.value, state.pg, it
 
 

@@ -71,7 +71,15 @@ def node_covariance(node_data: NodeData, theta_hat, spec) -> CovarianceResult:
     info = -node_hessian(node_data, theta_hat, spec)
     eigvals = np.linalg.eigvalsh(info)
     min_eig = float(eigvals[0])
-    if not np.isfinite(min_eig) or min_eig <= 0.0:
+    sigma = None
+    if np.isfinite(min_eig) and min_eig > 0.0:
+        # an exactly singular matrix can still get a tiny positive smallest
+        # eigenvalue from eigvalsh; inv then finds the zero pivot
+        try:
+            sigma = np.linalg.inv(info)
+        except np.linalg.LinAlgError:
+            pass
+    if sigma is None:
         return CovarianceResult(
             node=node_data.node,
             sigma=None,
@@ -79,7 +87,6 @@ def node_covariance(node_data: NodeData, theta_hat, spec) -> CovarianceResult:
             min_eigenvalue=min_eig,
             message="observed information is singular or indefinite",
         )
-    sigma = np.linalg.inv(info)
     sigma = 0.5 * (sigma + sigma.T)
     return CovarianceResult(
         node=node_data.node,

@@ -393,6 +393,56 @@ def reference_projected_gradient_norm(theta, grad, epsilon, gamma):
     return float(np.linalg.norm(d))
 
 
+def reference_maximize(node_data, spec, epsilon, gamma, tol, max_iter):
+    """The node solver's driver with a 25-step Barzilai-Borwein warm-up for
+    every density, on the package's own step functions; oracle for
+    ``estimation._maximize``.  Its Newton polish always gets the full round
+    of ``_POLISH_STEPS``, so the iteration count can exceed ``max_iter``,
+    and a stuck fit spends the whole budget."""
+    from gltnet.estimation import (
+        _POLISH_STEPS,
+        _bb_steps,
+        _newton_polish,
+        _SolverState,
+        project_truncated_simplex,
+        projected_gradient_norm,
+    )
+    from gltnet.likelihood import node_value_and_gradient
+    from gltnet.model import ZeroProbabilityError
+
+    def fg(theta):
+        try:
+            return node_value_and_gradient(node_data, theta, spec)
+        except ZeroProbabilityError:
+            return -np.inf, None
+
+    m = len(node_data.parents)
+    theta = np.full(m, epsilon + (gamma - m * epsilon) / (2.0 * m))
+    theta = project_truncated_simplex(theta, epsilon, gamma)
+    value, grad = fg(theta)
+    assert np.isfinite(value), "degenerate interior starting point"
+    state = _SolverState(
+        theta,
+        value,
+        grad,
+        projected_gradient_norm(theta, grad, epsilon, gamma),
+        1.0 / max(1.0, float(np.linalg.norm(grad))),
+    )
+    it = _bb_steps(fg, state, epsilon, gamma, tol, min(25, max_iter))
+    while state.pg > tol and it < max_iter:
+        polished = _newton_polish(
+            fg, node_data, spec, state, epsilon, gamma, tol, _POLISH_STEPS
+        )
+        it += max(polished, 1)
+        if state.pg <= tol:
+            break
+        stepped = _bb_steps(fg, state, epsilon, gamma, tol, 10)
+        it += stepped
+        if polished == 0 and stepped == 0:
+            break
+    return state.theta, state.value, state.pg, it
+
+
 def all_specs():
     return [make_uniform(), make_exponential_unit(), make_beta(2, 2)]
 

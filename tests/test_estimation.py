@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from gltnet import (
@@ -34,6 +34,7 @@ from conftest import (
     dense_grid_argmax,
     parent_subset_seed_distribution,
     random_weights_within,
+    reference_maximize,
     reference_node_hessian,
     reference_node_value_and_gradient,
     reference_project_truncated_simplex,
@@ -202,6 +203,86 @@ def test_fit_non_convergence_returns_best_iterate():
     full = fit_node(data, make_uniform())
     assert full.converged
     assert full.loglik >= starved.loglik
+
+
+_CONCAVE_SPECS = [make_uniform(), make_exponential_unit()] + [make_beta(1, b) for b in range(1, 6)]
+_NON_CONCAVE_SPECS = [make_beta(0.5, 2), make_beta(0.5, 1)]
+
+
+def _node_fit_case(spec, seed, m, count):
+    """Rows of the last node of a random DAG whose other m nodes are all its
+    parents, from ``count`` traces seeded on random parent subsets."""
+    rng = substream(seed, "case")
+    edges = [(u, w) for u in range(m) for w in range(u + 1, m) if rng.random() < 0.4]
+    graph = build_graph(m + 1, edges + [(u, m) for u in range(m)])
+    model = GltModel(graph, random_weights_within(graph, rng), spec)
+    seeds = [frozenset(np.flatnonzero(rng.random(m) < 0.4)) or {int(rng.integers(m))}
+             for _ in range(count)]
+    traces = simulate_traces(model, seeds, [substream(seed, "t", i) for i in range(count)])
+    return build_node_data(traces, graph, m), spec
+
+
+@st.composite
+def node_fit_cases(draw, specs):
+    data, spec = _node_fit_case(
+        draw(st.sampled_from(specs)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 5)),
+        draw(st.integers(5, 200)),
+    )
+    assume(data.n_informative_rows > 0)
+    return data, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=node_fit_cases(_CONCAVE_SPECS))
+# parents 1 and 3 are seen only together, so the Newton system is exactly
+# singular and only the least-squares step gets the certificate below tol
+@example(case=_node_fit_case(make_beta(1, 4), 546126798, 4, 5))
+def test_newton_first_solver_matches_warm_up_reference(case):
+    data, spec = case
+    options = FitOptions()
+    gamma = options.resolve_gamma(spec, len(data.parents))
+    args = (data, spec, options.epsilon, gamma, options.tol, options.max_iter)
+    theta, value, pg, _ = estimation._maximize(*args)
+    ref_theta, ref_value, ref_pg, _ = reference_maximize(*args)
+    assert pg <= options.tol and ref_pg <= options.tol
+    assert value >= ref_value - 1e-9
+    # With information at least mu, a point whose certificate is r lies
+    # within r / mu of the maximizer, so both fits pin the weights to within
+    # 1e-7 once mu >= 2 tol / 1e-7.  Flatter problems (a parent seen only in
+    # a few rows, a density vanishing at the bound) leave them free to move.
+    mu = np.linalg.eigvalsh(-reference_node_hessian(data, ref_theta, spec))[0]
+    event(f"weights pinned: {mu >= 2 * options.tol / 1e-7}")
+    if mu >= 2 * options.tol / 1e-7:
+        assert np.abs(theta - ref_theta).max() <= 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=node_fit_cases(_NON_CONCAVE_SPECS))
+def test_non_log_concave_fits_keep_the_warm_up(case):
+    data, spec = case
+    options = FitOptions()
+    gamma = options.resolve_gamma(spec, len(data.parents))
+    args = (data, spec, options.epsilon, gamma, options.tol, options.max_iter)
+    theta, value, pg, it = estimation._maximize(*args)
+    ref_theta, ref_value, ref_pg, ref_it = reference_maximize(*args)
+    assert theta.tobytes() == ref_theta.tobytes()
+    assert (repr(value), repr(pg)) == (repr(ref_value), repr(ref_pg))
+    # a fit where nothing moves any more now stops instead of spending the budget
+    assert it == ref_it or (pg > options.tol and it < ref_it)
+
+
+@pytest.mark.filterwarnings("ignore:threshold density")
+@settings(max_examples=150, deadline=None)
+@given(case=node_fit_cases(_CONCAVE_SPECS + _NON_CONCAVE_SPECS), max_iter=st.integers(1, 40))
+# needs several Newton steps after its 25-step warm-up, so an uncapped
+# polish overshoots a budget of 26
+@example(case=_node_fit_case(make_beta(1, 4), 1547324777, 4, 100), max_iter=26)
+def test_fit_iterations_never_exceed_max_iter(case, max_iter):
+    data, spec = case
+    fit = fit_node(data, spec, FitOptions(max_iter=max_iter))
+    assert fit.iterations <= max_iter
 
 
 def test_fit_no_informative_rows():

@@ -7,12 +7,14 @@ from gltnet import (
     GltModel,
     InferenceError,
     Interval,
+    NodeData,
     SeedDistribution,
     Trace,
     activation_probability_interval,
     build_graph,
     build_node_data,
     fit_node,
+    make_exponential_unit,
     make_uniform,
     node_covariance,
     sample_seed,
@@ -22,6 +24,7 @@ from gltnet import (
     weight_intervals,
 )
 from gltnet.estimation import NodeFitResult
+from gltnet.likelihood import ROW_ACTIVATED
 from gltnet.rng import substream
 
 from conftest import random_weights_within, staggered_fit_graph, parent_subset_seed_distribution
@@ -107,6 +110,36 @@ def test_invalid_covariance_flagged():
     assert cov.min_eigenvalue <= 1e-9
     with pytest.raises(InferenceError):
         weight_intervals(_fake_fit([0.2, 0.2], (0, 1)), cov)
+
+
+def test_singular_information_with_positive_rounded_eigenvalue_flagged():
+    # parent 2 appears in no row, so its information row and column are zero;
+    # eigvalsh rounds the zero eigenvalue to about +4e-13 and inv must not
+    # be left to raise
+    z_prev = np.zeros((10, 5), dtype=np.uint8)
+    z_prev[9] = [0, 1, 0, 1, 0]
+    z_curr = np.array(
+        [[0, 0, 0, 1, 0]] * 2 + [[0, 1, 0, 0, 0]] * 2 + [[1, 0, 0, 0, 0]] * 2
+        + [[1, 0, 0, 0, 1]] * 2 + [[1, 0, 0, 1, 0], [1, 1, 0, 1, 0]],
+        dtype=np.uint8,
+    )
+    data = NodeData(
+        node=0,
+        parents=(1, 2, 3, 4, 5),
+        z_prev=z_prev,
+        z_curr=z_curr,
+        outcome=np.full(10, ROW_ACTIVATED, dtype=np.int8),
+        trace_index=np.arange(10),
+    )
+    theta = np.array(
+        [0.062434545435244383, 0.022728251077556126, 1e-6, 0.038757504134615851, 1e-6]
+    )
+    cov = node_covariance(data, theta, make_exponential_unit())
+    assert not cov.valid
+    assert cov.sigma is None
+    assert cov.message == "observed information is singular or indefinite"
+    with pytest.raises(InferenceError):
+        weight_intervals(_fake_fit(theta, data.parents, make_exponential_unit()), cov)
 
 
 def test_interval_arithmetic():
