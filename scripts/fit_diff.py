@@ -1,7 +1,7 @@
-"""Compare two `scripts/fit_fingerprint.py --weights` outputs fit by fit.
+"""Compare two `scripts/fit_fingerprint.py` outputs fit by fit.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/fit_fingerprint.py --weights --seed 7 > A
-    (same at the other commit)                                                            > B
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/fit_fingerprint.py --seed 7 > A
+    (same at the other commit)                                                  > B
     python scripts/fit_diff.py A B
 
 Prints the number of fits whose weights or log-likelihood moved (in
@@ -29,12 +29,8 @@ def _read(path):
                 fits[name, int(node), label] = None
                 continue
             weights, loglik, iterations, converged, _pg = rest.split()
-            weights = weights.split(",")
-            if not all(w.lstrip("-").startswith("0x") for w in weights):
-                sys.exit(f"{path}:{line_no}: weights are not float.hex; "
-                         f"rerun fit_fingerprint.py with --weights")
             fits[name, int(node), label] = (
-                [float.fromhex(w) for w in weights],
+                [float.fromhex(w) for w in weights.split(",")],
                 float(loglik),
                 int(iterations),
                 converged == "True",

@@ -11,20 +11,18 @@ The trace sets follow the benchmark's two fitting workloads:
 Every node of both sets is fitted under uniform, exponential, and
 beta(1, b) for b in 1..5 thresholds, all log-concave, and under the
 non-log-concave beta(0.5, 2).  Each line holds the trace set, the node, the
-threshold, the sha256 of the weight bytes (with `--weights`, the float.hex
-of each weight, comma-separated), repr(loglik), the iteration count,
-converged and repr(projected_gradient_norm).  Run from the root of a
-checkout:
+threshold, the float.hex of each weight (comma-separated), repr(loglik),
+the iteration count, converged and repr(projected_gradient_norm).  Run
+from the root of a checkout:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/fit_fingerprint.py --seed 7
 
 It uses only the public API, so it runs unchanged on older checkouts;
 diff its output at two commits to count the fits a change moved, or
-compare two `--weights` outputs with `scripts/fit_diff.py`.
+compare the two outputs with `scripts/fit_diff.py`.
 """
 
 import argparse
-import hashlib
 import warnings
 
 import gltnet as g
@@ -62,8 +60,6 @@ def im_study_set(seed):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--weights", action="store_true",
-                        help="print float.hex of each weight instead of the sha256")
     args = parser.parse_args(argv)
     for name, build in (("cli-chain", cli_chain_set), ("im-study", im_study_set)):
         graph, traces = build(args.seed)
@@ -76,10 +72,7 @@ def main(argv=None):
                 if not fit.estimated:
                     print(name, v, label, "error", repr(fit.error))
                     continue
-                if args.weights:
-                    weights = ",".join(float(w).hex() for w in fit.weights)
-                else:
-                    weights = hashlib.sha256(fit.weights.tobytes()).hexdigest()
+                weights = ",".join(float(w).hex() for w in fit.weights)
                 print(name, v, label, weights, repr(fit.loglik), fit.iterations,
                       fit.converged, repr(fit.projected_gradient_norm))
 

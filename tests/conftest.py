@@ -393,16 +393,70 @@ def reference_projected_gradient_norm(theta, grad, epsilon, gamma):
     return float(np.linalg.norm(d))
 
 
-def reference_maximize(node_data, spec, epsilon, gamma, tol, max_iter):
-    """The node solver's driver with a 25-step Barzilai-Borwein warm-up for
-    every density, on the package's own step functions; oracle for
-    ``estimation._maximize``.  Its Newton polish always gets the full round
-    of ``_POLISH_STEPS``, so the iteration count can exceed ``max_iter``,
-    and a stuck fit spends the whole budget."""
+def reference_newton_polish(fg, node_data, spec, state, epsilon, gamma, tol):
+    """The active-set Newton polish as it stood before the Newton-first
+    solver: a full round of ``_POLISH_STEPS`` whatever the budget, and an
+    exactly singular Newton system ends the round.  Returns the number of
+    steps and whether a singular system ended the round."""
     from gltnet.estimation import (
+        _BOUNDARY_TOL,
         _POLISH_STEPS,
+        project_truncated_simplex,
+        projected_gradient_norm,
+    )
+    from gltnet.likelihood import node_hessian
+
+    it = 0
+    while state.pg > tol and it < _POLISH_STEPS:
+        it += 1
+        theta, grad = state.theta, state.grad
+        free = ~(theta <= epsilon + _BOUNDARY_TOL)
+        k = int(free.sum())
+        if k == 0:
+            break
+        hess = node_hessian(node_data, theta, spec)
+        h_ff = hess[np.ix_(free, free)]
+        g_f = grad[free]
+        try:
+            if theta.sum() >= gamma - _BOUNDARY_TOL:
+                kkt = np.zeros((k + 1, k + 1))
+                kkt[:k, :k] = h_ff
+                kkt[:k, k] = 1.0
+                kkt[k, :k] = 1.0
+                d_f = np.linalg.solve(kkt, np.concatenate([-g_f, [0.0]]))[:k]
+            else:
+                d_f = np.linalg.solve(h_ff, -g_f)
+        except np.linalg.LinAlgError:
+            return it, True
+        direction = np.zeros_like(theta)
+        direction[free] = d_f
+        damp = 1.0
+        for _ in range(25):
+            cand = project_truncated_simplex(theta + damp * direction, epsilon, gamma)
+            if (cand != theta).any():
+                cand_value, cand_grad = fg(cand)
+                if np.isfinite(cand_value):
+                    cand_pg = projected_gradient_norm(cand, cand_grad, epsilon, gamma)
+                    if cand_pg < state.pg:
+                        state.theta, state.value, state.grad = cand, cand_value, cand_grad
+                        state.pg = cand_pg
+                        break
+            damp *= 0.5
+        else:
+            break
+    return it, False
+
+
+def reference_maximize(node_data, spec, epsilon, gamma, tol, max_iter, warm_up=25):
+    """The node solver as it stood before the Newton-first change, on
+    ``reference_newton_polish`` and the package's Barzilai-Borwein steps:
+    a ``warm_up``-step gradient warm-up for every density, then polish and
+    10-step bursts until the certificate holds or a round moves nothing.
+    The iteration count can exceed ``max_iter``.  Returns ``(theta, value,
+    pg, iterations, singular)``, ``singular`` telling whether any polish
+    round ended on an exactly singular Newton system."""
+    from gltnet.estimation import (
         _bb_steps,
-        _newton_polish,
         _SolverState,
         project_truncated_simplex,
         projected_gradient_norm,
@@ -428,11 +482,13 @@ def reference_maximize(node_data, spec, epsilon, gamma, tol, max_iter):
         projected_gradient_norm(theta, grad, epsilon, gamma),
         1.0 / max(1.0, float(np.linalg.norm(grad))),
     )
-    it = _bb_steps(fg, state, epsilon, gamma, tol, min(25, max_iter))
+    it = _bb_steps(fg, state, epsilon, gamma, tol, min(warm_up, max_iter))
+    singular = False
     while state.pg > tol and it < max_iter:
-        polished = _newton_polish(
-            fg, node_data, spec, state, epsilon, gamma, tol, _POLISH_STEPS
+        polished, hit = reference_newton_polish(
+            fg, node_data, spec, state, epsilon, gamma, tol
         )
+        singular |= hit
         it += max(polished, 1)
         if state.pg <= tol:
             break
@@ -440,7 +496,7 @@ def reference_maximize(node_data, spec, epsilon, gamma, tol, max_iter):
         it += stepped
         if polished == 0 and stepped == 0:
             break
-    return state.theta, state.value, state.pg, it
+    return state.theta, state.value, state.pg, it, singular
 
 
 def all_specs():

@@ -237,7 +237,7 @@ def node_fit_cases(draw, specs):
 @settings(max_examples=200, deadline=None)
 @given(case=node_fit_cases(_CONCAVE_SPECS))
 # parents 1 and 3 are seen only together, so the Newton system is exactly
-# singular and only the least-squares step gets the certificate below tol
+# singular; Newton-first stalls there without the least-squares step
 @example(case=_node_fit_case(make_beta(1, 4), 546126798, 4, 5))
 def test_newton_first_solver_matches_warm_up_reference(case):
     data, spec = case
@@ -245,8 +245,11 @@ def test_newton_first_solver_matches_warm_up_reference(case):
     gamma = options.resolve_gamma(spec, len(data.parents))
     args = (data, spec, options.epsilon, gamma, options.tol, options.max_iter)
     theta, value, pg, _ = estimation._maximize(*args)
-    ref_theta, ref_value, ref_pg, _ = reference_maximize(*args)
-    assert pg <= options.tol and ref_pg <= options.tol
+    ref_theta, ref_value, ref_pg, _, _ = reference_maximize(*args)
+    assert pg <= options.tol
+    event(f"reference certified: {ref_pg <= options.tol}")
+    if ref_pg > options.tol:
+        return
     assert value >= ref_value - 1e-9
     # With information at least mu, a point whose certificate is r lies
     # within r / mu of the maximizer, so both fits pin the weights to within
@@ -260,17 +263,40 @@ def test_newton_first_solver_matches_warm_up_reference(case):
 
 @settings(max_examples=60, deadline=None)
 @given(case=node_fit_cases(_NON_CONCAVE_SPECS))
+# five traces leave an exactly singular Newton system after the warm-up;
+# the old polish stalled there for the whole budget
+@example(case=_node_fit_case(make_beta(0.5, 1), 2411598173, 5, 5))
 def test_non_log_concave_fits_keep_the_warm_up(case):
     data, spec = case
     options = FitOptions()
     gamma = options.resolve_gamma(spec, len(data.parents))
     args = (data, spec, options.epsilon, gamma, options.tol, options.max_iter)
     theta, value, pg, it = estimation._maximize(*args)
-    ref_theta, ref_value, ref_pg, ref_it = reference_maximize(*args)
+    ref_theta, ref_value, ref_pg, ref_it, singular = reference_maximize(*args)
+    assert pg <= options.tol
+    event(f"singular Newton system: {singular}")
+    if singular:
+        # the old polish ended there; the least-squares step carries on
+        assert value >= ref_value - 1e-9
+        return
     assert theta.tobytes() == ref_theta.tobytes()
     assert (repr(value), repr(pg)) == (repr(ref_value), repr(ref_pg))
     # a fit where nothing moves any more now stops instead of spending the budget
     assert it == ref_it or (pg > options.tol and it < ref_it)
+
+
+@pytest.mark.filterwarnings("ignore:threshold density")
+def test_non_log_concave_warm_up_avoids_a_lower_stationary_point():
+    # Newton from the interior point settles on a stationary point whose
+    # log-likelihood is 2.3 below the one the warm-up leads to
+    data, spec = _node_fit_case(make_beta(0.5, 1), 2997430062, 4, 30)
+    options = FitOptions()
+    gamma = options.resolve_gamma(spec, len(data.parents))
+    args = (data, spec, options.epsilon, gamma, options.tol, options.max_iter)
+    _, newton_value, newton_pg, _, _ = reference_maximize(*args, warm_up=0)
+    fit = fit_node(data, spec, options)
+    assert fit.converged and newton_pg <= options.tol
+    assert fit.loglik > newton_value + 2.0
 
 
 @pytest.mark.filterwarnings("ignore:threshold density")
