@@ -21,7 +21,7 @@ path = g.build_graph(3, [(0, 1), (1, 2)])
 lt = g.from_lt(path, [0.5, 0.4])
 print("\nLT on the path 0 -> 1 -> 2 with weights (0.5, 0.4)")
 print("P(1 activates at t=1 | seed {0}) =",
-      g.transition_probability(lt, g.ActivationHistory([{0}]), 1, 1))
+      g.transition_probability(lt, g.Trace([{0}]), 1, 1))
 
 # Independent cascade embeds with unit-exponential thresholds and
 # b = -log(1 - p): transition probabilities match the IC product form.
@@ -47,6 +47,6 @@ for trace in g.simulate_traces(lt, [{0}] * 3, [rng] * 3):
 # accept influence; beta(1, 3) nodes are easy, beta(3, 1) nodes are hard.
 specs = [g.make_beta(1, 3), g.make_beta(3, 1), g.make_uniform()]
 hetero = g.GltModel(triangle, np.full(6, 0.45), specs)
-sizes = [len(t.all_active()) for t in g.simulate_traces(hetero, [{0}] * 2000, [rng] * 2000)]
+sizes = [len(t.active(t.horizon)) for t in g.simulate_traces(hetero, [{0}] * 2000, [rng] * 2000)]
 print("\nheterogeneous triangle, mean final size from seed {0}:", np.mean(sizes))
 print("exact value:", g.exact_spread(hetero, {0}))

@@ -52,7 +52,7 @@ print(f"\nequal-influence test for parents {u} and {w}: z = {z:.2f}, p = {p:.3f}
 
 # delta-method interval for the activation probability when all of the
 # node's parents are seeded together
-history = g.ActivationHistory([set(node.parents)])
+history = g.Trace([set(node.parents)])
 point, interval = g.activation_probability_interval(
     node, cov, graph, history, t=1, level=0.95
 )

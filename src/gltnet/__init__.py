@@ -26,7 +26,6 @@ from .thresholds import (
     make_uniform,
 )
 from .model import (
-    ActivationHistory,
     EnumerationCapError,
     ExactSpreadOracle,
     GltModel,
@@ -59,7 +58,6 @@ from .estimation import (
     NodeFitResult,
     baseline_ptp,
     baseline_wc,
-    default_beta_grid,
     fit_all,
     fit_node,
     fit_with_threshold_grid,

@@ -421,17 +421,6 @@ def fit_all(datasets: dict, specs, options: FitOptions = None) -> dict:
     return {v: run(v, data) for v, data in datasets.items()}
 
 
-def default_beta_grid(alpha: float = None) -> tuple:
-    """The stock beta-parameter grid: alpha, beta in {1..10}.
-
-    With ``alpha`` fixed, only beta varies (the single-parameter variant
-    used when nodes are assumed easy to saturate).
-    """
-    if alpha is not None:
-        return tuple((alpha, b) for b in range(1, 11))
-    return tuple((a, b) for a in range(1, 11) for b in range(1, 11))
-
-
 def fit_with_threshold_grid(node_data: NodeData, grid, options: FitOptions = None) -> NodeFitResult:
     """Fit beta(alpha, beta) thresholds at each ``(alpha, beta)`` of ``grid``,
     keep the best.

@@ -31,8 +31,8 @@ from .likelihood import _node_rows, build_all_node_data
 from .metrics import rmae
 from .model import (
     NEVER,
-    ActivationHistory,
     GltModel,
+    Trace,
     _activation_rounds,
     simulate_traces,
     transition_probability,
@@ -274,14 +274,14 @@ def run_activation_prediction(config: ExperimentConfig):
                     covs[v] = node_covariance(datasets[v], fit.weights, spec)
             true_p, pred_p, covered, lengths = [], [], 0, []
             for trace, last in zip(test, last_inactive.tolist()):
-                active = trace.all_active()
+                active = trace.active(trace.horizon)
                 exposed = {c for u in active for c in truth.graph.children(u)}
                 for v in sorted((active | exposed) - trace.steps[0]):
                     # covs holds exactly the estimated fits
                     if v not in covs or not covs[v].valid:
                         continue
                     fit, t_last = fits[v], last[v]
-                    prefix = ActivationHistory(trace.steps[: t_last + 1])
+                    prefix = Trace(trace.steps[: t_last + 1])
                     p_true = transition_probability(truth, prefix, v, t_last + 1)
                     point, interval = activation_probability_interval(
                         fit, covs[v], truth.graph, prefix, t_last + 1, config.level

@@ -16,7 +16,7 @@ from scipy import special
 
 from .estimation import NodeFitResult
 from .likelihood import NodeData, node_hessian
-from .model import ActivationHistory
+from .model import validate_trace
 
 __all__ = [
     "CovarianceResult",
@@ -159,26 +159,27 @@ def activation_probability_interval(
 ):
     """Delta-method interval for the node's next-step activation probability.
 
-    The point estimate is the transition probability at the fitted weights;
-    its gradient is computed analytically from the threshold density.  When
-    the node has no newly active parent at t-1, the probability is an exact
-    zero and the interval has zero width.
+    ``history`` is a feasible trace on ``graph`` covering steps 0..t-1.  The
+    point estimate is the transition probability at the fitted weights; its
+    gradient is computed analytically from the threshold density.  When the
+    node has no newly active parent at t-1, the probability is an exact zero
+    and the interval has zero width.
 
     Returns ``(point_estimate, Interval)``.
     """
     _require_valid(covariance)
-    if not isinstance(history, ActivationHistory):
-        history = ActivationHistory(history)
+    history = validate_trace(graph, history)
     if t < 1 or t > len(history):
         raise InferenceError(f"time {t} outside the history (length {len(history)})")
     v = fit.node
     a_prev = history.active(t - 1)
     if v in a_prev:
         raise InferenceError(f"node {v} is already active at time {t - 1}")
-    if not (set(fit.parents) & history.newly_active(t - 1)):
+    if not (set(fit.parents) & history.steps[t - 1]):
         return 0.0, Interval(0.0, 0.0, level)
+    a_prev2 = history.active(t - 2)
     zc = np.array([1.0 if u in a_prev else 0.0 for u in fit.parents])
-    zp = np.array([1.0 if u in history.active(t - 2) else 0.0 for u in fit.parents])
+    zp = np.array([1.0 if u in a_prev2 else 0.0 for u in fit.parents])
     spec = fit.spec
     theta = fit.weights
     x = float(zc @ theta)

@@ -250,15 +250,18 @@ def optimal_seed_set(model: GltModel, budget: int, spread_evaluator: str = "exac
     exactly ``budget`` nodes need scanning.  Lexicographically first among
     ties.
     """
-    n = model.graph.n
+    return _best_seed_set(exact_evaluator(model, spread_evaluator, node_cap), model.graph.n, budget)
+
+
+def _best_seed_set(sigma, n: int, budget: int):
+    """``optimal_seed_set`` over the nodes ``range(n)`` of the spread ``sigma``."""
     if not (0 <= budget <= n):
         raise InfluenceError(f"budget {budget} outside [0, {n}]")
     if budget == 0:
         return frozenset(), 0.0
-    evaluate = exact_evaluator(model, spread_evaluator, node_cap)
     best_set, best_val = None, None
     for combo in combinations(range(n), budget):
-        val = evaluate(set(combo))
+        val = sigma(set(combo))
         if best_val is None or val > best_val:
             best_set, best_val = frozenset(combo), val
     return best_set, float(best_val)
@@ -268,11 +271,12 @@ def im_solution_gap(true_model: GltModel, est_model: GltModel, budget: int, spre
     """Spread lost by optimizing under estimated instead of true weights.
 
     Both optima are exhaustive; the gap is evaluated under the true model:
-    sigma_true(S*(true)) - sigma_true(S*(est)) >= 0 up to ties.
+    sigma_true(S*(true)) - sigma_true(S*(est)) >= 0 up to ties.  The scan
+    for S*(true) already memoized sigma_true(S*(est)) in the exact oracle.
     """
     if true_model.graph != est_model.graph:
         raise InfluenceError("models must share the same underlying graph")
-    s_true, sigma_true = optimal_seed_set(true_model, budget, spread_evaluator, node_cap)
+    sigma_true = exact_evaluator(true_model, spread_evaluator, node_cap)
+    _, best = _best_seed_set(sigma_true, true_model.graph.n, budget)
     s_est, _ = optimal_seed_set(est_model, budget, spread_evaluator, node_cap)
-    evaluate = exact_evaluator(true_model, spread_evaluator, node_cap)
-    return float(sigma_true - evaluate(s_est))
+    return float(best - sigma_true(s_est))

@@ -6,6 +6,9 @@ summed weight of its active parents reaches its random threshold; thresholds
 are drawn once per node per realization (threshold persistence), which makes
 the final active set a deterministic function of the threshold vector.
 
+A :class:`Trace` is the one history type: :func:`transition_probability`
+conditions on a trace prefix, checked once with :func:`validate_trace`.
+
 One closure kernel propagates every batch of realizations: it reads the
 canonical edge storage as a child-by-parent CSR matrix, and each consumer
 passes its own threshold test.  Simulation (:func:`simulate_traces`, and
@@ -26,12 +29,11 @@ import numpy as np
 
 from .graph import NODE_ID_TYPES, Graph, children_of_set
 from .rng import as_generator
-from .thresholds import ThresholdSpec
+from .thresholds import ThresholdSpec, make_exponential_unit, make_uniform
 
 __all__ = [
     "GltModel",
     "Trace",
-    "ActivationHistory",
     "ModelError",
     "ZeroProbabilityError",
     "EnumerationCapError",
@@ -117,8 +119,9 @@ class Trace:
     def horizon(self) -> int:
         return len(self.steps) - 1
 
-    def all_active(self) -> frozenset:
-        return frozenset().union(*self.steps)
+    def active(self, t: int) -> frozenset:
+        """Cumulative active set A_t, with A_{-1} = the empty set."""
+        return frozenset().union(*self.steps[: max(t + 1, 0)])
 
     def __len__(self):
         return len(self.steps)
@@ -134,37 +137,9 @@ class Trace:
         return f"Trace({body})"
 
 
-class ActivationHistory:
-    """A trace prefix (D_0, ..., D_{t-1}) with cumulative active sets."""
-
-    __slots__ = ("steps", "_cumulative")
-
-    def __init__(self, steps):
-        if isinstance(steps, Trace):
-            steps = steps.steps
-        self.steps = tuple(frozenset(map(_node_id, s)) for s in steps)
-        cum = []
-        acc = set()
-        for d in self.steps:
-            acc |= d
-            cum.append(frozenset(acc))
-        self._cumulative = tuple(cum)
-
-    def newly_active(self, t: int) -> frozenset:
-        return self.steps[t]
-
-    def active(self, t: int) -> frozenset:
-        """Cumulative active set A_t, with A_{-1} = the empty set."""
-        if t < 0:
-            return frozenset()
-        return self._cumulative[t]
-
-    def __len__(self):
-        return len(self.steps)
-
-
 def validate_trace(graph: Graph, trace) -> Trace:
-    """Check Definition-1 feasibility of a trace on a graph."""
+    """The :class:`Trace` of ``trace`` (or its steps), checked feasible
+    (Definition 1) on a graph."""
     if not isinstance(trace, Trace):
         trace = Trace(trace)
     for t, d in enumerate(trace.steps):
@@ -207,9 +182,9 @@ class GltModel:
     of its threshold distribution.
     """
 
-    __slots__ = ("graph", "weights", "thresholds", "epsilon", "gamma")
+    __slots__ = ("graph", "weights", "thresholds")
 
-    def __init__(self, graph, weights, thresholds, epsilon=None, gamma=None):
+    def __init__(self, graph, weights, thresholds):
         w = np.asarray(weights, dtype=float)
         if w.shape != (graph.edge_count(),):
             raise ModelError(
@@ -236,8 +211,6 @@ class GltModel:
         self.weights = w
         self.weights.flags.writeable = False
         self.thresholds = specs
-        self.epsilon = epsilon
-        self.gamma = gamma
 
     def spec(self, v: int) -> ThresholdSpec:
         return self.thresholds[v]
@@ -256,7 +229,7 @@ class GltModel:
         return total
 
     def with_weights(self, weights) -> "GltModel":
-        return GltModel(self.graph, weights, self.thresholds, self.epsilon, self.gamma)
+        return GltModel(self.graph, weights, self.thresholds)
 
     def __repr__(self):
         return f"GltModel(n={self.graph.n}, m={self.graph.edge_count()})"
@@ -264,8 +237,6 @@ class GltModel:
 
 def from_lt(graph: Graph, weights) -> GltModel:
     """Linear threshold model: uniform thresholds, in-degree sums at most 1."""
-    from .thresholds import make_uniform
-
     return GltModel(graph, weights, make_uniform())
 
 
@@ -275,8 +246,6 @@ def from_ic(graph: Graph, edge_probabilities) -> GltModel:
     Maps each propagation probability p to the weight -log(1 - p); p = 1 is
     rejected (infinite weight).
     """
-    from .thresholds import make_exponential_unit
-
     p = np.asarray(edge_probabilities, dtype=float)
     if p.shape != (graph.edge_count(),):
         raise ModelError(
@@ -293,18 +262,16 @@ def from_ic(graph: Graph, edge_probabilities) -> GltModel:
 def transition_probability(model: GltModel, history, v: int, t: int) -> float:
     """Probability that v newly activates at time t given the history.
 
-    The history must cover steps 0..t-1.  Returns 0 when v has no newly
-    activated parent at t-1 (the model forbids activation then).
+    The history, a feasible trace, must cover steps 0..t-1.  Returns 0 when v
+    has no newly activated parent at t-1 (the model forbids activation then).
     """
-    if not isinstance(history, ActivationHistory):
-        history = ActivationHistory(history)
+    history = validate_trace(model.graph, history)
     if t < 1 or t > len(history):
         raise ModelError(f"time {t} outside the history (length {len(history)})")
-    validate_trace(model.graph, history.steps)
     a_prev = history.active(t - 1)
     if v in a_prev:
         raise ModelError(f"node {v} is already active at time {t - 1}")
-    if not (model.graph.parents(v) & history.newly_active(t - 1)):
+    if not (model.graph.parents(v) & history.steps[t - 1]):
         return 0.0
     spec = model.spec(v)
     x = model.influence(v, a_prev)
@@ -419,10 +386,9 @@ def trace_log_probability(model: GltModel, trace, seed_log_prob: float = 0.0) ->
     when a factor is (numerically) zero.
     """
     trace = validate_trace(model.graph, trace)
-    hist = ActivationHistory(trace)
     T = trace.horizon
     total = float(seed_log_prob)
-    a_final = hist.active(T)
+    a_final = trace.active(T)
     for v in sorted(children_of_set(model.graph, a_final)):
         spec = model.spec(v)
         s = spec.sf(model.influence(v, a_final))
@@ -430,8 +396,8 @@ def trace_log_probability(model: GltModel, trace, seed_log_prob: float = 0.0) ->
             raise ZeroProbabilityError(v, T, "survival factor vanishes")
         total += spec.log_sf(model.influence(v, a_final))
     for t in range(1, T + 1):
-        a_prev = hist.active(t - 1)
-        a_prev2 = hist.active(t - 2)
+        a_prev = trace.active(t - 1)
+        a_prev2 = trace.active(t - 2)
         for v in sorted(trace.steps[t]):
             spec = model.spec(v)
             x = model.influence(v, a_prev)

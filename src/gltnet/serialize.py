@@ -1,6 +1,6 @@
 """JSON / JSONL schemas and atomic file I/O.
 
-Documents:
+Documents (node ids and counts are JSON integers, never floats or bools):
   graph:   {"n": int, "edges": [[parent, child], ...]}
   model:   graph fields + "weights" (canonical edge order) + "thresholds"
            (per-node family dicts)
@@ -93,9 +93,16 @@ def graph_to_dict(graph: Graph) -> dict:
 def graph_from_dict(d: dict, where: str = "graph") -> Graph:
     n = _need(d, "n", where)
     edges = _need(d, "edges", where)
+    if type(n) is not int:
+        raise SchemaError(f"node count {n!r} is not an integer", where=where)
+    if not isinstance(edges, list):
+        raise SchemaError(f"expected a list of edges, got {edges!r}", where=where)
+    for e in edges:
+        if len(_node_ids(e, where)) != 2:
+            raise SchemaError(f"expected a [parent, child] edge, got {e!r}", where=where)
     try:
-        return Graph(int(n), [(int(e[0]), int(e[1])) for e in edges])
-    except (TypeError, IndexError, ValueError) as exc:
+        return Graph(n, edges)
+    except ValueError as exc:
         raise SchemaError(str(exc), where=where) from exc
 
 
@@ -110,10 +117,12 @@ def model_from_dict(d: dict, where: str = "model") -> GltModel:
     graph = graph_from_dict(d, where=where)
     weights = _need(d, "weights", where)
     thresholds = _need(d, "thresholds", where)
+    if not isinstance(thresholds, list):
+        raise SchemaError(f"expected a list of threshold objects, got {thresholds!r}", where=where)
     try:
         specs = [spec_from_dict(t) for t in thresholds]
         return GltModel(graph, np.asarray(weights, dtype=float), specs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc), where=where) from exc
 
 

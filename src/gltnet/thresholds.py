@@ -238,11 +238,15 @@ def spec_to_dict(spec: ThresholdSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> ThresholdSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a threshold object, got {d!r}")
     family = d.get("family")
     if family == "uniform":
         return make_uniform()
     if family == "exponential":
         return make_exponential_unit()
     if family == "beta":
+        if "alpha" not in d or "beta" not in d:
+            raise ValueError(f"beta thresholds need alpha and beta, got {d!r}")
         return make_beta(d["alpha"], d["beta"])
     raise ValueError(f"unknown threshold family {family!r}")

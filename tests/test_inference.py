@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from gltnet import (
-    ActivationHistory,
     CovarianceResult,
     GltModel,
+    GraphError,
     InferenceError,
     Interval,
+    ModelError,
     NodeData,
     SeedDistribution,
     Trace,
@@ -230,7 +231,7 @@ def test_activation_probability_interval_zero_influence():
     fit.node = 3
     cov = CovarianceResult(node=3, sigma=np.array([[0.01]]), valid=True, min_eigenvalue=0.01)
     point, interval = activation_probability_interval(
-        fit, cov, g, ActivationHistory([{1}]), 1, 0.95
+        fit, cov, g, Trace([{1}]), 1, 0.95
     )
     assert point == 0.0
     assert interval.width == 0.0
@@ -241,11 +242,27 @@ def test_activation_probability_interval_rejects_times_outside_history():
     fit = _fake_fit([0.2])
     fit.node = 1
     cov = CovarianceResult(node=1, sigma=np.array([[0.01]]), valid=True, min_eigenvalue=0.01)
-    hist = ActivationHistory([{0}])
+    hist = Trace([{0}])
     for t in (0, 2, -1):
         with pytest.raises(InferenceError, match=f"time {t} outside the history"):
             activation_probability_interval(fit, cov, g, hist, t)
     point, _ = activation_probability_interval(fit, cov, g, hist, 1)
+    assert point == pytest.approx(0.2)
+
+
+def test_activation_probability_interval_validates_the_history():
+    # the history is checked on the graph, as transition_probability checks it
+    g = build_graph(4, [(0, 1), (1, 2), (0, 3)])
+    fit = _fake_fit([0.2], parents=(0,))
+    fit.node = 3
+    cov = CovarianceResult(node=3, sigma=np.array([[0.01]]), valid=True, min_eigenvalue=0.01)
+    with pytest.raises(ModelError, match="node 2 activates at time 1 without a newly activated parent"):
+        activation_probability_interval(fit, cov, g, [{0}, {2}], 2)
+    with pytest.raises(GraphError, match="node 7 out of range for n=4"):
+        activation_probability_interval(fit, cov, g, [{0}, {7}], 2)
+    with pytest.raises(ModelError, match="node id 0.5 is not an integer"):
+        activation_probability_interval(fit, cov, g, [[0.5]], 1)
+    point, _ = activation_probability_interval(fit, cov, g, [{0}, {1}], 1)
     assert point == pytest.approx(0.2)
 
 
@@ -261,7 +278,7 @@ def test_activation_probability_gradient_matches_fd():
     data = build_node_data(traces, graph, 3)
     fit = fit_node(data, make_uniform())
     cov = node_covariance(data, fit.weights, make_uniform())
-    hist = ActivationHistory([{0}, {1}])
+    hist = Trace([{0}, {1}])
     point, interval = activation_probability_interval(fit, cov, graph, hist, 2, 0.95)
 
     def g_of(theta):

@@ -23,7 +23,7 @@ from gltnet import (
 )
 from gltnet.rng import substream
 
-from conftest import random_simple_digraph, random_weights_within, reference_greedy_im
+from conftest import count_calls, random_simple_digraph, random_weights_within, reference_greedy_im
 
 
 def _random_bipartite(n_parents, n_children, rng, spec=None, d_max=1.0):
@@ -240,6 +240,22 @@ def test_im_solution_gap_relabel_invariant():
     est2 = GltModel(g2, permuted(est.weights), make_uniform())
     gap2 = im_solution_gap(truth2, est2, 2, "bipartite")
     assert gap2 == pytest.approx(gap, abs=1e-12)
+
+
+def test_im_solution_gap_builds_one_true_evaluator(monkeypatch):
+    from gltnet import influence
+
+    g = random_simple_digraph(8, 0.35, substream(75, "g"))
+    truth = GltModel(g, random_weights_within(g, substream(75, "w")), make_beta(1, 2))
+    est = truth.with_weights(random_weights_within(g, substream(75, "est")))
+    # one fresh oracle per term, as three separate evaluators compute it
+    _, best = optimal_seed_set(truth, 2, "exact")
+    s_est, _ = optimal_seed_set(est, 2, "exact")
+    expected = float(best - ExactSpreadOracle(truth).spread(s_est))
+    assert expected > 0.0  # the estimated optimum differs from the true one
+    calls = count_calls(monkeypatch, influence.exact_evaluator)
+    assert im_solution_gap(truth, est, 2, "exact") == expected
+    assert [call["model"] for call in calls] == [truth, est]
 
 
 def test_prop9_gap_bound_quick():

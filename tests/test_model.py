@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gltnet import (
-    ActivationHistory,
     EnumerationCapError,
     GltModel,
     ModelError,
@@ -58,7 +57,7 @@ def test_trace_paths_reject_non_integer_node_ids(bad):
     match = f"node id {bad!r} is not an integer"
     for call in (
         lambda: Trace(raw),
-        lambda: ActivationHistory(raw),
+        lambda: validate_trace(g, raw),
         lambda: trace_log_probability(model, raw),
         lambda: transition_probability(model, raw, 2, 2),
         lambda: _activation_rounds([raw], g.n),
@@ -70,17 +69,24 @@ def test_trace_paths_reject_non_integer_node_ids(bad):
     assert _activation_rounds([[[np.int64(0)], [1]]], g.n)[0].tolist() == [[0, 1, NEVER]]
 
 
+def test_trace_active_is_the_cumulative_active_set():
+    trace = Trace([{0}, {1, 2}, {3}])
+    assert trace.active(-1) == trace.active(-2) == frozenset()
+    assert [trace.active(t) for t in range(3)] == [{0}, {0, 1, 2}, {0, 1, 2, 3}]
+    assert trace.active(trace.horizon) == frozenset().union(*trace.steps)
+
+
 def test_transition_probability_single_parent_uniform():
     g = build_graph(2, [(0, 1)])
     model = from_lt(g, [0.3])
-    assert transition_probability(model, ActivationHistory([{0}]), 1, 1) == pytest.approx(0.3)
+    assert transition_probability(model, Trace([{0}]), 1, 1) == pytest.approx(0.3)
 
 
 def test_transition_probability_ic_mapping():
     g = build_graph(2, [(0, 1)])
     model = from_ic(g, [0.5])
     assert model.weights[0] == pytest.approx(-np.log(0.5))
-    assert transition_probability(model, ActivationHistory([{0}]), 1, 1) == pytest.approx(0.5)
+    assert transition_probability(model, Trace([{0}]), 1, 1) == pytest.approx(0.5)
 
 
 def test_transition_probability_staggered_parents():
@@ -88,7 +94,7 @@ def test_transition_probability_staggered_parents():
     # (edge 0 -> 1 makes the staggered history feasible)
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     model = from_lt(g, [0.5, 0.2, 0.3])
-    hist = ActivationHistory([{0}, {1}])
+    hist = Trace([{0}, {1}])
     assert transition_probability(model, hist, 2, 2) == pytest.approx(0.375)
     # the classic linear-threshold ratio form
     assert transition_probability(model, hist, 2, 2) == pytest.approx(0.3 / (1 - 0.2))
@@ -98,9 +104,9 @@ def test_transition_probability_errors_and_zero():
     g = build_graph(3, [(0, 1), (1, 2)])
     model = from_lt(g, [0.5, 0.5])
     with pytest.raises(ModelError):
-        transition_probability(model, ActivationHistory([{0}]), 0, 1)  # already active
+        transition_probability(model, Trace([{0}]), 0, 1)  # already active
     # no newly active parent: probability 0 by the model rules
-    assert transition_probability(model, ActivationHistory([{0}, {1}]), 2, 1) == 0.0
+    assert transition_probability(model, Trace([{0}, {1}]), 2, 1) == 0.0
 
 
 def test_simulate_all_zero_weights():
@@ -133,7 +139,7 @@ def test_empirical_activation_matches_transition_probability():
     # 10^5 sims of the first step vs the transition probability, 3 sigma
     g = build_graph(3, [(0, 2), (1, 2)])
     model = from_lt(g, [0.25, 0.4])
-    p = transition_probability(model, ActivationHistory([{0, 1}]), 2, 1)
+    p = transition_probability(model, Trace([{0, 1}]), 2, 1)
     rng = substream(4, "mc")
     n = 100_000
     hits = 0
@@ -247,7 +253,7 @@ def test_exact_spread_matches_direct_enumeration():
         model = GltModel(g, w, make_uniform())
         traces = enumerate_feasible_traces(g, {0, 1})
         direct = sum(
-            np.exp(trace_log_probability(model, t)) * len(t.all_active())
+            np.exp(trace_log_probability(model, t)) * len(t.active(t.horizon))
             for t in traces
         )
         assert exact_spread(model, {0, 1}) == pytest.approx(direct, abs=1e-9)

@@ -422,6 +422,40 @@ def test_cli_diagnose_rejects_bad_seed_files(tmp_path, capsys, seeds, kind, mess
         assert error["message"].startswith(seeds_path)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": 3.7}, "node count 3.7 is not an integer"),
+        ({"n": True}, "node count True is not an integer"),
+        ({"edges": [[0.9, 1], [True, 2]]}, "node id 0.9 is not an integer"),
+        ({"edges": [[0, 1], [True, 2]]}, "node id True is not an integer"),
+        ({"edges": [[0, 1, 2]]}, "expected a [parent, child] edge, got [0, 1, 2]"),
+        ({"edges": {"0": 1}}, "expected a list of edges"),
+        ({"thresholds": [1, 2]}, "expected a threshold object, got 1"),
+        ({"thresholds": "uniform"}, "expected a list of threshold objects, got 'uniform'"),
+        ({"thresholds": {"family": "beta"}}, "expected a list of threshold objects"),
+        ({"thresholds": [{"family": "beta"}] * 3}, "beta thresholds need alpha and beta"),
+        ({"thresholds": [{"family": "beta", "alpha": [1], "beta": 2}] * 3}, "float()"),
+    ],
+)
+def test_cli_spread_rejects_malformed_model_files(tmp_path, capsys, doc, message):
+    # graph and model documents take JSON-integer node ids, as traces do; a
+    # malformed field fails as a SchemaError at the document, never truncated
+    path = str(tmp_path / "model.json")
+    model = {"n": 3, "edges": [[0, 1], [1, 2]], "weights": [0.5, 0.5]}
+    model["thresholds"] = [{"family": "uniform"}] * 3
+    with open(path, "w") as fh:
+        json.dump({**model, **doc}, fh)
+    argv = ["spread", "--model", path, "--seed-set", "0", "--out", str(tmp_path / "s.json")]
+    assert _run(argv) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(f"{path}: ")
+    assert message in error["message"]
+    with pytest.raises(SchemaError):
+        model_from_dict({**model, **doc})
+
+
 def test_cli_spread_rejects_bad_seed_set_tokens(tmp_path, capsys):
     model = str(tmp_path / "model.json")
     assert _run(["generate", "--n", "6", "--k", "2", "--seed", "5", "--out", model]) == 0
