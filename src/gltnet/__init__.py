@@ -14,14 +14,12 @@ from .graph import (
     build_graph,
     children_of_set,
     generate_cws,
-    parents_of_set,
     sample_seed,
     sample_weights_simplex,
 )
 from .thresholds import (
     ThresholdSpec,
     make_beta,
-    make_beta_fit_safe,
     make_exponential_unit,
     make_uniform,
 )

@@ -24,6 +24,9 @@ import numpy as np
 from .graph import Graph, SeedDistribution
 from .model import ExactSpreadOracle, GltModel, _frontier_children, _node_mask, child_masks
 
+SPREAD_TOL = 1e-9  # spread differences the exact checks treat as zero
+EMBEDDING_TOL = 1e-9  # negative triggering-set mass treated as zero
+
 __all__ = [
     "NodeIdentifiability",
     "IdentifiabilityReport",
@@ -65,10 +68,12 @@ class IdentifiabilityReport:
 def _exact_rank_and_pivots(columns, m):
     """Rank over the rationals of an m x k 0/1 matrix given as columns.
 
-    Returns (rank, pivot column indices); exact, no floating point.
+    Returns (rank, pivot column indices, determinant of the pivot columns,
+    or None when the rank is below m); exact, no floating point.
     """
     reduced = []  # list of (pivot_row, vector) with vector[pivot_row] == 1
     pivots = []
+    det = Fraction(1)  # product of the pivots, signed by the lead-row order
     for j, col in enumerate(columns):
         vec = [Fraction(x) for x in col]
         for pivot_row, basis in reduced:
@@ -80,33 +85,12 @@ def _exact_rank_and_pivots(columns, m):
             continue
         inv = vec[lead]
         vec = [a / inv for a in vec]
+        det *= -inv if sum(row > lead for row, _ in reduced) % 2 else inv
         reduced.append((lead, vec))
         pivots.append(j)
         if len(pivots) == m:
             break
-    return len(pivots), pivots
-
-
-def _exact_determinant(matrix):
-    """Determinant of a square integer matrix, exact via Fractions."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] / inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    assert det.denominator == 1
-    return int(det)
+    return len(pivots), pivots, int(det) if len(pivots) == m else None
 
 
 def _achievable_parent_subsets(graph, child_mask, support, v, state_cap):
@@ -175,13 +159,12 @@ def check_identifiability(graph: Graph, seed_distribution: SeedDistribution, sta
             )
             continue
         columns = [[1 if u in s else 0 for u in parents] for s in subsets]
-        rank, pivots = _exact_rank_and_pivots(columns, m)
+        rank, pivots, det = _exact_rank_and_pivots(columns, m)
         if rank == m:
             witnesses = tuple(subsets[j] for j in pivots)
             matrix = tuple(
                 tuple(1 if u in s else 0 for s in witnesses) for u in parents
             )
-            det = _exact_determinant(matrix)
             nodes[v] = NodeIdentifiability(
                 node=v,
                 verdict="identifiable",
@@ -244,13 +227,13 @@ def _exact_sigma(model, node_cap):
     return cache(lambda mask: oracle.spread(_mask_to_set(mask)))
 
 
-def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap: int = 10**6, tol: float = 1e-9) -> list:
+def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap: int = 10**6) -> list:
     """Exhaustive diminishing-returns check against exact spreads.
 
     Tests sigma(S' + v) - sigma(S') >= sigma(S + v) - sigma(S) for every
     S' subset of S with |S| <= max_budget (default: all sets) and v outside
-    S, flagging violations beyond ``tol``.  Only feasible on graphs small
-    enough for exact spread enumeration.
+    S, flagging violations beyond ``SPREAD_TOL``.  Only feasible on graphs
+    small enough for exact spread enumeration.
     """
     n = model.graph.n
     budget = n if max_budget is None else min(max_budget, n)
@@ -268,7 +251,7 @@ def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap:
             sub = (s_mask - 1) & s_mask
             while True:
                 gain_sub = sigma(sub | bit) - sigma(sub)
-                if gain_sub < gain_s - tol:
+                if gain_sub < gain_s - SPREAD_TOL:
                     violations.append(
                         SubmodularityViolation(
                             node=v,
@@ -284,8 +267,9 @@ def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap:
     return violations
 
 
-def check_monotonicity_exact(model: GltModel, node_cap: int = 10**6, tol: float = 1e-9) -> list:
-    """Exhaustive sigma(S) <= sigma(S + v) check (should never fail)."""
+def check_monotonicity_exact(model: GltModel, node_cap: int = 10**6) -> list:
+    """Exhaustive sigma(S) <= sigma(S + v) check (should never fail), flagging
+    decreases beyond ``SPREAD_TOL``."""
     n = model.graph.n
     sigma = _exact_sigma(model, node_cap)
 
@@ -295,7 +279,7 @@ def check_monotonicity_exact(model: GltModel, node_cap: int = 10**6, tol: float 
             bit = 1 << v
             if s_mask & bit:
                 continue
-            if sigma(s_mask | bit) < sigma(s_mask) - tol:
+            if sigma(s_mask | bit) < sigma(s_mask) - SPREAD_TOL:
                 violations.append(
                     MonotonicityViolation(
                         subset=_mask_to_set(s_mask),
@@ -320,7 +304,7 @@ class TriggeringEmbedding:
         return self.probabilities[frozenset(subset)]
 
 
-def solve_triggering_embedding(model_or_weights, cdf=None, atol: float = 1e-9) -> TriggeringEmbedding:
+def solve_triggering_embedding(model_or_weights, cdf=None) -> TriggeringEmbedding:
     """Solve for the triggering-set distribution matching a 3-star model.
 
     Accepts either a GltModel on a star of in-degree 3 (child cdf and
@@ -328,7 +312,7 @@ def solve_triggering_embedding(model_or_weights, cdf=None, atol: float = 1e-9) -
     cdf callable.  The 8 subset masses are the solution of the linear
     system equating the activation probability of every seed subset; the
     embedding is infeasible as a distribution when any mass is negative
-    beyond ``atol``.
+    beyond ``EMBEDDING_TOL``.
     """
     if isinstance(model_or_weights, GltModel):
         graph = model_or_weights.graph
@@ -363,7 +347,7 @@ def solve_triggering_embedding(model_or_weights, cdf=None, atol: float = 1e-9) -
     for s_mask in range(8):
         subset = frozenset(labels[i] for i in range(3) if s_mask >> i & 1)
         probabilities[subset] = float(p[s_mask])
-    negative = tuple(s for s, q in probabilities.items() if q < -atol)
+    negative = tuple(s for s, q in probabilities.items() if q < -EMBEDDING_TOL)
     return TriggeringEmbedding(
         probabilities=probabilities,
         feasible=not negative,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .graph import Graph
 from .likelihood import NodeData, node_hessian, node_value_and_gradient
-from .model import NEVER, ZeroProbabilityError, _activation_rounds, default_gamma
+from .model import NEVER, ZeroProbabilityError, _activation_rounds
 from .thresholds import ThresholdSpec, make_beta
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
     "projected_gradient_norm",
 ]
 
+DEFAULT_EPSILON = 1e-6
+DEFAULT_GAMMA_UNBOUNDED = 10.0
 _BOUNDARY_TOL = 1e-9
 _POLISH_STEPS = 25  # Newton steps per polish round
 
@@ -47,11 +49,17 @@ class EstimationError(ValueError):
     """Fitting could not be carried out."""
 
 
+def default_gamma(spec: ThresholdSpec, epsilon: float = DEFAULT_EPSILON) -> float:
+    """Truncation radius: h - epsilon for bounded supports, 10 otherwise."""
+    h = spec.support_bound
+    return h - epsilon if np.isfinite(h) else DEFAULT_GAMMA_UNBOUNDED
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Truncation constants and solver controls."""
 
-    epsilon: float = 1e-6
+    epsilon: float = DEFAULT_EPSILON
     gamma: float = None  # default: h_v - epsilon for bounded supports, 10 otherwise
     tol: float = 1e-8
     max_iter: int = 2000
@@ -401,8 +409,6 @@ def fit_all(datasets: dict, specs, options: FitOptions = None) -> dict:
 
     def run(v, data):
         try:
-            if data.n_informative_rows == 0:
-                raise EstimationError(f"node {v} has no informative traces")
             return fit_node(data, spec_of(v), options)
         except Exception as exc:  # noqa: BLE001 - per-node isolation is the contract
             return NodeFitResult(

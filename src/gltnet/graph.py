@@ -22,7 +22,6 @@ __all__ = [
     "GraphError",
     "SeedDistribution",
     "build_graph",
-    "parents_of_set",
     "children_of_set",
     "generate_cws",
     "sample_weights_simplex",
@@ -30,7 +29,14 @@ __all__ = [
 ]
 
 
-NODE_ID_TYPES = (int, np.integer)  # what a node id must be an instance of
+_INTEGER_TYPES = (int, np.integer)
+CWS_MAX_ATTEMPTS = 100  # generate_cws draws before giving up on connectivity
+SUPPORT_MAX_SETS = 200_000  # largest uniform-by-size support explicit_support enumerates
+
+
+def is_node_id(v) -> bool:
+    """True for an integer node id; ``bool`` is excluded, as in the JSON readers."""
+    return isinstance(v, _INTEGER_TYPES) and type(v) is not bool
 
 
 class GraphError(ValueError):
@@ -47,10 +53,14 @@ class Graph:
     __slots__ = ("n", "edges", "_parents", "_children", "_child_offsets", "_parent_index")
 
     def __init__(self, n: int, edge_list):
+        if not is_node_id(n):
+            raise GraphError(f"node count {n!r} is not an integer")
         if n < 0:
             raise GraphError(f"node count must be nonnegative, got {n}")
         edges = []
         for e in edge_list:
+            if not (is_node_id(e[0]) and is_node_id(e[1])):
+                raise GraphError(f"edge {tuple(e)!r} has a non-integer endpoint")
             u, v = int(e[0]), int(e[1])
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
@@ -107,7 +117,7 @@ class Graph:
 
     def _check(self, v) -> int:
         """``v`` as an int node id; GraphError unless an integer in range."""
-        if not isinstance(v, NODE_ID_TYPES):
+        if not is_node_id(v):
             raise GraphError(f"node id {v!r} is not an integer")
         if not 0 <= v < self.n:
             raise GraphError(f"node {v} out of range for n={self.n}")
@@ -128,15 +138,6 @@ class Graph:
 def build_graph(node_count: int, edge_list) -> Graph:
     """Build a simple directed graph; any edge-list order is canonicalized."""
     return Graph(node_count, edge_list)
-
-
-def parents_of_set(graph: Graph, nodes) -> set:
-    """Union of parents of nodes in S, excluding S itself."""
-    s = set(nodes)
-    out = set()
-    for v in s:
-        out.update(graph.parents(v))
-    return out - s
 
 
 def children_of_set(graph: Graph, nodes) -> set:
@@ -202,12 +203,12 @@ def _watts_strogatz_edges(n, k, p, rng):
     return edges
 
 
-def generate_cws(n: int, k: int, p: float, rng, max_attempts: int = 100) -> Graph:
+def generate_cws(n: int, k: int, p: float, rng) -> Graph:
     """Connected Watts-Strogatz graph with each undirected edge doubled.
 
     Rewiring runs on the undirected skeleton; the returned directed graph has
     exactly ``k * n`` edges.  Regenerates until the skeleton is connected,
-    raising after ``max_attempts`` failures.
+    raising after ``CWS_MAX_ATTEMPTS`` failures.
     """
     if not (n > k >= 2):
         raise GraphError(f"need n > k >= 2, got n={n}, k={k}")
@@ -216,13 +217,13 @@ def generate_cws(n: int, k: int, p: float, rng, max_attempts: int = 100) -> Grap
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"rewiring probability must be in [0, 1], got {p}")
     rng = as_generator(rng)
-    for _ in range(max_attempts):
+    for _ in range(CWS_MAX_ATTEMPTS):
         undirected = _watts_strogatz_edges(n, k, p, rng)
         if len(undirected) == n * k // 2 and _weakly_connected(n, undirected):
             directed = [(u, v) for u, v in undirected] + [(v, u) for u, v in undirected]
             return Graph(n, directed)
     raise GraphError(
-        f"no connected Watts-Strogatz graph in {max_attempts} attempts "
+        f"no connected Watts-Strogatz graph in {CWS_MAX_ATTEMPTS} attempts "
         f"(n={n}, k={k}, p={p})"
     )
 
@@ -262,14 +263,12 @@ class SeedDistribution:
 
     Either an explicit finite ``support`` of (node set, probability) pairs,
     or the uniform-by-size law parameterized by ``s_max``: draw a size s
-    uniformly on {1, ..., s_max}, then a uniform s-subset of the nodes.  Set
-    ``law="uniform-sets"`` to instead draw uniformly over the union of all
-    node sets of size 1..s_max.
+    uniformly on {1, ..., s_max}, then a uniform s-subset of the nodes.
+    ``explicit_support`` enumerates the latter up to ``SUPPORT_MAX_SETS`` sets.
     """
 
     support: tuple = None
     s_max: int = None
-    law: str = "size-then-set"
 
     def __post_init__(self):
         if (self.support is None) == (self.s_max is None):
@@ -291,16 +290,14 @@ class SeedDistribution:
         else:
             if self.s_max < 1:
                 raise GraphError(f"s_max must be >= 1, got {self.s_max}")
-        if self.law not in ("size-then-set", "uniform-sets"):
-            raise GraphError(f"unknown seed law {self.law!r}")
 
     @staticmethod
     def explicit(support) -> "SeedDistribution":
         return SeedDistribution(support=tuple(support))
 
     @staticmethod
-    def uniform_by_size(s_max: int, law: str = "size-then-set") -> "SeedDistribution":
-        return SeedDistribution(s_max=s_max, law=law)
+    def uniform_by_size(s_max: int) -> "SeedDistribution":
+        return SeedDistribution(s_max=s_max)
 
     def sample(self, n: int, rng) -> set:
         rng = as_generator(rng)
@@ -315,34 +312,27 @@ class SeedDistribution:
         s_max = min(self.s_max, n)
         if s_max < 1:
             raise GraphError("graph has no nodes to seed")
-        if self.law == "size-then-set":
-            size = int(rng.integers(1, s_max + 1))
-        else:
-            counts = np.array([comb(n, s) for s in range(1, s_max + 1)], dtype=float)
-            size = 1 + int(rng.choice(len(counts), p=counts / counts.sum()))
+        size = int(rng.integers(1, s_max + 1))
         return set(int(x) for x in rng.choice(n, size=size, replace=False))
 
-    def explicit_support(self, n: int, max_sets: int = 200_000) -> tuple:
+    def explicit_support(self, n: int) -> tuple:
         """Expand to an explicit (frozenset, probability) list.
 
         Uniform-by-size laws are enumerated; refuses when the support would
-        exceed ``max_sets``.
+        exceed ``SUPPORT_MAX_SETS``.
         """
         if self.support is not None:
             return self.support
         s_max = min(self.s_max, n)
         total_sets = sum(comb(n, s) for s in range(1, s_max + 1))
-        if total_sets > max_sets:
+        if total_sets > SUPPORT_MAX_SETS:
             raise GraphError(
                 f"uniform-by-size support has {total_sets} sets, above the "
-                f"cap {max_sets}"
+                f"cap {SUPPORT_MAX_SETS}"
             )
         out = []
         for s in range(1, s_max + 1):
-            if self.law == "size-then-set":
-                p = 1.0 / (s_max * comb(n, s))
-            else:
-                p = 1.0 / total_sets
+            p = 1.0 / (s_max * comb(n, s))
             for subset in combinations(range(n), s):
                 out.append((frozenset(subset), p))
         return tuple(out)

@@ -172,14 +172,17 @@ def activation_probability_interval(
     if t < 1 or t > len(history):
         raise InferenceError(f"time {t} outside the history (length {len(history)})")
     v = fit.node
+    parents = graph.parent_list(v)
+    if tuple(fit.parents) != parents:
+        raise InferenceError(f"fit parents {tuple(fit.parents)} are not node {v}'s parents {parents}")
     a_prev = history.active(t - 1)
     if v in a_prev:
         raise InferenceError(f"node {v} is already active at time {t - 1}")
-    if not (set(fit.parents) & history.steps[t - 1]):
+    if not (set(parents) & history.steps[t - 1]):
         return 0.0, Interval(0.0, 0.0, level)
     a_prev2 = history.active(t - 2)
-    zc = np.array([1.0 if u in a_prev else 0.0 for u in fit.parents])
-    zp = np.array([1.0 if u in a_prev2 else 0.0 for u in fit.parents])
+    zc = np.array([1.0 if u in a_prev else 0.0 for u in parents])
+    zp = np.array([1.0 if u in a_prev2 else 0.0 for u in parents])
     spec = fit.spec
     theta = fit.weights
     x = float(zc @ theta)

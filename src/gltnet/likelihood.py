@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, is_node_id
 from .model import NEVER, ZeroProbabilityError, _activation_rounds, validate_trace
 
 __all__ = [
@@ -79,10 +79,6 @@ class NodeData:
     @property
     def n_obs(self) -> int:
         return int(self.outcome.shape[0])
-
-    @property
-    def n_traces(self) -> int:
-        return int(np.unique(self.trace_index).size) if self.n_obs else 0
 
     @property
     def n_informative_rows(self) -> int:
@@ -133,9 +129,11 @@ class PseudoTrace:
     y: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "active_parents", frozenset(int(u) for u in self.active_parents)
-        )
+        parents = frozenset(self.active_parents)
+        for u in (self.node, *parents):
+            if not is_node_id(u):
+                raise ValueError(f"node id {u!r} is not an integer")
+        object.__setattr__(self, "active_parents", frozenset(map(int, parents)))
         if not self.active_parents:
             raise ValueError("a pseudo-trace with no active parents carries no information")
         if self.y not in (0, 1):
@@ -189,13 +187,9 @@ def _node_rows(rounds, horizons, parents, v) -> NodeData:
     return NodeData(v, parents, z_prev, z_curr, outcome, trace_index)
 
 
-def build_pseudo_node_data(pseudo_traces, v: int, graph: Graph = None, parents=None) -> NodeData:
+def build_pseudo_node_data(pseudo_traces, v: int, graph: Graph) -> NodeData:
     """Node data from pseudo-traces (v, A_v, y); z_prev is identically zero."""
-    if parents is None:
-        if graph is None:
-            raise ValueError("supply the graph or an explicit parent order")
-        parents = graph.parent_list(v)
-    parents = tuple(parents)
+    parents = graph.parent_list(v)
     index = {u: j for j, u in enumerate(parents)}
     pseudo_traces = list(pseudo_traces)
     z_curr = np.zeros((len(pseudo_traces), len(parents)), dtype=np.uint8)

@@ -27,7 +27,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .graph import NODE_ID_TYPES, Graph, children_of_set
+from .graph import Graph, children_of_set, is_node_id
 from .rng import as_generator
 from .thresholds import ThresholdSpec, make_exponential_unit, make_uniform
 
@@ -49,8 +49,6 @@ __all__ = [
     "from_lt",
 ]
 
-DEFAULT_EPSILON = 1e-6
-DEFAULT_GAMMA_UNBOUNDED = 10.0
 NEVER = np.iinfo(np.int64).max  # activation round of a node that never activates
 _CHUNK = 16384  # realizations per closure batch, bounding its memory
 
@@ -80,15 +78,9 @@ class EnumerationCapError(RuntimeError):
         super().__init__(f"enumeration exceeded cap: {state_count} states > {cap}")
 
 
-def default_gamma(spec: ThresholdSpec, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Truncation radius: h - epsilon for bounded supports, 10 otherwise."""
-    h = spec.support_bound
-    return h - epsilon if np.isfinite(h) else DEFAULT_GAMMA_UNBOUNDED
-
-
 def _node_id(v) -> int:
     """``v`` as an int; ModelError unless it is an integer (never truncated)."""
-    if not isinstance(v, NODE_ID_TYPES):
+    if not is_node_id(v):
         raise ModelError(f"node id {v!r} is not an integer")
     return int(v)
 

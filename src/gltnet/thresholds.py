@@ -34,7 +34,6 @@ __all__ = [
     "make_uniform",
     "make_exponential_unit",
     "make_beta",
-    "make_beta_fit_safe",
     "spec_to_dict",
     "spec_from_dict",
 ]
@@ -219,16 +218,6 @@ def make_exponential_unit() -> ThresholdSpec:
 
 def make_beta(alpha: float, beta: float) -> ThresholdSpec:
     return ThresholdSpec("beta", alpha=float(alpha), beta=float(beta))
-
-
-def make_beta_fit_safe(alpha: float, beta: float) -> ThresholdSpec:
-    """Beta spec restricted to the log-concave-density region (fitting use)."""
-    if alpha < 1.0 or beta < 1.0:
-        raise ValueError(
-            f"fit-safe beta thresholds require alpha >= 1 and beta >= 1, "
-            f"got ({alpha}, {beta})"
-        )
-    return make_beta(alpha, beta)
 
 
 def spec_to_dict(spec: ThresholdSpec) -> dict:

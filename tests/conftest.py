@@ -3,6 +3,7 @@
 import functools
 import inspect
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,6 +93,28 @@ def random_weights_within(graph, rng, scale=0.9):
             cap = scale * rng.uniform(0.3, 1.0)
             weights[graph.child_slice(v)] = raw / total * cap
     return weights
+
+
+def reference_exact_determinant(matrix):
+    """Determinant of a square integer matrix by row elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                factor = a[r][col] / inv
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    assert det.denominator == 1
+    return int(det)
 
 
 def ic_trace_probability(graph, edge_prob, trace):

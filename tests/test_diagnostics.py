@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gltnet import (
     GltModel,
@@ -16,9 +18,10 @@ from gltnet import (
     make_uniform,
     solve_triggering_embedding,
 )
+from gltnet.diagnostics import _exact_rank_and_pivots
 from gltnet.rng import substream
 
-from conftest import random_simple_digraph, random_weights_within
+from conftest import random_simple_digraph, random_weights_within, reference_exact_determinant
 
 
 def _star2():
@@ -194,3 +197,23 @@ def test_identifiability_rejects_seed_nodes_outside_the_graph(node):
     graph = build_graph(8, [(0, 2), (1, 2)])
     with pytest.raises(GraphError, match=f"node {node} out of range"):
         check_identifiability(graph, SeedDistribution.explicit([({node}, 1.0)]))
+
+
+@st.composite
+def _zero_one_columns(draw):
+    m = draw(st.integers(1, 6))
+    column = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    return m, draw(st.lists(column, min_size=1, max_size=2 * m + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zero_one_columns())
+def test_elimination_determinant_matches_reference(case):
+    # the elimination's signed pivot product is the witness matrix determinant
+    m, columns = case
+    rank, pivots, det = _exact_rank_and_pivots(columns, m)
+    if rank < m:
+        assert det is None
+        return
+    witness_matrix = [[columns[j][i] for j in pivots] for i in range(m)]
+    assert det == reference_exact_determinant(witness_matrix) != 0

@@ -12,7 +12,6 @@ from gltnet import (
     build_graph,
     children_of_set,
     generate_cws,
-    parents_of_set,
     sample_seed,
     sample_weights_simplex,
 )
@@ -58,11 +57,20 @@ def test_build_graph_errors():
         build_graph(2, [(0, 1)]).parents(5)
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [(3, [(0.9, 1)]), (3, [(0, 1.0)]), (3, [(True, 2)]), (3, [("0", 1)]), (3.0, [(0, 1)]), (True, [])],
+)
+def test_build_graph_rejects_non_integer_node_ids(n, edges):
+    # (0.9, 1) once became the edge (0, 1); n=3.0 escaped as a bare TypeError
+    with pytest.raises(GraphError, match="is not an integer|non-integer endpoint"):
+        build_graph(n, edges)
+    assert build_graph(np.int64(3), [(np.int32(0), np.int64(1))]).edges == ((0, 1),)
+
+
 def test_set_neighborhoods_exclude_argument():
     g = build_graph(3, [(0, 1), (1, 0), (2, 0), (2, 1), (0, 2), (1, 2)])
     assert children_of_set(g, {0, 1}) == {2}
-    assert parents_of_set(g, {0, 1}) == {2}
-    assert parents_of_set(g, {0, 1, 2}) == set()
 
 
 def _undirected_connected(graph):
@@ -185,15 +193,6 @@ def test_seed_distribution_validation():
         SeedDistribution.uniform_by_size(0)
 
 
-def test_seed_uniform_sets_law():
-    # alternative reading of the seed law: uniform over all sets of size <= s_max
-    dist = SeedDistribution.uniform_by_size(2, law="uniform-sets")
-    support = dist.explicit_support(4)
-    sizes = Counter(len(s) for s, _ in support)
-    assert sizes == {1: 4, 2: 6}
-    assert all(abs(p - 1.0 / 10) < 1e-12 for _, p in support)
-
-
 def test_explicit_support_expansion_matches_sampler():
     dist = SeedDistribution.uniform_by_size(2)
     support = dict(dist.explicit_support(4))
@@ -222,7 +221,7 @@ NODE_ID_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", sorted(NODE_ID_ENTRY_POINTS))
-@pytest.mark.parametrize("node", [1.5, 2.0, np.float64(1.0), "1"])
+@pytest.mark.parametrize("node", [1.5, 2.0, np.float64(1.0), "1", True])
 def test_entry_points_reject_non_integer_node_ids(entry, node):
     # 1.5 once ran as seed {1}; identifiability raised a bare TypeError
     with pytest.raises(GraphError, match="is not an integer"):

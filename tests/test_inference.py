@@ -266,6 +266,16 @@ def test_activation_probability_interval_validates_the_history():
     assert point == pytest.approx(0.2)
 
 
+def test_activation_probability_interval_checks_the_fit_parents():
+    # node 3's parents are {0, 1, 2}; a fit claiming (0,) once gave point 0.4
+    g = build_graph(4, [(0, 3), (1, 3), (2, 3)])
+    fit = _fake_fit([0.4], parents=(0,))
+    fit.node = 3
+    cov = CovarianceResult(node=3, sigma=np.array([[0.01]]), valid=True, min_eigenvalue=0.01)
+    with pytest.raises(InferenceError, match=r"fit parents \(0,\) are not node 3's parents \(0, 1, 2\)"):
+        activation_probability_interval(fit, cov, g, [{0, 1}], 1)
+
+
 def test_activation_probability_gradient_matches_fd():
     graph = staggered_fit_graph()
     model = GltModel(graph, random_weights_within(graph, substream(43, "w")), make_uniform())

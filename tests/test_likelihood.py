@@ -32,7 +32,7 @@ from gltnet.likelihood import (
     NodeData,
     node_value_and_gradient,
 )
-from gltnet.model import default_gamma
+from gltnet.estimation import default_gamma
 from gltnet.rng import substream
 
 from conftest import (
@@ -252,6 +252,14 @@ def test_pseudo_trace_validation():
         PseudoTrace(node=2, active_parents=frozenset(), y=0)
     with pytest.raises(ValueError):
         PseudoTrace(node=2, active_parents=frozenset({0}), y=2)
+
+
+@pytest.mark.parametrize("node, parents", [(1, [0.9]), (1, [True]), (1.5, [0]), (True, [0]), ("2", [0])])
+def test_pseudo_trace_rejects_non_integer_node_ids(node, parents):
+    # parent 0.9 was once stored as parent 0, and node 1.5 was accepted
+    with pytest.raises(ValueError, match="is not an integer"):
+        PseudoTrace(node, parents, 1)
+    assert PseudoTrace(np.int64(2), [np.int32(0)], 1).active_parents == {0}
 
 
 def test_pseudo_node_data_and_likelihood():

@@ -3,7 +3,6 @@ import pytest
 
 from gltnet import (
     make_beta,
-    make_beta_fit_safe,
     make_exponential_unit,
     make_uniform,
 )
@@ -76,9 +75,6 @@ def test_constructor_validation():
         make_beta(0, 1)
     with pytest.raises(ValueError):
         make_beta(1, -2)
-    with pytest.raises(ValueError):
-        make_beta_fit_safe(0.5, 2)
-    assert make_beta_fit_safe(1, 2).concave_cdf
     with pytest.raises(ValueError):
         make_uniform().cdf(-0.5)
 
