@@ -42,6 +42,8 @@ __all__ = [
 DEFAULT_EPSILON = 1e-6
 DEFAULT_GAMMA_UNBOUNDED = 10.0
 _BOUNDARY_TOL = 1e-9
+_TOL = 1e-8  # a fit converged once its projected-gradient norm is at most this
+_MAX_ITER = 2000  # solver iterations per fit
 _POLISH_STEPS = 25  # Newton steps per polish round
 
 
@@ -57,20 +59,14 @@ def default_gamma(spec: ThresholdSpec, epsilon: float = DEFAULT_EPSILON) -> floa
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Truncation constants and solver controls."""
+    """Truncation constants."""
 
     epsilon: float = DEFAULT_EPSILON
     gamma: float = None  # default: h_v - epsilon for bounded supports, 10 otherwise
-    tol: float = 1e-8
-    max_iter: int = 2000
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise EstimationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.tol <= 0:
-            raise EstimationError(f"tolerance must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise EstimationError("max_iter must be at least 1")
 
     def resolve_gamma(self, spec: ThresholdSpec, m: int) -> float:
         gamma = self.gamma if self.gamma is not None else default_gamma(spec, self.epsilon)
@@ -360,8 +356,8 @@ def fit_node(node_data: NodeData, spec: ThresholdSpec, options: FitOptions = Non
     """Maximize the node log-likelihood over the truncated simplex.
 
     Deterministic given its inputs.  Non-convergence within the iteration
-    budget returns the best iterate with ``converged=False`` rather than
-    raising.
+    budget (``_MAX_ITER``) returns the best iterate with ``converged=False``
+    rather than raising; convergence means a certificate of at most ``_TOL``.
     """
     options = options or FitOptions()
     if node_data.n_informative_rows == 0:
@@ -374,14 +370,12 @@ def fit_node(node_data: NodeData, spec: ThresholdSpec, options: FitOptions = Non
         )
     m = len(node_data.parents)
     gamma = options.resolve_gamma(spec, m)
-    theta, value, pg, it = _maximize(
-        node_data, spec, options.epsilon, gamma, options.tol, options.max_iter
-    )
+    theta, value, pg, it = _maximize(node_data, spec, options.epsilon, gamma, _TOL, _MAX_ITER)
     return NodeFitResult(
         node=node_data.node,
         parents=node_data.parents,
         weights=theta,
-        converged=bool(pg <= options.tol),
+        converged=bool(pg <= _TOL),
         loglik=float(value),
         n_obs=node_data.n_obs,
         epsilon=options.epsilon,

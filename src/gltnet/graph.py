@@ -59,8 +59,9 @@ class Graph:
             raise GraphError(f"node count must be nonnegative, got {n}")
         edges = []
         for e in edge_list:
-            if not (is_node_id(e[0]) and is_node_id(e[1])):
-                raise GraphError(f"edge {tuple(e)!r} has a non-integer endpoint")
+            for v in (e[0], e[1]):
+                if not is_node_id(v):
+                    raise GraphError(f"node id {v!r} is not an integer")
             u, v = int(e[0]), int(e[1])
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")

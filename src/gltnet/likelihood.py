@@ -22,17 +22,19 @@ derivative.  Rows are aggregated by distinct indicator patterns before
 evaluation, which makes the cost per likelihood call independent of the
 number of traces.
 
-The value, gradient and Hessian share one kernel.  Per evaluation it computes
-each threshold function once per pattern array (activation arguments
-``z_curr @ theta`` and ``z_prev @ theta``, terminal arguments) and derives the
-interval probabilities, survival factors and their logarithms from those
-arrays; it calls the unchecked array forms of the threshold functions, since
-``z @ theta`` with 0/1 indicators and positive weights is never negative.
+The value, gradient and Hessian share one kernel, which never branches on
+the threshold family.  It computes each array once per evaluation: the
+arguments ``z @ theta``, then the unchecked ``ThresholdSpec`` forms
+``_interval`` and ``_sf``, their logs ``_log_interval`` and ``_log_sf`` for
+the value, ``_density`` for the gradient or Hessian and
+``_density_derivative`` for the Hessian; ``z @ theta`` with 0/1 indicators
+and positive weights is never negative, so no argument check is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +76,6 @@ class NodeData:
     z_curr: np.ndarray  # (rows, m) uint8, cumulative parent indicator after
     outcome: np.ndarray  # (rows,) int8
     trace_index: np.ndarray  # (rows,) int64
-    _packed: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_obs(self) -> int:
@@ -85,39 +86,30 @@ class NodeData:
         return int(np.sum(self.outcome != ROW_FOLDED))
 
     def compressed(self):
-        """Distinct (z_prev, z_curr) patterns with counts, per outcome kind."""
-        if not self._packed:
-            act = self.outcome == ROW_ACTIVATED
-            term = self.outcome == ROW_TERMINAL
+        """Distinct (z_prev, z_curr) patterns with counts, per outcome kind:
+        ``(zp_act, zc_act, w_act, zc_term, w_term)``, separate float64 arrays."""
+        return self._patterns[:5]
 
-            def _group(mask, both):
-                rows = np.hstack(
-                    [self.z_prev[mask], self.z_curr[mask]]
-                    if both
-                    else [self.z_curr[mask]]
-                )
-                if rows.shape[0] == 0:
-                    m = len(self.parents)
-                    width = 2 * m if both else m
-                    return np.zeros((0, width), dtype=np.uint8), np.zeros(0)
-                uniq, counts = np.unique(rows, axis=0, return_counts=True)
-                return uniq, counts.astype(float)
+    @cached_property
+    def _patterns(self):
+        """The five arrays of :meth:`compressed`, then the mask of activation
+        patterns with no previously active parent (None if there are none)."""
 
-            uniq_a, w_a = _group(act, both=True)
-            m = len(self.parents)
-            uniq_t, w_t = _group(term, both=False)
-            # activation patterns with no previously active parent; None if none
-            empty = ~uniq_a[:, :m].any(axis=1)
-            self._packed = {
-                "empty_prev": empty if empty.any() else None,
-                "zp_act": uniq_a[:, :m].astype(float),
-                "zc_act": uniq_a[:, m:].astype(float),
-                "w_act": w_a,
-                "zc_term": uniq_t.astype(float),
-                "w_term": w_t,
-            }
-        p = self._packed
-        return p["zp_act"], p["zc_act"], p["w_act"], p["zc_term"], p["w_term"]
+        def _group(rows):
+            if rows.shape[0] == 0:
+                return np.zeros((0, rows.shape[1]), dtype=np.uint8), np.zeros(0)
+            uniq, counts = np.unique(rows, axis=0, return_counts=True)
+            return uniq, counts.astype(float)
+
+        m = len(self.parents)
+        act = self.outcome == ROW_ACTIVATED
+        uniq_a, w_a = _group(np.hstack([self.z_prev[act], self.z_curr[act]]))
+        uniq_t, w_t = _group(self.z_curr[self.outcome == ROW_TERMINAL])
+        empty = ~uniq_a[:, :m].any(axis=1)
+        # astype copies each block into its own C-contiguous array; strided
+        # views of one array change the rounding of the kernel's BLAS products
+        zp_a, zc_a = uniq_a[:, :m].astype(float), uniq_a[:, m:].astype(float)
+        return zp_a, zc_a, w_a, uniq_t.astype(float), w_t, (empty if empty.any() else None)
 
 
 @dataclass(frozen=True)
@@ -210,70 +202,43 @@ def build_pseudo_node_data(pseudo_traces, v: int, graph: Graph) -> NodeData:
 def _evaluate(node_data: NodeData, theta, spec, order: int):
     """The likelihood kernel: the log-likelihood (``order`` 0), it and the
     gradient (1), or the Hessian (2)."""
-    zp_a, zc_a, w_a, zc_t, w_t = node_data.compressed()
+    zp_a, zc_a, w_a, zc_t, w_t, empty = node_data._patterns
     theta = np.asarray(theta, dtype=float)
     x_a = zc_a @ theta
     y_a = zp_a @ theta
     x_t = zc_t @ theta
-    exponential = spec.family == "exponential"
-    if spec.family == "uniform":
-        diffs = np.maximum(x_a.clip(0.0, 1.0) - y_a.clip(0.0, 1.0), 0.0)
-    else:
-        # beta: the incomplete-beta survival; exponential: exp(-x), which is
-        # also its density
-        sf_x, sf_y = spec._sf(x_a), spec._sf(y_a)
-        diffs = np.maximum(sf_y - sf_x, 0.0)
+    diffs = spec._interval(x_a, y_a)
     surv = spec._sf(x_t)
     tol = spec.interval_zero_tol()
-    if (diffs <= tol).any():
-        raise ZeroProbabilityError(
-            node_data.node, None, "activation factor vanished at this theta"
-        )
-    if (surv <= tol).any():
-        raise ZeroProbabilityError(
-            node_data.node, None, "survival factor vanished at this theta"
-        )
+    for factor, kind in ((diffs, "activation"), (surv, "survival")):
+        if (factor <= tol).any():
+            raise ZeroProbabilityError(
+                node_data.node, None, f"{kind} factor vanished at this theta"
+            )
     if order < 2:
-        # diffs and surv exceed tol >= 0 here, so their logs need no floor
         value = 0.0
         if w_a.size:
-            if exponential:
-                log_a = -y_a + np.log(-np.expm1(-(x_a - y_a)))
-            else:
-                log_a = np.log(diffs)
-            value += float(w_a @ log_a)
+            value += float(w_a @ spec._log_interval(x_a, y_a, diffs))
         if w_t.size:
-            value += float(w_t @ (-x_t if exponential else np.log(surv)))
+            value += float(w_t @ spec._log_sf(x_t, surv))
         if order == 0:
             return value
     # an all-zero z_prev row contributes nothing regardless of the density
     # value at 0, which may be infinite (e.g. beta with alpha < 1)
-    empty = node_data._packed["empty_prev"]
+    fx, ft = spec._density(x_a), spec._density(x_t)
+    fy = _zero_where(empty, spec._density(y_a))
     m = len(node_data.parents)
     if order == 1:
         grad = np.zeros(m)
         if w_a.size:
-            if exponential:
-                fx, fy = sf_x, sf_y
-            else:
-                fx, fy = spec._density(x_a), spec._density(y_a)
-            if empty is not None:
-                fy = np.where(empty, 0.0, fy)
             grad += zc_a.T @ (w_a * fx / diffs) - zp_a.T @ (w_a * fy / diffs)
         if w_t.size:
-            ft = surv if exponential else spec._density(x_t)
             grad -= zc_t.T @ (w_t * ft / surv)
         return value, grad
+    dfx, dft = spec._density_derivative(x_a), spec._density_derivative(x_t)
+    dfy = _zero_where(empty, spec._density_derivative(y_a))
     hess = np.zeros((m, m))
     if w_a.size:
-        if exponential:
-            fx, fy, dfx, dfy = sf_x, sf_y, -sf_x, -sf_y
-        else:
-            fx, fy = spec._density(x_a), spec._density(y_a)
-            dfx, dfy = spec._density_derivative(x_a), spec._density_derivative(y_a)
-        if empty is not None:
-            fy = np.where(empty, 0.0, fy)
-            dfy = np.where(empty, 0.0, dfy)
         coef_cc = w_a * (dfx / diffs - (fx / diffs) ** 2)
         coef_pp = w_a * (-dfy / diffs - (fy / diffs) ** 2)
         coef_cp = w_a * fx * fy / diffs**2
@@ -282,13 +247,13 @@ def _evaluate(node_data: NodeData, theta, spec, order: int):
         cross = (zc_a * coef_cp[:, None]).T @ zp_a
         hess += cross + cross.T
     if w_t.size:
-        if exponential:
-            fx, dfx = surv, -surv
-        else:
-            fx, dfx = spec._density(x_t), spec._density_derivative(x_t)
-        coef = w_t * (-dfx / surv - (fx / surv) ** 2)
+        coef = w_t * (-dft / surv - (ft / surv) ** 2)
         hess += (zc_t * coef[:, None]).T @ zc_t
     return hess
+
+
+def _zero_where(mask, values):
+    return values if mask is None else np.where(mask, 0.0, values)
 
 
 def node_log_likelihood(node_data: NodeData, theta, spec) -> float:

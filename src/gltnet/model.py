@@ -139,7 +139,7 @@ def validate_trace(graph: Graph, trace) -> Trace:
             graph._check(v)
         if t > 0:
             for v in d:
-                if not (graph.parents(v) & trace.steps[t - 1]):
+                if trace.steps[t - 1].isdisjoint(graph._parents[v]):
                     raise ModelError(
                         f"node {v} activates at time {t} without a newly "
                         f"activated parent"

@@ -93,12 +93,10 @@ def graph_to_dict(graph: Graph) -> dict:
 def graph_from_dict(d: dict, where: str = "graph") -> Graph:
     n = _need(d, "n", where)
     edges = _need(d, "edges", where)
-    if type(n) is not int:
-        raise SchemaError(f"node count {n!r} is not an integer", where=where)
     if not isinstance(edges, list):
         raise SchemaError(f"expected a list of edges, got {edges!r}", where=where)
     for e in edges:
-        if len(_node_ids(e, where)) != 2:
+        if not (isinstance(e, list) and len(e) == 2):
             raise SchemaError(f"expected a [parent, child] edge, got {e!r}", where=where)
     try:
         return Graph(n, edges)
@@ -157,9 +155,9 @@ def write_traces_jsonl(traces, path: str):
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_traces_jsonl(path: str, graph: Graph = None) -> list:
-    """Traces of a JSONL file; with ``graph``, each is checked feasible there."""
-    out = []
+def _jsonl_records(path: str):
+    """``(where, record)`` for each nonblank line of a JSONL file, where
+    ``where`` is its ``file:line`` position."""
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -167,11 +165,15 @@ def read_traces_jsonl(path: str, graph: Graph = None) -> list:
                 continue
             where = f"{path}:{lineno}"
             try:
-                d = json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(str(exc), where=where) from exc
-            out.append(trace_from_dict(d, where=where, graph=graph))
-    return out
+            yield where, record
+
+
+def read_traces_jsonl(path: str, graph: Graph = None) -> list:
+    """Traces of a JSONL file; with ``graph``, each is checked feasible there."""
+    return [trace_from_dict(d, where=where, graph=graph) for where, d in _jsonl_records(path)]
 
 
 def write_pseudo_jsonl(pseudo_traces, path: str):
@@ -194,31 +196,22 @@ def read_pseudo_jsonl(path: str, graph: Graph = None) -> list:
     With ``graph``, each must name a node of it and only that node's parents.
     """
     out = []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(str(exc), where=where) from exc
-            node = _need(d, "node", where)
-            _node_ids([node], where)
-            active = _node_ids(_need(d, "active_parents", where), where)
-            y = _need(d, "y", where)
-            if type(y) is not int:
-                raise SchemaError(f"outcome {y!r} is not an integer", where=where)
-            try:
-                pt = PseudoTrace(node=node, active_parents=active, y=y)
-                if graph is not None:
-                    stray = pt.active_parents - graph.parents(node)
-                    if stray:
-                        raise ValueError(f"{sorted(stray)} are not parents of node {node}")
-                out.append(pt)
-            except ValueError as exc:
-                raise SchemaError(str(exc), where=where) from exc
+    for where, d in _jsonl_records(path):
+        node = _need(d, "node", where)
+        _node_ids([node], where)
+        active = _node_ids(_need(d, "active_parents", where), where)
+        y = _need(d, "y", where)
+        if type(y) is not int:
+            raise SchemaError(f"outcome {y!r} is not an integer", where=where)
+        try:
+            pt = PseudoTrace(node=node, active_parents=active, y=y)
+            if graph is not None:
+                stray = pt.active_parents - graph.parents(node)
+                if stray:
+                    raise ValueError(f"{sorted(stray)} are not parents of node {node}")
+            out.append(pt)
+        except ValueError as exc:
+            raise SchemaError(str(exc), where=where) from exc
     return out
 
 

@@ -15,10 +15,12 @@ Survival-function paths avoid the 1 - F cancellation as F -> 1, and
 ``log_interval_prob`` gives a stable log(F(x) - F(y)).
 
 The public methods check their arguments (thresholds are nonnegative, so a
-negative argument raises ``ValueError``).  The likelihood kernel calls the
-unchecked array forms ``_sf``, ``_density`` and ``_density_derivative``
-instead, and trace simulation calls ``_cdf``: their arguments are sums of
-nonnegative weights over active parents, so they cannot be negative.
+negative argument raises ``ValueError``) and wrap an unchecked array form,
+which holds the only family branch for its quantity.  The likelihood kernel
+calls ``_interval``, ``_log_interval``, ``_sf``, ``_log_sf``, ``_density`` and
+``_density_derivative`` directly, and trace simulation calls ``_cdf``: their
+arguments are sums of nonnegative weights over active parents, so they
+cannot be negative.
 """
 
 from __future__ import annotations
@@ -148,6 +150,27 @@ class ThresholdSpec:
             term2 = (b - 1.0) * np.power(xc, a - 1.0) * np.power(1.0 - xc, b - 2.0)
         return np.where(x > 1.0, 0.0, (term1 - term2) / self._beta_norm)
 
+    def _interval(self, x, y):
+        """F(x) - F(y), unclamped: below 0 when x < y or from rounding."""
+        if self.family == "uniform":
+            return x.clip(0.0, 1.0) - y.clip(0.0, 1.0)
+        return self._sf(y) - self._sf(x)
+
+    def _log_interval(self, x, y, diff):
+        """log(F(x) - F(y)) given ``diff = _interval(x, y)``."""
+        if self.family == "exponential":
+            # log(e^{-y} - e^{-x}) = -y + log(1 - e^{-(x-y)})
+            return -y + np.log(-np.expm1(-(x - y)))
+        if self.family == "uniform":
+            return np.log(diff)
+        return np.log(np.maximum(diff, _LOG_FLOOR))
+
+    def _log_sf(self, x, sf):
+        """log(1 - F(x)) given ``sf = _sf(x)``."""
+        if self.family == "exponential":
+            return -x
+        return np.log(np.maximum(sf, 0.0))
+
     def inverse_cdf(self, p):
         p = np.asarray(p, dtype=float)
         if np.any((p < 0) | (p > 1)):
@@ -164,38 +187,20 @@ class ThresholdSpec:
 
     def log_sf(self, x):
         x = _check_nonnegative(x)
-        if self.family == "exponential":
-            out = -x
-        else:
-            with np.errstate(divide="ignore"):
-                out = np.log(np.maximum(self._sf(x), 0.0))
+        with np.errstate(divide="ignore"):
+            out = self._log_sf(x, self._sf(x))
         return out if out.ndim else float(out)
 
     def interval_prob(self, x, y):
         """F(x) - F(y) for x >= y, via the complementary cdf when generic."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.family == "uniform":
-            out = np.clip(x, 0.0, 1.0) - np.clip(y, 0.0, 1.0)
-        elif self.family == "exponential":
-            out = np.exp(-y) - np.exp(-x)
-        else:
-            out = np.asarray(self.sf(y) - self.sf(x))
-        out = np.maximum(out, 0.0)
+        out = np.maximum(self._interval(_check_nonnegative(x), _check_nonnegative(y)), 0.0)
         return out if out.ndim else float(out)
 
     def log_interval_prob(self, x, y):
         """log(F(x) - F(y)), closed form where the family allows it."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = _check_nonnegative(x), _check_nonnegative(y)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.family == "uniform":
-                out = np.log(np.clip(x, 0.0, 1.0) - np.clip(y, 0.0, 1.0))
-            elif self.family == "exponential":
-                # log(e^{-y} - e^{-x}) = -y + log(1 - e^{-(x-y)})
-                out = -y + np.log(-np.expm1(-(x - y)))
-            else:
-                out = np.log(np.maximum(self.interval_prob(x, y), _LOG_FLOOR))
+            out = self._log_interval(x, y, self._interval(x, y))
         return out if out.ndim else float(out)
 
     def interval_zero_tol(self) -> float:

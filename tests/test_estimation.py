@@ -187,7 +187,7 @@ def test_fit_boundary_bernoulli():
     assert result.at_boundary
 
 
-def test_fit_non_convergence_returns_best_iterate():
+def test_fit_non_convergence_returns_best_iterate(monkeypatch):
     graph = staggered_fit_graph()
     model = GltModel(graph, random_weights_within(graph, substream(39, "w")), make_uniform())
     dist = parent_subset_seed_distribution()
@@ -197,10 +197,11 @@ def test_fit_non_convergence_returns_best_iterate():
         [substream(39, "t", i) for i in range(300)],
     )
     data = build_node_data(traces, graph, 3)
-    starved = fit_node(data, make_uniform(), FitOptions(max_iter=1))
+    full = fit_node(data, make_uniform())
+    monkeypatch.setattr(estimation, "_MAX_ITER", 1)
+    starved = fit_node(data, make_uniform())
     assert not starved.converged
     assert np.all(np.isfinite(starved.weights))
-    full = fit_node(data, make_uniform())
     assert full.converged
     assert full.loglik >= starved.loglik
 
@@ -243,12 +244,12 @@ def test_newton_first_solver_matches_warm_up_reference(case):
     data, spec = case
     options = FitOptions()
     gamma = options.resolve_gamma(spec, len(data.parents))
-    args = (data, spec, options.epsilon, gamma, options.tol, options.max_iter)
+    args = (data, spec, options.epsilon, gamma, estimation._TOL, estimation._MAX_ITER)
     theta, value, pg, _ = estimation._maximize(*args)
     ref_theta, ref_value, ref_pg, _, _ = reference_maximize(*args)
-    assert pg <= options.tol
-    event(f"reference certified: {ref_pg <= options.tol}")
-    if ref_pg > options.tol:
+    assert pg <= estimation._TOL
+    event(f"reference certified: {ref_pg <= estimation._TOL}")
+    if ref_pg > estimation._TOL:
         return
     assert value >= ref_value - 1e-9
     # With information at least mu, a point whose certificate is r lies
@@ -256,8 +257,8 @@ def test_newton_first_solver_matches_warm_up_reference(case):
     # 1e-7 once mu >= 2 tol / 1e-7.  Flatter problems (a parent seen only in
     # a few rows, a density vanishing at the bound) leave them free to move.
     mu = np.linalg.eigvalsh(-reference_node_hessian(data, ref_theta, spec))[0]
-    event(f"weights pinned: {mu >= 2 * options.tol / 1e-7}")
-    if mu >= 2 * options.tol / 1e-7:
+    event(f"weights pinned: {mu >= 2 * estimation._TOL / 1e-7}")
+    if mu >= 2 * estimation._TOL / 1e-7:
         assert np.abs(theta - ref_theta).max() <= 1e-7
 
 
@@ -270,10 +271,10 @@ def test_non_log_concave_fits_keep_the_warm_up(case):
     data, spec = case
     options = FitOptions()
     gamma = options.resolve_gamma(spec, len(data.parents))
-    args = (data, spec, options.epsilon, gamma, options.tol, options.max_iter)
+    args = (data, spec, options.epsilon, gamma, estimation._TOL, estimation._MAX_ITER)
     theta, value, pg, it = estimation._maximize(*args)
     ref_theta, ref_value, ref_pg, ref_it, singular = reference_maximize(*args)
-    assert pg <= options.tol
+    assert pg <= estimation._TOL
     event(f"singular Newton system: {singular}")
     if singular:
         # the old polish ended there; the least-squares step carries on
@@ -282,7 +283,7 @@ def test_non_log_concave_fits_keep_the_warm_up(case):
     assert theta.tobytes() == ref_theta.tobytes()
     assert (repr(value), repr(pg)) == (repr(ref_value), repr(ref_pg))
     # a fit where nothing moves any more now stops instead of spending the budget
-    assert it == ref_it or (pg > options.tol and it < ref_it)
+    assert it == ref_it or (pg > estimation._TOL and it < ref_it)
 
 
 @pytest.mark.filterwarnings("ignore:threshold density")
@@ -292,14 +293,13 @@ def test_non_log_concave_warm_up_avoids_a_lower_stationary_point():
     data, spec = _node_fit_case(make_beta(0.5, 1), 2997430062, 4, 30)
     options = FitOptions()
     gamma = options.resolve_gamma(spec, len(data.parents))
-    args = (data, spec, options.epsilon, gamma, options.tol, options.max_iter)
+    args = (data, spec, options.epsilon, gamma, estimation._TOL, estimation._MAX_ITER)
     _, newton_value, newton_pg, _, _ = reference_maximize(*args, warm_up=0)
     fit = fit_node(data, spec, options)
-    assert fit.converged and newton_pg <= options.tol
+    assert fit.converged and newton_pg <= estimation._TOL
     assert fit.loglik > newton_value + 2.0
 
 
-@pytest.mark.filterwarnings("ignore:threshold density")
 @settings(max_examples=150, deadline=None)
 @given(case=node_fit_cases(_CONCAVE_SPECS + _NON_CONCAVE_SPECS), max_iter=st.integers(1, 40))
 # needs several Newton steps after its 25-step warm-up, so an uncapped
@@ -307,8 +307,10 @@ def test_non_log_concave_warm_up_avoids_a_lower_stationary_point():
 @example(case=_node_fit_case(make_beta(1, 4), 1547324777, 4, 100), max_iter=26)
 def test_fit_iterations_never_exceed_max_iter(case, max_iter):
     data, spec = case
-    fit = fit_node(data, spec, FitOptions(max_iter=max_iter))
-    assert fit.iterations <= max_iter
+    options = FitOptions()
+    gamma = options.resolve_gamma(spec, len(data.parents))
+    args = (data, spec, options.epsilon, gamma, estimation._TOL, max_iter)
+    assert estimation._maximize(*args)[3] <= max_iter
 
 
 def test_fit_no_informative_rows():
@@ -327,8 +329,6 @@ def test_fit_warns_for_non_log_concave():
 def test_fit_options_validation():
     with pytest.raises(EstimationError):
         FitOptions(epsilon=0.0)
-    with pytest.raises(EstimationError):
-        FitOptions(tol=-1)
     with pytest.raises(EstimationError):
         FitOptions(gamma=1e-9).resolve_gamma(make_uniform(), 4)
     with pytest.raises(EstimationError):

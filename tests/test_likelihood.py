@@ -430,6 +430,19 @@ def test_kernel_matches_reference_bit_for_bit(case):
         assert _outcome(fn, data, theta, spec) == _outcome(ref, data, theta, spec), fn.__name__
 
 
+def test_compressed_arrays_are_separate_c_contiguous_float64():
+    # the kernel's BLAS products round differently on strided views of one array
+    g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
+    for traces in (
+        [Trace([{0}, {1}, {2}]), Trace([{0}, {1}]), Trace([{1}, {2}])],
+        [Trace([{0}, {1}, {2}])],  # no terminal rows
+        [Trace([{0, 1}])],  # no activation rows
+    ):
+        for array in build_node_data(traces, g, 2).compressed():
+            assert array.dtype == np.float64
+            assert array.flags.c_contiguous and array.flags.owndata
+
+
 def test_beta_evaluation_computes_each_survival_once(monkeypatch):
     # one incomplete-beta call per argument array: z_curr @ theta and
     # z_prev @ theta of the activation rows, z_curr @ theta of the terminal rows

@@ -6,6 +6,7 @@ import pytest
 from gltnet import (
     EnumerationCapError,
     GltModel,
+    Graph,
     ModelError,
     Trace,
     ZeroProbabilityError,
@@ -47,6 +48,20 @@ def test_trace_validation():
     with pytest.raises(ModelError):
         validate_trace(g, Trace([{0}, {2}]))  # 2 has no parent in {0}
     validate_trace(g, Trace([{0}, {1}, {2}]))
+
+
+def test_validate_trace_checks_each_node_id_once(monkeypatch):
+    g = build_graph(3, [(0, 1), (1, 2)])
+    checked = []
+    check = Graph._check
+
+    def counting(self, v):
+        checked.append(v)
+        return check(self, v)
+
+    monkeypatch.setattr(Graph, "_check", counting)
+    validate_trace(g, Trace([{0}, {1}, {2}]))
+    assert checked == [0, 1, 2]
 
 
 @pytest.mark.parametrize("bad", [0.7, 1.0, "0", None])

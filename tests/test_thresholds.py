@@ -135,10 +135,19 @@ def test_json_roundtrip():
 @pytest.mark.parametrize(
     "spec", [make_uniform(), make_exponential_unit(), make_beta(2, 3)], ids=lambda s: s.family
 )
-@pytest.mark.parametrize("method", ["cdf", "sf", "density", "density_derivative", "log_sf"])
+@pytest.mark.parametrize(
+    "method",
+    ["cdf", "sf", "density", "density_derivative", "log_sf", "interval_prob", "log_interval_prob"],
+)
 def test_public_methods_reject_negative_arguments(spec, method):
     # the likelihood kernel uses unchecked forms; the public methods still check
     fn = getattr(spec, method)
+    if method.endswith("interval_prob"):
+        interval = fn
+
+        def fn(y):  # the upper end y + 0.5 is valid, so only y can fail
+            return interval(np.add(y, 0.5), y)
+
     with pytest.raises(ValueError, match="nonnegative"):
         fn(-0.1)
     with pytest.raises(ValueError, match="nonnegative"):
