@@ -1,0 +1,43 @@
+"""Print the exact spread of every seed set of up to 3 nodes on small models.
+
+The models follow the benchmark's exact-small workload: 8 CWS graphs with
+n=9, k=4, rewiring 0.2 and simplex weights with in-degree sums at most 0.9,
+built from the same substreams.  Each graph is scored under beta(1, 2)
+thresholds (the workload's own), uniform, unit-exponential and beta(0.5, 2)
+thresholds.  Each line holds the model, the seed set and the float.hex of
+its exact spread.  Run from the root of a checkout:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/exact_fingerprint.py --seed 7
+
+It uses only the public API, so it runs unchanged on older checkouts; diff
+its output at two commits to find the spreads a change moved.
+"""
+
+import argparse
+from itertools import combinations
+
+import gltnet as g
+from gltnet.rng import substream
+
+SPECS = [("beta(1,2)", g.make_beta(1, 2)), ("uniform", g.make_uniform()),
+         ("exponential", g.make_exponential_unit()), ("beta(0.5,2)", g.make_beta(0.5, 2))]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    for i in range(8):
+        tag = f"exact-{i}"
+        graph = g.generate_cws(9, 4, 0.2, substream(args.seed, "graph", tag))
+        weights = g.sample_weights_simplex(graph, 0.9, substream(args.seed, "weights", tag))
+        for label, spec in SPECS:
+            oracle = g.ExactSpreadOracle(g.GltModel(graph, weights, spec))
+            for size in range(1, 4):
+                for seed_set in combinations(range(graph.n), size):
+                    value = oracle.spread(set(seed_set))
+                    print(tag, label, ",".join(map(str, seed_set)), float(value).hex())
+
+
+if __name__ == "__main__":
+    main()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -221,10 +221,15 @@ def _mask_to_set(mask):
     return frozenset(out)
 
 
-def _exact_sigma(model, node_cap):
-    """sigma(mask) from one exact oracle, memoized on the seed bitmask."""
-    oracle = ExactSpreadOracle(model, node_cap=node_cap)
-    return cache(lambda mask: oracle.spread(_mask_to_set(mask)))
+def _exact_sigma(model, masks, node_cap):
+    """sigma(mask) for each of the seed bitmasks, from one exact-oracle batch."""
+    spreads = ExactSpreadOracle(model, node_cap=node_cap).spreads(map(_mask_to_set, masks))
+    return dict(zip(masks, spreads))
+
+
+def _masks_up_to(n, size):
+    """The bitmasks of all subsets of ``range(n)`` with at most ``size`` nodes, ascending."""
+    return sorted(_node_mask(c) for r in range(size + 1) for c in combinations(range(n), r))
 
 
 def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap: int = 10**6) -> list:
@@ -237,20 +242,18 @@ def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap:
     """
     n = model.graph.n
     budget = n if max_budget is None else min(max_budget, n)
-    sigma = _exact_sigma(model, node_cap)
+    sigma = _exact_sigma(model, _masks_up_to(n, min(budget + 1, n)), node_cap)
 
     violations = []
-    for s_mask in range(1 << n):
-        if s_mask.bit_count() > budget:
-            continue
+    for s_mask in _masks_up_to(n, budget):
         for v in range(n):
             bit = 1 << v
             if s_mask & bit:
                 continue
-            gain_s = sigma(s_mask | bit) - sigma(s_mask)
+            gain_s = sigma[s_mask | bit] - sigma[s_mask]
             sub = (s_mask - 1) & s_mask
             while True:
-                gain_sub = sigma(sub | bit) - sigma(sub)
+                gain_sub = sigma[sub | bit] - sigma[sub]
                 if gain_sub < gain_s - SPREAD_TOL:
                     violations.append(
                         SubmodularityViolation(
@@ -271,7 +274,7 @@ def check_monotonicity_exact(model: GltModel, node_cap: int = 10**6) -> list:
     """Exhaustive sigma(S) <= sigma(S + v) check (should never fail), flagging
     decreases beyond ``SPREAD_TOL``."""
     n = model.graph.n
-    sigma = _exact_sigma(model, node_cap)
+    sigma = _exact_sigma(model, range(1 << n), node_cap)
 
     violations = []
     for s_mask in range(1 << n):
@@ -279,13 +282,13 @@ def check_monotonicity_exact(model: GltModel, node_cap: int = 10**6) -> list:
             bit = 1 << v
             if s_mask & bit:
                 continue
-            if sigma(s_mask | bit) < sigma(s_mask) - SPREAD_TOL:
+            if sigma[s_mask | bit] < sigma[s_mask] - SPREAD_TOL:
                 violations.append(
                     MonotonicityViolation(
                         subset=_mask_to_set(s_mask),
                         superset=_mask_to_set(s_mask | bit),
-                        spread_subset=sigma(s_mask),
-                        spread_superset=sigma(s_mask | bit),
+                        spread_subset=sigma[s_mask],
+                        spread_superset=sigma[s_mask | bit],
                     )
                 )
     return violations

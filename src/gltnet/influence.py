@@ -16,7 +16,6 @@ or, for bipartite graphs, a closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -125,14 +124,35 @@ def _bipartite_spread(model: GltModel, seed_set) -> float:
     return total
 
 
-def exact_evaluator(model: GltModel, evaluator: str, node_cap: int = 10**6):
-    """The exact spread function ``sigma(seed_set)`` of the named evaluator.
+class _ExactSpread:
+    """An exact spread function ``sigma(seed_set)``; ``spreads(seed_sets)``
+    evaluates a list of seed sets at once, and ``gains`` and ``spread`` make
+    it a greedy evaluator."""
 
-    The "exact" oracle is memoized, so it shares work across seed sets; the
-    "bipartite" graph orientation is checked once, here, not per seed set.
+    def __init__(self, spreads):
+        self.spreads = spreads
+
+    def __call__(self, seed_set) -> float:
+        return self.spreads([seed_set])[0]
+
+    def gains(self, seeds, candidates):
+        """sigma(S + v) - sigma(S) for each candidate v, from one batch."""
+        base, *values = self.spreads([seeds] + [seeds + [v] for v in candidates])
+        return [value - base for value in values]
+
+    def spread(self, seeds) -> SpreadEstimate:
+        return SpreadEstimate(mean=self(seeds), std_error=0.0, replicates=0)
+
+
+def exact_evaluator(model: GltModel, evaluator: str, node_cap: int = 10**6):
+    """The exact spread function ``sigma`` of the named evaluator (see :class:`_ExactSpread`).
+
+    The "exact" oracle is memoized, so it shares work across seed sets and
+    batches; the "bipartite" graph orientation is checked once, here, not
+    per seed set.
     """
     if evaluator == "exact":
-        return ExactSpreadOracle(model, node_cap=node_cap).spread
+        return _ExactSpread(ExactSpreadOracle(model, node_cap=node_cap).spreads)
     if evaluator == "bipartite":
         graph = model.graph
         for v in range(graph.n):
@@ -141,26 +161,8 @@ def exact_evaluator(model: GltModel, evaluator: str, node_cap: int = 10**6):
                     f"node {v} has both parents and children; graph is not "
                     f"bipartite in the parent-to-child orientation"
                 )
-        return partial(_bipartite_spread, model)
+        return _ExactSpread(lambda seed_sets: [_bipartite_spread(model, s) for s in seed_sets])
     raise InfluenceError(f"not an exact evaluator: {evaluator!r}")
-
-
-class _ExactGains:
-    """Greedy evaluator over an exact spread function."""
-
-    def __init__(self, sigma):
-        self.sigma = sigma
-
-    def _value(self, seeds):
-        return self.sigma(set(seeds)) if seeds else 0.0
-
-    def gains(self, seeds, candidates):
-        """sigma(S + v) - sigma(S) for each candidate v."""
-        base = self._value(seeds)
-        return [self.sigma(set(seeds) | {v}) - base for v in candidates]
-
-    def spread(self, seeds) -> SpreadEstimate:
-        return SpreadEstimate(mean=self._value(seeds), std_error=0.0, replicates=0)
 
 
 class _MonteCarloGains:
@@ -226,7 +228,7 @@ def greedy_im(model: GltModel, budget: int, spread_evaluator: str = "mc", rng=No
             root = int(as_generator(rng).integers(0, 2**63 - 1))
         evaluator = _MonteCarloGains(model, root, replicates)
     elif spread_evaluator in ("exact", "bipartite"):
-        evaluator = _ExactGains(exact_evaluator(model, spread_evaluator, node_cap))
+        evaluator = exact_evaluator(model, spread_evaluator, node_cap)
     else:
         raise InfluenceError(f"unknown spread evaluator {spread_evaluator!r}")
 
@@ -259,9 +261,9 @@ def _best_seed_set(sigma, n: int, budget: int):
         raise InfluenceError(f"budget {budget} outside [0, {n}]")
     if budget == 0:
         return frozenset(), 0.0
+    combos = list(combinations(range(n), budget))
     best_set, best_val = None, None
-    for combo in combinations(range(n), budget):
-        val = sigma(set(combo))
+    for combo, val in zip(combos, sigma.spreads(combos)):
         if best_val is None or val > best_val:
             best_set, best_val = frozenset(combo), val
     return best_set, float(best_val)

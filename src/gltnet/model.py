@@ -16,9 +16,10 @@ passes its own threshold test.  Simulation (:func:`simulate_traces`, and
 Carlo spread (:mod:`gltnet.influence`) tests ``b >= max(F_v^-1(u), tiny)``.
 
 Exact quantities (per-trace probabilities, expected spread) are available by
-exhaustive enumeration of feasible traces; the spread enumeration is
-memoized on (active set, frontier) states, which computes the identical sum
-while sharing work across seed sets.
+exhaustive enumeration of feasible traces.  :class:`ExactSpreadOracle` sums
+the spread over (active set, frontier) states, memoized across seed sets
+and batches; it evaluates a batch of seed sets one active-set size at a time
+with array operations on sets stored as rows of uint64 words.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ __all__ = [
 
 NEVER = np.iinfo(np.int64).max  # activation round of a node that never activates
 _CHUNK = 16384  # realizations per closure batch, bounding its memory
+_BLOCK = 8192  # successor terms per exact-oracle block, bounding its memory
+_STATE_BLOCK = 512  # states per exact-oracle discovery block, bounding its memory
 
 
 class ModelError(ValueError):
@@ -462,120 +465,237 @@ def _frontier_children(child_mask, frontier: int) -> int:
     return children
 
 
+def _set_bits(words, rows, nodes):
+    """Set bit ``nodes[i]`` in row ``rows[i]`` of the uint64 word array ``words``."""
+    np.bitwise_or.at(words, (rows, nodes >> 6), np.uint64(1) << (nodes & 63).astype(np.uint64))
+
+
+def _ranges(start, count):
+    """The concatenated integer ranges ``start[i] : start[i] + count[i]``."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+_BYTE_COUNT = _BYTE_BITS.sum(axis=1, dtype=np.int64)  # set bits of each byte value
+_BYTE_FIRST = np.cumsum(_BYTE_COUNT) - _BYTE_COUNT  # where they start in:
+_BYTE_POSITIONS = np.nonzero(_BYTE_BITS)[1]  # the set bits of every byte value, ascending
+
+
+def _bits_of(words):
+    """``(rows, nodes)`` of every set bit of ``words``, by row, then node."""
+    bytes_ = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    rows, cols = np.nonzero(bytes_)
+    value = bytes_[rows, cols]
+    count = _BYTE_COUNT[value]
+    at = _ranges(_BYTE_FIRST[value], count)
+    return np.repeat(rows, count), np.repeat(cols * 8, count) + _BYTE_POSITIONS[at]
+
+
+def _popcount(words):
+    """The number of set bits in each row of ``words``."""
+    return np.unpackbits(words.view(np.uint8), axis=-1).sum(axis=-1, dtype=np.int64)
+
+
+def _find(table, keys):
+    """The index of each key in the sorted ``table``, -1 where it is absent."""
+    if not len(table):
+        return np.full(len(keys), -1)
+    at = np.searchsorted(table, keys).clip(max=len(table) - 1)
+    return np.where(table[at] == keys, at, -1)
+
+
+def _blocks(k):
+    """``(rows, size)`` blocks of the states with ``k`` uncertain candidates:
+    by increasing k, at most ``_BLOCK >> size`` states (or one) with k up to
+    ``size``.  A group's remainder joins the next group when that pads it by
+    at most ``_BLOCK >> 3`` terms."""
+    order = np.argsort(k, kind="stable")
+    sizes = np.unique(k).tolist()
+    ends = np.searchsorted(k[order], sizes, side="right")
+    lo = 0
+    for size, end, bigger in zip(sizes, ends, sizes[1:] + [None]):
+        step = max(1, _BLOCK >> size)
+        while end - lo >= step:
+            yield order[lo : lo + step], size
+            lo += step
+        if lo < end and (bigger is None or (end - lo) << bigger > _BLOCK >> 3):
+            yield order[lo:end], size
+            lo = end
+
+
 class ExactSpreadOracle:
     """Exact expected spread by enumeration, memoized on (active, frontier).
 
-    The memoized recursion evaluates the same sum over feasible traces as
-    direct enumeration, but shares continuation values across seed sets, so
-    evaluating the spread for many seeds of one model costs little more than
-    one full enumeration.  Node sets are represented as bitmasks; intended
-    for graphs of up to ~20 reachable nodes.
+    A state is an active set A and its newly active frontier F.  Each
+    inactive child v of F activates next, independently, with probability
+    (F_v(B_v(A)) - F_v(B_v(A - F))) / (1 - F_v(B_v(A - F))).  A state's value
+    sums, over the subsets of its uncertain candidates in ascending subset
+    order, the subset's probability times its successor's value (|A| when
+    nothing activates): the sum over feasible traces, shared across seed sets.
+
+    :meth:`spreads` evaluates a batch of seed sets with array operations.
+    It discovers the batch's unmemoized states by increasing |A|, keeping
+    per state only its certain candidates and its uncertain ones with their
+    probabilities, then evaluates them by decreasing |A|, regenerating the
+    successor terms in blocks of at most ``_BLOCK``.  Sets are rows of
+    uint64 words, so n is not capped, but the 2^k terms of a state with k
+    uncertain candidates keep it to graphs with about 20 reachable nodes.
+    Memoized states count toward ``node_cap``.
     """
 
     def __init__(self, model: GltModel, node_cap: int = 10**6):
         self.model = model
         self.node_cap = node_cap
         graph = model.graph
-        self._child_mask = child_masks(graph)
-        self._parent_bits = [graph.parent_list(v) for v in range(graph.n)]
-        self._parent_mask = [_node_mask(parents) for parents in self._parent_bits]
-        self._theta = [model.theta(v) for v in range(graph.n)]
-        self._cdf_cache = {}
-        self._value = {}
+        self._n = graph.n
+        self._words = max(1, -(-graph.n // 64))
+        self._children = np.array([c for kids in graph._children for c in kids], dtype=np.int64)
+        self._out_degree = np.array([len(kids) for kids in graph._children], dtype=np.int64)
+        self._child_offsets = np.concatenate([[0], np.cumsum(self._out_degree)])
+        # parents ascending per node, padded with weight-0 entries
+        degree = np.diff(graph._child_offsets)
+        child = np.repeat(np.arange(graph.n), degree)
+        slot = np.arange(graph.edge_count()) - graph._child_offsets[child]
+        self._parents = np.zeros((graph.n, max(1, degree.max(initial=0))), dtype=np.int64)
+        self._theta = np.zeros(self._parents.shape)
+        self._parents[child, slot] = graph._parent_index
+        self._theta[child, slot] = model.weights
+        self._specs = list(dict.fromkeys(model.thresholds))
+        index = {spec: i for i, spec in enumerate(self._specs)}
+        self._spec_index = np.array([index[spec] for spec in model.thresholds], dtype=np.int64)
+        empty = np.zeros((0, self._words), dtype=np.uint64)
+        self._keys = self._keys_of(empty, empty)  # sorted memo keys
+        self._values = np.zeros(0)
 
-    def _cdf(self, v, active_mask):
-        sub = active_mask & self._parent_mask[v]
-        key = (v, sub)
-        got = self._cdf_cache.get(key)
-        if got is None:
-            b = 0.0
-            theta = self._theta[v]
-            for j, u in enumerate(self._parent_bits[v]):
-                if sub >> u & 1:
-                    b += theta[j]
-            got = float(self.model.spec(v).cdf(b))
-            self._cdf_cache[key] = got
-        return got
+    def _keys_of(self, active, frontier):
+        """One sortable scalar per (active, frontier) row pair: ``A << 32 | F``
+        while nodes fit in 32 bits, else the void of both rows of words."""
+        if self._n <= 32:
+            return active[..., 0] << np.uint64(32) | frontier[..., 0]
+        rows = np.concatenate([active, frontier], axis=-1)
+        return rows.view(np.dtype((np.void, rows.shape[-1] * 8))).reshape(rows.shape[:-1])
 
     def spread(self, seed_set) -> float:
-        mask = _node_mask(map(self.model.graph._check, seed_set))
-        if mask == 0:
-            return 0.0
-        return self._val((mask, mask))
+        return self.spreads([seed_set])[0]
 
-    def _val(self, key):
-        """Memoized value of a state, by depth-first search on an explicit stack.
+    def spreads(self, seed_sets) -> list:
+        """The exact spread of each seed set (0.0 for an empty one), as one batch."""
+        seeds = [sorted({self.model.graph._check(v) for v in s}) for s in seed_sets]
+        active = np.zeros((len(seeds), self._words), dtype=np.uint64)
+        rows = np.repeat(np.arange(len(seeds)), [len(s) for s in seeds])
+        _set_bits(active, rows, np.array([v for s in seeds for v in s], dtype=np.int64))
+        active = active[[bool(s) for s in seeds]]
+        self._evaluate(self._discover(active, active))
+        values = iter(self._values[_find(self._keys, self._keys_of(active, active))].tolist())
+        return [next(values) if s else 0.0 for s in seeds]
 
-        Each stack entry is an :meth:`_expand` generator suspended until it
-        receives the value of a successor not yet memoized.  Values are summed
-        in the order a recursive evaluation would use, and long traces cannot
-        exhaust the interpreter's recursion limit.
-        """
-        value = self._value.get(key)
-        if value is not None:
-            return value
-        stack = [self._expand(key)]
-        while stack:
-            try:
-                key = stack[-1].send(value)
-            except StopIteration as done:
-                stack.pop()
-                value = done.value
-            else:
-                stack.append(self._expand(key))
-                value = None
-        return value
+    def _discover(self, active, frontier):
+        """The unmemoized states reachable from the given ones, as levels of
+        increasing |A|, each of at most ``_STATE_BLOCK`` states and as
+        :meth:`_branches` returns them."""
+        pool = {}  # |A| -> list of (active, frontier) arrays still to visit
 
-    def _expand(self, key):
-        """Generator: yields unmemoized successor states, receives their values."""
-        memo = self._value
-        if len(memo) >= self.node_cap:
-            raise EnumerationCapError(len(memo) + 1, self.node_cap)
-        active, frontier = key
-        cand_mask = _frontier_children(self._child_mask, frontier) & ~active
-        certain = 0
-        random_nodes = []
-        prev_active = active & ~frontier
-        c = cand_mask
-        while c:
-            low = c & -c
-            node = low.bit_length() - 1
-            c ^= low
-            f_now = self._cdf(node, active)
-            f_prev = self._cdf(node, prev_active)
-            denom = 1.0 - f_prev
-            if denom <= 0.0:
-                p = 1.0  # conditioning event impossible; branch carries 0 mass
-            else:
-                p = min(1.0, max(0.0, (f_now - f_prev) / denom))
-            if p >= 1.0:
-                certain |= low
-            elif p > 0.0:
-                random_nodes.append((low, p))
-        total = 0.0
-        k = len(random_nodes)
-        for sub in range(1 << k):
-            prob = 1.0
-            chosen = certain
-            for i in range(k):
-                bit, p = random_nodes[i]
-                if sub >> i & 1:
-                    prob *= p
-                    chosen |= bit
-                else:
-                    prob *= 1.0 - p
-            if prob == 0.0:
-                continue
-            if chosen == 0:
-                total += prob * active.bit_count()
-            else:
-                successor = (active | chosen, chosen)
-                value = memo.get(successor)
-                if value is None:
-                    value = yield successor
-                total += prob * value
-        memo[key] = total
-        return total
+        def visit(active, frontier):
+            _, first = np.unique(self._keys_of(active, frontier), return_index=True)
+            size = _popcount(active[first])
+            for s in np.unique(size).tolist():
+                pick = first[size == s]
+                pool.setdefault(s, []).append((active[pick], frontier[pick]))
+
+        visit(active, frontier)
+        levels, found = [], len(self._keys)
+        while pool:
+            active, frontier = map(np.concatenate, zip(*pool.pop(min(pool))))
+            keys, first = np.unique(self._keys_of(active, frontier), return_index=True)
+            first = first[_find(self._keys, keys) < 0]
+            found += len(first)
+            if found > self.node_cap:
+                raise EnumerationCapError(self.node_cap + 1, self.node_cap)
+            for block in range(0, len(first), _STATE_BLOCK):
+                pick = first[block : block + _STATE_BLOCK]
+                levels.append(self._branches(active[pick], frontier[pick]))
+                for _, prob, succ, chosen in self._successors(levels[-1]):
+                    live = (prob != 0.0) & chosen.any(axis=-1)
+                    visit(succ[live], chosen[live])
+        return levels
+
+    def _branches(self, active, frontier):
+        """``(active, frontier, certain, k, nodes, probs)``: the states, the
+        mask of each one's certain candidates, and its k uncertain candidates
+        (flat, by state then node) with their activation probabilities."""
+        rows, nodes = _bits_of(frontier)
+        count = self._out_degree[nodes]
+        children = np.zeros_like(active)
+        _set_bits(children, np.repeat(rows, count), self._children[_ranges(self._child_offsets[nodes], count)])
+        rows, cand = _bits_of(children & ~active)
+        parents = self._parents[cand]
+        words = np.stack([active, active & ~frontier])[:, rows[:, None], parents >> 6]
+        inside = (words >> (parents & 63).astype(np.uint64) & np.uint64(1)).astype(bool)
+        # B_v(A) and B_v(A - F), summed in ascending parent order (padding adds 0.0)
+        b = np.cumsum(np.where(inside, self._theta[cand], 0.0), axis=-1)[..., -1]
+        f = np.empty_like(b)
+        for i, spec in enumerate(self._specs):  # F_v once per distinct B_v
+            pick = self._spec_index[cand] == i
+            touched, inverse = np.unique(b[:, pick].ravel(), return_inverse=True)
+            f[:, pick] = spec._cdf(touched)[inverse].reshape(2, -1)
+        f_now, f_prev = f
+        denom = 1.0 - f_prev
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.minimum(1.0, np.maximum(0.0, (f_now - f_prev) / denom))
+        p[denom <= 0.0] = 1.0  # conditioning event impossible; branch carries 0 mass
+        certain = np.zeros_like(active)
+        _set_bits(certain, rows[p >= 1.0], cand[p >= 1.0])
+        uncertain = (p > 0.0) & (p < 1.0)
+        k = np.bincount(rows[uncertain], minlength=len(active))
+        return active, frontier, certain, k, cand[uncertain], p[uncertain]
+
+    def _successors(self, level):
+        """Yield ``(states, prob, active, chosen)`` blocks: per state of the
+        level, its 2^k successor terms in ascending subset order, each with
+        its probability, successor active set and newly active set.  States
+        are padded to their block's k with probability-0 candidates, whose
+        terms come last and are 0."""
+        active, _, certain, k, nodes, probs = level
+        start = np.cumsum(k) - k
+        for rows, size in _blocks(k):
+            slot = np.arange(size)
+            real = slot < k[rows, None]
+            at = np.where(real, start[rows, None] + slot, 0)
+            p = np.where(real, probs[at], 0.0)
+            bit = np.zeros((len(rows), size, self._words), dtype=np.uint64)
+            one = np.uint64(1) << (nodes[at] & 63).astype(np.uint64)
+            bit[np.arange(len(rows))[:, None], slot, nodes[at] >> 6] = np.where(real, one, np.uint64(0))
+            prob, chosen = np.ones((len(rows), 1)), certain[rows, None, :]
+            for i in range(size):  # candidate i is bit i of the subset index
+                q = p[:, i, None]
+                prob = np.concatenate([prob * (1.0 - q), prob * q], axis=1)
+                chosen = np.concatenate([chosen, chosen | bit[:, i, None, :]], axis=1)
+            yield rows, prob, active[rows, None, :] | chosen, chosen
+
+    def _evaluate(self, levels):
+        """Memoize the values of the discovered levels, by decreasing |A|."""
+        if not levels:
+            return
+        new = [self._keys_of(active, frontier) for active, frontier, *_ in levels]
+        keys = np.concatenate([self._keys, *new])
+        order = np.argsort(keys)
+        slot = np.empty_like(order)
+        slot[order] = np.arange(len(order))  # where each key lands once sorted
+        keys, values = keys[order], np.zeros(len(keys))
+        values[slot[: len(self._values)]] = self._values
+        stop = len(keys)
+        for level, level_keys in zip(reversed(levels), reversed(new)):
+            size = float(_popcount(level[0][:1])[0])
+            total = np.empty(len(level_keys))
+            for rows, prob, succ, chosen in self._successors(level):
+                value = np.full(prob.shape, size)
+                live = (prob != 0.0) & chosen.any(axis=-1)
+                value[live] = values[_find(keys, self._keys_of(succ[live], chosen[live]))]
+                terms = np.where(prob != 0.0, prob * value, 0.0)
+                total[rows] = np.cumsum(terms, axis=1)[:, -1]  # in subset order
+            values[slot[stop - len(total) : stop]] = total
+            stop -= len(total)
+        self._keys, self._values = keys, values
 
 
 def exact_spread(model: GltModel, seed_set, node_cap: int = 10**6) -> float:

@@ -15,7 +15,8 @@ Survival-function paths avoid the 1 - F cancellation as F -> 1, and
 ``log_interval_prob`` gives a stable log(F(x) - F(y)).
 
 The public methods check their arguments (thresholds are nonnegative, so a
-negative argument raises ``ValueError``) and wrap an unchecked array form,
+negative argument raises ``ValueError``, as does an interval (y, x] with
+x < y) and wrap an unchecked array form,
 which holds the only family branch for its quantity.  The likelihood kernel
 calls ``_interval``, ``_log_interval``, ``_sf``, ``_log_sf``, ``_density`` and
 ``_density_derivative`` directly, and trace simulation calls ``_cdf``: their
@@ -51,6 +52,14 @@ def _check_nonnegative(x):
     if np.any(x < 0):
         raise ValueError("threshold arguments must be nonnegative")
     return x
+
+
+def _check_interval(x, y):
+    """``(x, y)`` as checked arrays of the interval (y, x]: nonnegative, x >= y."""
+    x, y = _check_nonnegative(x), _check_nonnegative(y)
+    if np.any(x < y):
+        raise ValueError("interval upper end x must not be below its lower end y")
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -193,12 +202,12 @@ class ThresholdSpec:
 
     def interval_prob(self, x, y):
         """F(x) - F(y) for x >= y, via the complementary cdf when generic."""
-        out = np.maximum(self._interval(_check_nonnegative(x), _check_nonnegative(y)), 0.0)
+        out = np.maximum(self._interval(*_check_interval(x, y)), 0.0)
         return out if out.ndim else float(out)
 
     def log_interval_prob(self, x, y):
-        """log(F(x) - F(y)), closed form where the family allows it."""
-        x, y = _check_nonnegative(x), _check_nonnegative(y)
+        """log(F(x) - F(y)) for x >= y, closed form where the family allows it."""
+        x, y = _check_interval(x, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self._log_interval(x, y, self._interval(x, y))
         return out if out.ndim else float(out)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gltnet import (
-    ExactSpreadOracle,
+    EnumerationCapError,
     GltModel,
     Graph,
     ModelError,
@@ -23,6 +23,7 @@ from gltnet import (
     spread_bipartite_closed_form,
 )
 from gltnet.influence import ImSolution, SpreadEstimate
+from gltnet.model import _frontier_children, _node_mask, child_masks
 from gltnet.rng import as_generator, substream
 
 
@@ -755,6 +756,118 @@ def reference_estimate_spread_mc(model, seed_set, replicates, rng, chunk=16384):
     return SpreadEstimate(mean=float(sizes.mean()), std_error=se, replicates=replicates)
 
 
+class ReferenceExactSpreadOracle:
+    """Exact spread by depth-first recursion over (active, frontier) states.
+
+    One state at a time, on Python int bitmasks, with an explicit generator
+    stack.  Reference for ``gltnet.ExactSpreadOracle``: the same values bit
+    for bit, and the same memoized states.
+    """
+
+    def __init__(self, model, node_cap=10**6):
+        self.model = model
+        self.node_cap = node_cap
+        graph = model.graph
+        self._child_mask = child_masks(graph)
+        self._parent_bits = [graph.parent_list(v) for v in range(graph.n)]
+        self._parent_mask = [_node_mask(parents) for parents in self._parent_bits]
+        self._theta = [model.theta(v) for v in range(graph.n)]
+        self._cdf_cache = {}
+        self._value = {}
+
+    def _cdf(self, v, active_mask):
+        sub = active_mask & self._parent_mask[v]
+        key = (v, sub)
+        got = self._cdf_cache.get(key)
+        if got is None:
+            b = 0.0
+            theta = self._theta[v]
+            for j, u in enumerate(self._parent_bits[v]):
+                if sub >> u & 1:
+                    b += theta[j]
+            got = float(self.model.spec(v).cdf(b))
+            self._cdf_cache[key] = got
+        return got
+
+    def spread(self, seed_set):
+        mask = _node_mask(map(self.model.graph._check, seed_set))
+        if mask == 0:
+            return 0.0
+        return self._val((mask, mask))
+
+    def _val(self, key):
+        """Memoized value of a state, by depth-first search on an explicit stack.
+
+        Each stack entry is an :meth:`_expand` generator suspended until it
+        receives the value of a successor not yet memoized.
+        """
+        value = self._value.get(key)
+        if value is not None:
+            return value
+        stack = [self._expand(key)]
+        while stack:
+            try:
+                key = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+            else:
+                stack.append(self._expand(key))
+                value = None
+        return value
+
+    def _expand(self, key):
+        """Generator: yields unmemoized successor states, receives their values."""
+        memo = self._value
+        if len(memo) >= self.node_cap:
+            raise EnumerationCapError(len(memo) + 1, self.node_cap)
+        active, frontier = key
+        cand_mask = _frontier_children(self._child_mask, frontier) & ~active
+        certain = 0
+        random_nodes = []
+        prev_active = active & ~frontier
+        c = cand_mask
+        while c:
+            low = c & -c
+            node = low.bit_length() - 1
+            c ^= low
+            f_now = self._cdf(node, active)
+            f_prev = self._cdf(node, prev_active)
+            denom = 1.0 - f_prev
+            if denom <= 0.0:
+                p = 1.0  # conditioning event impossible; branch carries 0 mass
+            else:
+                p = min(1.0, max(0.0, (f_now - f_prev) / denom))
+            if p >= 1.0:
+                certain |= low
+            elif p > 0.0:
+                random_nodes.append((low, p))
+        total = 0.0
+        k = len(random_nodes)
+        for sub in range(1 << k):
+            prob = 1.0
+            chosen = certain
+            for i in range(k):
+                bit, p = random_nodes[i]
+                if sub >> i & 1:
+                    prob *= p
+                    chosen |= bit
+                else:
+                    prob *= 1.0 - p
+            if prob == 0.0:
+                continue
+            if chosen == 0:
+                total += prob * active.bit_count()
+            else:
+                successor = (active | chosen, chosen)
+                value = memo.get(successor)
+                if value is None:
+                    value = yield successor
+                total += prob * value
+        memo[key] = total
+        return total
+
+
 def reference_greedy_im(model, budget, spread_evaluator, rng=None, replicates=1000, node_cap=10**6):
     """Greedy IM with separate exact and Monte Carlo selection loops.
 
@@ -766,7 +879,7 @@ def reference_greedy_im(model, budget, spread_evaluator, rng=None, replicates=10
     gains = []
     if spread_evaluator in ("exact", "bipartite"):
         if spread_evaluator == "exact":
-            oracle = ExactSpreadOracle(model, node_cap=node_cap)
+            oracle = ReferenceExactSpreadOracle(model, node_cap=node_cap)
             evaluate = lambda s: oracle.spread(s)
         else:
             evaluate = lambda s: spread_bipartite_closed_form(model, s)

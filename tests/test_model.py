@@ -2,9 +2,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gltnet
 from gltnet import (
     EnumerationCapError,
+    ExactSpreadOracle,
     GltModel,
     Graph,
     ModelError,
@@ -28,6 +32,7 @@ from gltnet.model import NEVER, _activation_rounds
 from gltnet.rng import substream
 
 from conftest import (
+    ReferenceExactSpreadOracle,
     ic_trace_probability,
     random_simple_digraph,
     random_weights_within,
@@ -220,6 +225,30 @@ def test_enumeration_cap():
     assert err.value.state_count > 3
 
 
+def _star3_model():
+    """0 -> 1, 2, 3 under LT: the seed {0} reaches 8 (active, frontier) states."""
+    return from_lt(build_graph(4, [(0, 1), (0, 2), (0, 3)]), [0.5, 0.5, 0.5])
+
+
+# each exact caller with the number of states its calls on the star reach
+_CAPPED_CALLS = {
+    "oracle": (lambda model, cap: ExactSpreadOracle(model, node_cap=cap).spread({0}), 8),
+    "greedy": (lambda model, cap: gltnet.greedy_im(model, 1, "exact", node_cap=cap), 11),
+    "submodularity": (lambda model, cap: gltnet.check_submodularity_exact(model, node_cap=cap), 34),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_CAPPED_CALLS))
+def test_exact_node_cap(caller):
+    call, states = _CAPPED_CALLS[caller]
+    model = _star3_model()
+    with pytest.raises(EnumerationCapError) as err:
+        call(model, 2)
+    assert (err.value.state_count, err.value.cap) == (3, 2)
+    assert str(err.value) == "enumeration exceeded cap: 3 states > 2"
+    call(model, states)  # a cap that covers every reachable state never raises
+
+
 @pytest.mark.parametrize("spec_maker", [make_uniform, make_exponential_unit, lambda: make_beta(2, 2)])
 def test_normalization_over_enumeration(spec_maker):
     rng = substream(6, spec_maker().family)
@@ -258,6 +287,77 @@ def test_enumerate_long_path():
     traces = enumerate_feasible_traces(_path_graph(1050), {0})
     assert len(traces) == 1050
     assert traces[-1].horizon == 1049
+
+
+_ORACLE_SPECS = [make_uniform(), make_exponential_unit(), make_beta(0.5, 2), make_beta(2, 3)]
+
+
+@st.composite
+def _oracle_case(draw):
+    """A random model whose nodes each take one forced branch, and batches of seed sets."""
+    n = draw(st.integers(2, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    spec = draw(st.sampled_from(_ORACLE_SPECS))
+    g = random_simple_digraph(n, draw(st.floats(0.1, 0.6)), substream(seed, "g"))
+    weights = random_weights_within(g, substream(seed, "w"))
+    for v in g.child_nodes():
+        edges = g.child_slice(v)
+        branch = draw(st.sampled_from(["random", "certain", "zero"]))
+        if branch == "certain" and spec.family == "exponential":
+            weights[edges] = 40.0  # F rounds to 1 once any parent is active: p = 1
+        elif branch == "certain":  # dyadic in-weights summing to exactly 1: p = 1 at the top
+            m = edges.stop - edges.start
+            weights[edges] = [2.0 ** -min(j + 1, m - 1) for j in range(m)]
+        elif branch == "zero":  # a zero-weight edge: p = 0 when it is the only new parent
+            weights[edges.start + draw(st.integers(0, edges.stop - edges.start - 1))] = 0.0
+    seed_sets = st.lists(st.sets(st.integers(0, n - 1), max_size=3), max_size=8)
+    return GltModel(g, weights, spec), draw(st.lists(seed_sets, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_case())
+def test_exact_oracle_matches_reference(case):
+    # batches on one oracle, memo carried across them: every value equals the
+    # depth-first reference bit for bit, and both memoize the same states
+    model, batches = case
+    oracle, reference = ExactSpreadOracle(model), ReferenceExactSpreadOracle(model)
+    for batch in batches:
+        assert oracle.spreads(batch) == [reference.spread(s) for s in batch]
+    assert len(oracle._keys) == len(reference._value)
+
+
+def test_exact_oracle_multiword_states():
+    # 130 nodes (three words per set) in 26 five-node clusters whose ids
+    # straddle the word boundaries at 64 and 128
+    rng = substream(41, "clusters")
+    edges = []
+    for c in range(26):
+        nodes = [c + 26 * i for i in range(5)]
+        edges += [(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.4]
+    g = build_graph(130, edges)
+    for spec in _ORACLE_SPECS:
+        model = GltModel(g, random_weights_within(g, substream(41, "w", spec.family)), spec)
+        seed_sets = [{c, c + 26 * rng.integers(1, 5)} for c in range(26)] + [{63, 64, 129}]
+        oracle, reference = ExactSpreadOracle(model), ReferenceExactSpreadOracle(model)
+        assert oracle.spreads(seed_sets[:13]) + oracle.spreads(seed_sets[13:]) == [
+            reference.spread(s) for s in seed_sets
+        ]
+        assert len(oracle._keys) == len(reference._value)
+
+
+def test_exact_oracle_impossible_conditioning_state():
+    # from a seed state 1 - F_v(B_v(A - F)) never vanishes: a candidate whose
+    # cdf reaches 1 activates then with probability 1.  The crafted state
+    # A = {0, 1}, F = {1} reaches it: node 2 already holds weight 1 from node 0.
+    model = from_lt(build_graph(3, [(0, 2), (1, 2)]), [1.0, 0.0])
+    oracle = ExactSpreadOracle(model)
+    active, frontier = np.array([[0b011]], dtype=np.uint64), np.array([[0b010]], dtype=np.uint64)
+    levels = oracle._discover(active, frontier)
+    assert levels[0][2].tolist() == [[0b100]]  # node 2 is certain
+    oracle._evaluate(levels)
+    state = oracle._keys_of(active, frontier)
+    value = oracle._values[np.searchsorted(oracle._keys, state)][0]
+    assert value == ReferenceExactSpreadOracle(model)._val((0b011, 0b010)) == 3.0
 
 
 def test_exact_spread_matches_direct_enumeration():

@@ -381,6 +381,20 @@ def test_cli_im_and_spread_exact_consistency(tmp_path):
     assert sdoc["mean"] == pytest.approx(doc["spread"], abs=1e-9)
 
 
+def test_cli_spread_exact_node_cap(tmp_path, capsys):
+    # the star 0 -> 1, 2, 3 reaches 8 (active, frontier) states from {0}
+    model_path = str(tmp_path / "model.json")
+    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    dump_json(model_to_dict(GltModel(g, np.full(3, 0.5), make_uniform())), model_path)
+    argv = ["spread", "--model", model_path, "--seed-set", "0", "--evaluator", "exact",
+            "--out", str(tmp_path / "spread.json")]
+    assert _run(argv + ["--node-cap", "2"]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error == {"type": "EnumerationCapError",
+                     "message": "enumeration exceeded cap: 3 states > 2"}
+    assert _run(argv + ["--node-cap", "8"]) == 0
+
+
 def test_cli_diagnose(tmp_path):
     base = str(tmp_path)
     graph_path = os.path.join(base, "graph.json")

@@ -153,3 +153,17 @@ def test_public_methods_reject_negative_arguments(spec, method):
     with pytest.raises(ValueError, match="nonnegative"):
         fn(np.array([0.2, -1e-12, 0.5]))
     fn(np.array([0.0, 0.2]))  # zero is a valid threshold argument
+
+
+@pytest.mark.parametrize(
+    "spec", [make_uniform(), make_exponential_unit(), make_beta(2, 3)], ids=lambda s: s.family
+)
+def test_interval_methods_reject_reversed_bounds(spec):
+    # one answer for x < y in every family, where the unchecked forms would
+    # give nan, a floored log or a clamped 0.0
+    for method in (spec.interval_prob, spec.log_interval_prob):
+        with pytest.raises(ValueError, match="must not be below"):
+            method(0.2, 0.5)
+        with pytest.raises(ValueError, match="must not be below"):
+            method(np.array([0.5, 0.2]), np.array([0.2, 0.2 + 1e-12]))
+        method(np.array([0.5, 0.2]), np.array([0.2, 0.2]))  # x == y is a valid interval
