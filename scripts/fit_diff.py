@@ -10,6 +10,10 @@ how many log-likelihoods fell from A to B and by how much at most, and
 per side the total and largest iteration count and the unconverged and
 failed fits.  Fits present on one side only are listed by key.  It reads
 only the two text files, so it runs against outputs of any checkout.
+
+It exits 1, naming each gate that failed, when B loses a fit that A
+estimated or converged (or lacks one A has), when a weight moved by more
+than 1e-7, or when a log-likelihood fell by more than 1e-9; else 0.
 """
 
 import argparse
@@ -58,8 +62,11 @@ def main(argv=None):
         print("only in", "A" if key in a else "B", *key)
     moved, fell = Counter(), []
     max_dw = max_dll = 0.0
+    lost = [key for key in a.keys() - b.keys() if a[key] is not None]
     for key in sorted(a.keys() & b.keys()):
         fa, fb = a[key], b[key]
+        if fa is not None and (fb is None or (fa[3] and not fb[3])):
+            lost.append(key)
         if fa is None or fb is None:
             if (fa is None) != (fb is None):
                 moved[key[2]] += 1
@@ -77,7 +84,17 @@ def main(argv=None):
           " ".join(f"{label}={count}" for label, count in sorted(moved.items())))
     print(f"max |dw|: {max_dw:.3g}  max |dloglik|: {max_dll:.3g}")
     print(f"loglik fell: {len(fell)}, by at most {max(fell, default=0.0):.3g}")
+    gates = []
+    if lost:
+        gates.append(f"{len(lost)} fits estimated or converged in A but not in B")
+    if max_dw > 1e-7:
+        gates.append(f"max |dw| {max_dw:.3g} > 1e-7")
+    if max(fell, default=0.0) > 1e-9:
+        gates.append(f"a loglik fell by {max(fell):.3g} > 1e-9")
+    for gate in gates:
+        print("gate failed:", gate)
+    return 1 if gates else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,7 +19,7 @@ from dataclasses import fields
 
 from . import __version__
 from .diagnostics import check_identifiability, check_submodularity_exact
-from .estimation import FitOptions, fit_all, fit_with_threshold_grid
+from .estimation import EstimationError, FitOptions, fit_all, fit_with_threshold_grid
 from .experiments import EXPERIMENTS, ExperimentConfig, _fitted_model, run_experiment
 from .graph import SeedDistribution, generate_cws, sample_seed, sample_weights_simplex
 from .inference import node_covariance, weight_intervals
@@ -127,11 +127,11 @@ def _run_fits(args):
         raise SchemaError("--grid applies to beta thresholds; set --family beta:A,B")
 
     if grid:
-        results = {
-            v: fit_with_threshold_grid(data, grid, options)
-            for v, data in datasets.items()
-            if data.n_informative_rows
-        }
+        informative = {v: data for v, data in datasets.items() if data.n_informative_rows}
+        results = fit_with_threshold_grid(informative, grid, options)
+        failed = next((r for r in results.values() if not r.estimated), None)
+        if failed is not None:
+            raise EstimationError(failed.error)
     else:
         results = fit_all(datasets, spec, options)
     return graph, spec, results, datasets

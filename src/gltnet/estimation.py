@@ -12,6 +12,17 @@ is exact rather than approximate.  The binding optimality certificate is
 the norm of the gradient projected onto the feasible cone at the solution;
 its sum-face multiplier comes from the same sort-based threshold as the
 projection.
+
+Nodes are fitted in lockstep batches: the nodes of a ``fit_all`` call that
+share a spec, or every node at one grid point of ``fit_with_threshold_grid``.
+Each member runs the algorithm above on its own, as array rows advanced by
+per-member masks; one kernel call per round evaluates the value, gradient
+and Hessian of every waiting candidate over zero-padded (nodes x patterns x
+parents) arrays, and the Newton systems are solved stacked.  ``fit_node`` is
+a batch of one and rounds exactly like a per-node solver.  In a larger
+batch, padding changes the order of some sums: a node's low bits (about
+1e-13 in the log-likelihood) can depend on which nodes share its chunk, and
+results stay deterministic for the same inputs.
 """
 
 from __future__ import annotations
@@ -22,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .likelihood import NodeData, node_hessian, node_value_and_gradient
-from .model import NEVER, ZeroProbabilityError, _activation_rounds
+from .likelihood import NodeData, _dot, _evaluate, _stack
+from .model import NEVER, _activation_rounds
 from .thresholds import ThresholdSpec, make_beta
 
 __all__ = [
@@ -45,6 +56,7 @@ _BOUNDARY_TOL = 1e-9
 _TOL = 1e-8  # a fit converged once its projected-gradient norm is at most this
 _MAX_ITER = 2000  # solver iterations per fit
 _POLISH_STEPS = 25  # Newton steps per polish round
+_BLOCK = 1 << 16  # padded kernel elements (nodes x patterns x parents) per lockstep chunk
 
 
 class EstimationError(ValueError):
@@ -119,27 +131,77 @@ class NodeFitResult:
 
 
 # -- feasible-set geometry ---------------------------------------------------
+#
+# The geometry works on rows, one per member of a lockstep batch.  A row's
+# coordinates are its node's parents, then zero padding up to the widest
+# member; ``real`` marks the parents.
 
 
-def _face_threshold(clipped, target, free_sum=0.0, n_free=0) -> float:
-    """The t solving sum(max(clipped - t, 0)) + free_sum - n_free * t = target.
+def _face_threshold(clipped, count, target, free_sum, n_free):
+    """Per row, the t solving sum(max(c - t, 0)) + free_sum - n_free * t =
+    target over the row's ``count`` largest entries c of ``clipped``.
 
     The left side is piecewise linear and nonincreasing in t, so its root
-    follows from one descending sort of ``clipped`` (Duchi et al., ICML
-    2008; Condat, Math. Program. 2016): the largest prefix of entries above
-    t fixes the linear piece.  With no free entries and a nonpositive
-    target, every t >= max(clipped) is a root; the smallest one is returned.
-    """
-    u = np.sort(clipped)[::-1]
-    css = np.cumsum(u) + (free_sum - target)
-    idx = np.arange(n_free + 1, n_free + u.size + 1)
-    above = np.nonzero(u - css / idx > 0)[0]
-    if above.size:
-        rho = above[-1]
-        return css[rho] / (rho + 1.0 + n_free)
-    if n_free:
-        return (free_sum - target) / n_free
-    return u[0]
+    follows from one descending sort (Duchi et al., ICML 2008; Condat, Math.
+    Program. 2016): the largest prefix of entries above t fixes the linear
+    piece.  With no free entries and a nonpositive target, the smallest root
+    max(c) is returned."""
+    u = np.sort(clipped, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) + (free_sum - target)[:, None]
+    pos = np.arange(u.shape[1])
+    with np.errstate(invalid="ignore"):  # entries past count may be -inf
+        above = (u - css / (pos + 1 + n_free[:, None]) > 0) & (pos < count[:, None])
+    rho = u.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)
+    t = css[np.arange(len(u)), rho] / (rho + 1.0 + n_free)
+    rest = np.where(n_free > 0, (free_sum - target) / np.maximum(n_free, 1), u[:, 0])
+    return np.where(above.any(axis=1), t, rest)
+
+
+def _project(theta, m, real, epsilon: float, gamma: float) -> np.ndarray:
+    """Rows of ``theta`` (``m`` parents each, zero padding after) projected
+    as by :func:`project_truncated_simplex`; padding stays 0."""
+    radius = gamma - m * epsilon
+    # shift to the nonnegative l1 ball {w >= 0, sum(w) <= radius}
+    w = np.maximum(theta - epsilon, 0.0)
+    over = np.flatnonzero(w.sum(axis=1) > radius)
+    if over.size:
+        r, zero = radius[over], np.zeros(over.size, dtype=int)
+        wo = np.maximum(w[over] - _face_threshold(w[over], m[over], r, zero, zero)[:, None], 0.0)
+        s = wo.sum(axis=1)
+        big = (s > r) & (s > 0.0)
+        wo[big] *= (r[big] / s[big])[:, None]
+        w[over] = wo
+    out = np.maximum(w + epsilon, epsilon)
+    out[~real] = 0.0
+    for _ in range(1000):
+        high = np.flatnonzero(out.sum(axis=1) > gamma)
+        if not high.size:
+            return out
+        j = out[high].argmax(axis=1)
+        out[high, j] = np.nextafter(out[high, j], 0.0)
+    raise EstimationError(f"projection failed to satisfy the sum bound: sum={out[high[0]].sum()!r} > gamma={gamma!r}")
+
+
+def _certificate(theta, grad, real, epsilon: float, gamma: float) -> np.ndarray:
+    """Row-wise :func:`projected_gradient_norm`; padding counts as at the
+    lower bound, where its zero gradient adds nothing."""
+    low, lam = theta <= epsilon + 1e-12, np.zeros(len(theta))
+    face = np.flatnonzero(theta.sum(axis=1) >= gamma - max(1.0, gamma) * 1e-12)
+    if face.size:
+        g, free, at_low = grad[face], ~low[face], low[face] & real[face]
+        lam[face] = np.maximum(_face_threshold(np.where(at_low, g, -np.inf), at_low.sum(axis=1),
+                                               np.zeros(face.size), _free_sums(g, free), free.sum(axis=1)), 0.0)
+    d = grad - lam[:, None]
+    np.maximum(d, 0.0, out=d, where=low)
+    return np.sqrt(_dot(d, d))
+
+
+def _free_sums(g, free):
+    """Row sums of ``g`` over ``free``, rounded as sums of the compressed rows
+    (numpy adds fewer than 8 entries in order, where zeros change nothing)."""
+    if g.shape[1] < 8:
+        return np.where(free, g, 0.0).sum(axis=1)
+    return np.array([row[keep].sum() for row, keep in zip(g, free)])
 
 
 def project_truncated_simplex(theta, epsilon: float, gamma: float) -> np.ndarray:
@@ -150,25 +212,8 @@ def project_truncated_simplex(theta, epsilon: float, gamma: float) -> np.ndarray
     (the sort-based projection of very large inputs can overshoot by far
     more than an ulp), then by shaving ulps off the largest coordinate.
     """
-    theta = np.asarray(theta, dtype=float)
-    radius = gamma - theta.size * epsilon
-    # shift to the nonnegative l1 ball {w >= 0, sum(w) <= radius}
-    w = np.maximum(theta - epsilon, 0.0)
-    if w.sum() > radius:
-        w = np.maximum(w - _face_threshold(w, radius), 0.0)
-        s = w.sum()
-        if s > radius and s > 0.0:
-            w *= radius / s
-    out = np.maximum(w + epsilon, epsilon)
-    for _ in range(1000):
-        if out.sum() <= gamma:
-            return out
-        j = int(np.argmax(out))
-        out[j] = np.nextafter(out[j], 0.0)
-    raise EstimationError(
-        f"projection failed to satisfy the sum bound: sum={out.sum()!r} > "
-        f"gamma={gamma!r}"
-    )
+    theta = np.asarray(theta, dtype=float)[None]
+    return _project(theta, np.array([theta.size]), np.ones(theta.shape, dtype=bool), epsilon, gamma)[0]
 
 
 def projected_gradient_norm(theta, grad, epsilon: float, gamma: float) -> float:
@@ -180,277 +225,374 @@ def projected_gradient_norm(theta, grad, epsilon: float, gamma: float) -> float:
     face threshold of the gradient, with the coordinates at the lower bound
     clipped and the others free.
     """
-    theta = np.asarray(theta, dtype=float)
-    g = np.asarray(grad, dtype=float)
-    low = theta <= epsilon + 1e-12
-    lam = 0.0
-    if theta.sum() >= gamma - max(1.0, gamma) * 1e-12:
-        g_free = g[~low]
-        lam = max(_face_threshold(g[low], 0.0, g_free.sum(), g_free.size), 0.0)
-    d = g - lam
-    np.maximum(d, 0.0, out=d, where=low)
-    return float(np.linalg.norm(d))
+    theta, grad = np.asarray(theta, dtype=float)[None], np.asarray(grad, dtype=float)[None]
+    return float(_certificate(theta, grad, np.ones(theta.shape, dtype=bool), epsilon, gamma)[0])
 
 
-# -- solver -------------------------------------------------------------------
+def _newton_directions(hess, grad, free, face, m):
+    """Active-set Newton directions, one per row: each row solves its system
+    over its free coordinates, bordered by the sum constraint on the face,
+    in the compressed order of a per-node solve, padded with identity rows
+    to the largest system of the batch."""
+    k = free.sum(axis=1)
+    n, width = grad.shape
+    if not face.any() and (k == m).all():
+        # every row off the face and free on all its m parents: each system
+        # is its Hessian, padded with identity
+        return _solve_rows(hess + np.eye(width) * ~free[:, :, None], -grad, k)
+    size = k + face
+    order = np.argsort(~free, axis=1, kind="stable")  # free coordinates first
+    rows = np.arange(n)[:, None]
+    h, g = hess[rows[:, :, None], order[:, :, None], order[:, None, :]], grad[rows, order]
+    top = int(size.max())
+    c = min(top, width)
+    slot = np.arange(top)
+    inside = slot < k[:, None]
+    lhs, rhs = np.zeros((n, top, top)), np.zeros((n, top))
+    lhs[:, :c, :c] = np.where(inside[:, :c, None] & inside[:, None, :c], h[:, :c, :c], 0.0)
+    rhs[:, :c] = np.where(inside[:, :c], -g[:, :c], 0.0)
+    f = np.flatnonzero(face)
+    lhs[f, k[f], :] = inside[f]
+    lhs[f, :, k[f]] = inside[f]
+    lhs[:, slot, slot] += slot >= size[:, None]
+    step = np.zeros((n, width))
+    step[:, :c] = np.where(inside[:, :c], _solve_rows(lhs, rhs, size)[:, :c], 0.0)
+    direction = np.zeros((n, width))
+    direction[rows, order] = step
+    return direction
 
 
-class _SolverState:
-    __slots__ = ("theta", "value", "grad", "pg", "step")
-
-    def __init__(self, theta, value, grad, pg, step):
-        self.theta = theta
-        self.value = value
-        self.grad = grad
-        self.pg = pg
-        self.step = step
-
-
-def _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol, budget):
-    """Active-set Newton refinement driven by the projected-gradient norm;
-    returns the number of Newton steps taken, at most ``budget``.
-
-    Near a solution, objective differences fall below floating-point noise
-    while the first-order residual is still measurable, so steps are
-    accepted when they shrink the projected gradient rather than when they
-    raise the objective.  Feasibility stays exact through the projection.
-    """
-    it = 0
-    while state.pg > tol and it < min(_POLISH_STEPS, budget):
-        it += 1
-        theta, grad = state.theta, state.grad
-        low = theta <= epsilon + _BOUNDARY_TOL
-        face = theta.sum() >= gamma - _BOUNDARY_TOL
-        free = ~low
-        k = int(free.sum())
-        if k == 0:
-            break
-        hess = node_hessian(node_data, theta, spec)
-        h_ff = hess[np.ix_(free, free)]
-        g_f = grad[free]
-        if face:
-            lhs = np.zeros((k + 1, k + 1))
-            lhs[:k, :k] = h_ff
-            lhs[:k, k] = 1.0
-            lhs[k, :k] = 1.0
-            rhs = np.concatenate([-g_f, [0.0]])
-        else:
-            lhs, rhs = h_ff, -g_f
-        try:
-            d_f = np.linalg.solve(lhs, rhs)[:k]
-        except np.linalg.LinAlgError:
-            # parents seen only together leave a ridge of maximizers and an
-            # exactly singular Hessian; the minimum-norm step heads for the
-            # ridge without sliding along it
-            d_f = np.linalg.lstsq(lhs, rhs, rcond=None)[0][:k]
-        direction = np.zeros_like(theta)
-        direction[free] = d_f
-        improved = False
-        damp = 1.0
-        for _ in range(25):
-            cand = project_truncated_simplex(theta + damp * direction, epsilon, gamma)
-            if (cand != theta).any():
-                cand_value, cand_grad = fg(cand)
-                if np.isfinite(cand_value):
-                    cand_pg = projected_gradient_norm(cand, cand_grad, epsilon, gamma)
-                    if cand_pg < state.pg:
-                        state.theta, state.value, state.grad = cand, cand_value, cand_grad
-                        state.pg = cand_pg
-                        improved = True
-                        break
-            damp *= 0.5
-        if not improved:
-            break
-    return it
+def _solve_rows(lhs, rhs, size):
+    """Solve each row's system, stacked.  Parents seen only together leave a
+    ridge of maximizers and an exactly singular Hessian; such a row gets the
+    minimum-norm solution of its own ``size`` block, which heads for the
+    ridge without sliding along it."""
+    try:
+        return np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(lhs) > 1:
+            return np.concatenate([_solve_rows(*args) for args in zip(lhs[:, None], rhs[:, None], size[:, None])])
+        out, (k,) = np.zeros_like(rhs), size
+        out[0, :k] = np.linalg.lstsq(lhs[0, :k, :k], rhs[0, :k], rcond=None)[0]
+        return out
 
 
-def _bb_steps(fg, state, epsilon, gamma, tol, limit):
-    """Projected gradient ascent with Barzilai-Borwein steps and Armijo
-    backtracking; returns the number of accepted steps."""
-    used = 0
-    while state.pg > tol and used < limit:
-        s = state.step
-        theta, grad, value = state.theta, state.grad, state.value
-        cand = project_truncated_simplex(theta + s * grad, epsilon, gamma)
+# -- lockstep solver ----------------------------------------------------------
+
+# where a member stands: at the test of an outer round, a polish step or a
+# gradient step, or damping a Newton step; waiting on the kernel with a
+# Newton or a gradient candidate; done
+_OUTER, _STEP, _DAMP, _BURST, _NEWTON, _GRADIENT, _DONE = range(7)
+
+
+class _Lockstep:
+    """The solver of the module docstring on several nodes under one spec.
+
+    Each member keeps its state in array rows and follows the per-node
+    algorithm exactly; ``phase`` says where it stands.  Between kernel calls
+    the members of each phase advance together until every member waits on
+    a candidate or is done."""
+
+    def __init__(self, datas, spec, epsilon, gamma, tol, max_iter):
+        self.datas, self.spec, self.eps, self.gamma = datas, spec, epsilon, gamma
+        self.tol, self.max_iter, n = tol, max_iter, len(datas)
+        self.m = np.array([len(d.parents) for d in datas])
+        width = int(self.m.max())
+        self.real = np.arange(width) < self.m[:, None]  # the parents among the coordinates
+        self.rows, self.stack = np.arange(n), _stack(datas, width)  # the members the stack holds
+        start = np.repeat((epsilon + (gamma - self.m * epsilon) / (2.0 * self.m))[:, None], width, axis=1)
+        self.cand = self._project(start * self.real, self.rows)
+        self.direction, self.damp, self.s = np.zeros((n, width)), np.ones(n), np.ones(n)
+        self.it, self.pit, self.used, self.limit, self.tries = np.zeros((5, n), dtype=int)
+        self.moved, self.warm = np.zeros((2, n), dtype=bool)
+        self.phase = np.full(n, _OUTER)
+
+    def _project(self, theta, i):
+        return _project(theta, self.m[i], self.real[i], self.eps, self.gamma)
+
+    def _certificate(self, theta, grad, i):
+        return _certificate(theta, grad, self.real[i], self.eps, self.gamma)
+
+    def _evaluate(self, i):
+        """Value, gradient and Hessian at the candidates of members ``i``."""
+        if 2 * i.size <= self.rows.size:  # drop the patterns of finished members
+            self.rows, self.stack = i, _stack([self.datas[k] for k in i], self.cand.shape[1])
+        value, grad, hess, _ = _evaluate(self.stack, self.cand[self.rows], self.spec, 2)
+        if i.size == self.rows.size:
+            return value, grad, hess
+        at = np.searchsorted(self.rows, i)
+        return value[at], grad[at], hess[at]
+
+    def run(self):
+        """Per member ``(theta, value, pg, iterations)``, or the
+        EstimationError of a degenerate starting point."""
+        everyone = self.rows
+        self.value, self.grad, self.hess = self._evaluate(everyone)
+        self.theta, ok = self.cand.copy(), np.isfinite(self.value)
+        self.pg = np.full(len(ok), np.inf)
+        self.pg[ok] = self._certificate(self.theta[ok], self.grad[ok], everyone[ok])
+        self.step = 1.0 / np.fmax(1.0, np.sqrt(_dot(self.grad, self.grad)))
+        if not self.spec.log_concave_density:  # the warm-up burst
+            self.warm[:], self.limit[:], self.phase[:] = True, min(25, self.max_iter), _BURST
+        self.phase[~ok] = _DONE
+        handlers = ((_OUTER, self._outer), (_STEP, self._step), (_DAMP, self._damp), (_BURST, self._burst))
+        while True:
+            counts = np.bincount(self.phase, minlength=_DONE)
+            for phase, handler in handlers:
+                i = np.flatnonzero(self.phase == phase) if counts[phase] else ()
+                if len(i):
+                    handler(i)
+            if counts[:_NEWTON].any():
+                continue
+            i = np.flatnonzero(self.phase != _DONE)
+            if not i.size:
+                break
+            value, grad, hess = self._evaluate(i)
+            newton = self.phase[i] == _NEWTON
+            for results, pick in ((self._newton_results, newton), (self._gradient_results, ~newton)):
+                if pick.any():
+                    results(i[pick], value[pick], grad[pick], hess[pick])
+        degenerate = "log-likelihood is degenerate at the interior starting point for node "
+        return [(self.theta[k, : self.m[k]].copy(), float(self.value[k]), float(self.pg[k]), int(self.it[k]))
+                if ok[k] else EstimationError(degenerate + str(self.datas[k].node)) for k in everyone]
+
+    def _accept(self, i, value, grad, hess, pg):
+        self.theta[i], self.value[i], self.grad[i], self.hess[i] = self.cand[i], value, grad, hess
+        self.pg[i], self.moved[i] = pg, True
+
+    # An outer round polishes with Newton, then runs a gradient burst unless
+    # the certificate holds; a round in which nothing moved ends the fit.
+    def _outer(self, i):
+        go = (self.pg[i] > self.tol) & (self.it[i] < self.max_iter)
+        self.phase[i] = np.where(go, _STEP, _DONE)
+        self.moved[i], self.pit[i] = False, 0
+
+    # Polish: active-set Newton steps, accepted when they shrink the projected
+    # gradient rather than when they raise the objective, since near a
+    # solution objective differences fall below floating-point noise while
+    # the first-order residual is still measurable.
+    def _step(self, i):
+        go = (self.pg[i] > self.tol) & (self.pit[i] < _POLISH_STEPS) & (self.it[i] < self.max_iter)
+        self.pit[i[go]] += 1
+        self.it[i[go]] += 1
+        free = self.theta[i] > self.eps + _BOUNDARY_TOL
+        go &= free.any(axis=1)
+        self._polish_over(i[~go])
+        i, free = i[go], free[go]
+        if i.size:
+            face = self.theta[i].sum(axis=1) >= self.gamma - _BOUNDARY_TOL
+            self.direction[i] = _newton_directions(self.hess[i], self.grad[i], free, face, self.m[i])
+            self.damp[i], self.tries[i], self.phase[i] = 1.0, 0, _DAMP
+
+    def _damp(self, i):
+        cand = self._project(self.theta[i] + self.damp[i][:, None] * self.direction[i], i)
+        moves = (cand != self.theta[i]).any(axis=1)
+        self.cand[i[moves]], self.phase[i[moves]] = cand[moves], _NEWTON
+        self._halve(i[~moves])
+
+    def _halve(self, i):
+        self.damp[i] *= 0.5
+        self.tries[i] += 1
+        over = self.tries[i] == 25
+        self.phase[i[~over]] = _DAMP
+        self._polish_over(i[over])
+
+    def _newton_results(self, i, value, grad, hess):
+        ok = np.isfinite(value)
+        pg = np.full(i.size, np.inf)
+        pg[ok] = self._certificate(self.cand[i[ok]], grad[ok], i[ok])
+        better = ok & (pg < self.pg[i])
+        self._accept(i[better], value[better], grad[better], hess[better], pg[better])
+        self.phase[i[better]] = _STEP
+        self._halve(i[~better])
+
+    def _polish_over(self, i):
+        done = self.pg[i] <= self.tol
+        self.phase[i[done]] = _DONE
+        i = i[~done]
+        self.used[i], self.limit[i], self.phase[i] = 0, np.minimum(10, self.max_iter - self.it[i]), _BURST
+
+    # Burst: projected gradient ascent with Barzilai-Borwein steps and Armijo
+    # backtracking, the fallback when Newton stalls and the warm-up for
+    # densities that are not log-concave.
+    def _burst(self, i):
+        go = (self.pg[i] > self.tol) & (self.used[i] < self.limit[i])
+        self._burst_over(i[~go])
+        i = i[go]
+        self.s[i], self.tries[i] = self.step[i], 0
+        cand = self._trial(i)
         for _ in range(40):
             # escape the ulp regime where the projected point does not move
-            if (cand != theta).any():
+            still = np.flatnonzero(~(cand != self.theta[i]).any(axis=1))
+            if not still.size:
                 break
-            s *= 4.0
-            cand = project_truncated_simplex(theta + s * grad, epsilon, gamma)
-        accepted = False
-        for _ in range(60):
-            move = cand - theta
-            if not move.any():
-                break
-            cand_value, cand_grad = fg(cand)
-            if np.isfinite(cand_value) and cand_value >= value + 1e-4 * float(
-                grad @ move
-            ):
-                accepted = True
-                break
-            s *= 0.25
-            cand = project_truncated_simplex(theta + s * grad, epsilon, gamma)
-        if not accepted:
-            return used
-        used += 1
-        d_theta = cand - theta
-        d_grad = cand_grad - grad
-        curv = float(d_theta @ d_grad)
-        if curv < 0:
-            state.step = min(max(float(d_theta @ d_theta) / -curv, 1e-12), 1e8)
-        else:
-            state.step = min(state.step * 4.0, 1e8)
-        state.theta, state.value, state.grad = cand, cand_value, cand_grad
-        state.pg = projected_gradient_norm(cand, cand_grad, epsilon, gamma)
-    return used
+            self.s[i[still]] *= 4.0
+            cand[still] = self._trial(i[still])
+        self._offer(i, cand)
+
+    def _trial(self, i):
+        return self._project(self.theta[i] + self.s[i][:, None] * self.grad[i], i)
+
+    def _offer(self, i, cand):
+        moves = (cand != self.theta[i]).any(axis=1)
+        self.cand[i], self.phase[i[moves]] = cand, _GRADIENT
+        self._burst_over(i[~moves])
+
+    def _gradient_results(self, i, value, grad, hess):
+        move = self.cand[i] - self.theta[i]
+        ok = np.isfinite(value) & (value >= self.value[i] + 1e-4 * _dot(self.grad[i], move))
+        a, move = i[ok], move[ok]
+        curv = _dot(move, grad[ok] - self.grad[a])
+        step = np.minimum(self.step[a] * 4.0, 1e8)
+        neg = curv < 0
+        step[neg] = np.minimum(np.maximum(_dot(move[neg], move[neg]) / -curv[neg], 1e-12), 1e8)
+        self.step[a] = step
+        self._accept(a, value[ok], grad[ok], hess[ok], self._certificate(self.cand[a], grad[ok], a))
+        self.used[a] += 1
+        self.it[a] += 1
+        self.phase[a] = _BURST
+        r = i[~ok]
+        self.tries[r] += 1
+        over = self.tries[r] == 60
+        self._burst_over(r[over])
+        r = r[~over]
+        self.s[r] *= 0.25
+        self._offer(r, self._trial(r))
+
+    def _burst_over(self, i):
+        # the warm-up always hands over to Newton
+        self.phase[i] = np.where(self.moved[i] | self.warm[i], _OUTER, _DONE)
+        self.warm[i] = False
+
+
+def _solve(datas, spec, epsilon, gamma, tol, max_iter):
+    """:meth:`_Lockstep.run` on ``datas``; should it raise, each node is solved
+    alone, so that only the nodes at fault fail, their exception the result."""
+    try:
+        return _Lockstep(datas, spec, epsilon, gamma, tol, max_iter).run()
+    except Exception as exc:  # noqa: BLE001 - per-node isolation
+        if len(datas) == 1:
+            return [exc]
+        return [r for d in datas for r in _solve([d], spec, epsilon, gamma, tol, max_iter)]
 
 
 def _maximize(node_data, spec, epsilon, gamma, tol, max_iter):
-    def fg(theta):
-        try:
-            return node_value_and_gradient(node_data, theta, spec)
-        except ZeroProbabilityError:
-            return -np.inf, None
+    """The solver on one node: ``(theta, value, pg, iterations)``."""
+    (result,) = _solve([node_data], spec, epsilon, gamma, tol, max_iter)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    m = len(node_data.parents)
-    theta = np.full(m, epsilon + (gamma - m * epsilon) / (2.0 * m))
-    theta = project_truncated_simplex(theta, epsilon, gamma)
-    value, grad = fg(theta)
-    if not np.isfinite(value):
-        raise EstimationError(
-            f"log-likelihood is degenerate at the interior starting point "
-            f"for node {node_data.node}"
-        )
-    state = _SolverState(
-        theta,
-        value,
-        grad,
-        projected_gradient_norm(theta, grad, epsilon, gamma),
-        1.0 / max(1.0, float(np.linalg.norm(grad))),
-    )
-    # A concave objective (log-concave density) has no stationary point but
-    # the maximum, so Newton starts at once.  Otherwise a short first-order
-    # warm-up comes first: over 1,500 random small non-log-concave fits,
-    # Newton from the interior point certified a lower stationary point than
-    # the warm-up path in 19 and a higher one in 5.  Then Newton polish
-    # alternates with gradient bursts until the certificate holds, nothing
-    # moves or the budget is spent.
-    it = 0
-    if not spec.log_concave_density:
-        it = _bb_steps(fg, state, epsilon, gamma, tol, min(25, max_iter))
-    while state.pg > tol and it < max_iter:
-        start = state.theta
-        it += _newton_polish(
-            fg, node_data, spec, state, epsilon, gamma, tol, max_iter - it
-        )
-        if state.pg <= tol:
-            break
-        it += _bb_steps(fg, state, epsilon, gamma, tol, min(10, max_iter - it))
-        if state.theta is start:
-            break  # stuck: a repeat round would move nothing either
-    return state.theta, state.value, state.pg, it
+
+def _fit_group(datas, spec, options):
+    """Fit the nodes ``datas`` under one spec, failures recorded in ``error``:
+    sorted by pattern count, then node id, so results do not depend on the
+    order of ``datas``, in lockstep chunks of about ``_BLOCK`` elements."""
+    out, todo = [None] * len(datas), []
+    for k, data in enumerate(datas):
+        try:
+            if data.n_informative_rows == 0:
+                raise EstimationError(f"node {data.node} has no informative rows")
+            if not spec.log_concave_density:
+                warnings.warn(f"threshold density for node {data.node} is not log-concave; "
+                              f"the fit is a local optimum only", stacklevel=3)
+            gamma = options.resolve_gamma(spec, len(data.parents))
+            todo.append(k)
+        except EstimationError as exc:
+            out[k] = _failure(data, spec, options, exc)
+    size = [d._patterns[2].size + d._patterns[4].size for d in datas]
+    todo.sort(key=lambda k: (size[k], datas[k].node))
+    chunks, width = [[]], 0
+    for k in todo:
+        width = max(width, len(datas[k].parents))
+        if chunks[-1] and (len(chunks[-1]) + 1) * size[k] * width > _BLOCK:
+            chunks.append([])
+            width = len(datas[k].parents)
+        chunks[-1].append(k)
+    for chunk in filter(None, chunks):
+        for k, result in zip(chunk, _solve([datas[k] for k in chunk], spec, options.epsilon, gamma, _TOL, _MAX_ITER)):
+            d = datas[k]
+            out[k] = _failure(d, spec, options, result) if isinstance(result, Exception) else NodeFitResult(
+                d.node, d.parents, result[0], bool(result[2] <= _TOL), result[1], d.n_obs, options.epsilon,
+                gamma, spec, projected_gradient_norm=result[2], iterations=result[3])
+    return out
+
+
+def _failure(data, spec, options, error):
+    return NodeFitResult(data.node, data.parents, None, False, np.nan, 0, options.epsilon, np.nan, spec,
+                         error=str(error))
 
 
 def fit_node(node_data: NodeData, spec: ThresholdSpec, options: FitOptions = None) -> NodeFitResult:
-    """Maximize the node log-likelihood over the truncated simplex.
+    """Maximize the node log-likelihood over the truncated simplex: a
+    lockstep batch of one.
 
     Deterministic given its inputs.  Non-convergence within the iteration
     budget (``_MAX_ITER``) returns the best iterate with ``converged=False``
     rather than raising; convergence means a certificate of at most ``_TOL``.
+    A fit that cannot be carried out raises EstimationError.
     """
-    options = options or FitOptions()
-    if node_data.n_informative_rows == 0:
-        raise EstimationError(f"node {node_data.node} has no informative rows")
-    if not spec.log_concave_density:
-        warnings.warn(
-            f"threshold density for node {node_data.node} is not log-concave; "
-            f"the fit is a local optimum only",
-            stacklevel=2,
-        )
-    m = len(node_data.parents)
-    gamma = options.resolve_gamma(spec, m)
-    theta, value, pg, it = _maximize(node_data, spec, options.epsilon, gamma, _TOL, _MAX_ITER)
-    return NodeFitResult(
-        node=node_data.node,
-        parents=node_data.parents,
-        weights=theta,
-        converged=bool(pg <= _TOL),
-        loglik=float(value),
-        n_obs=node_data.n_obs,
-        epsilon=options.epsilon,
-        gamma=gamma,
-        spec=spec,
-        projected_gradient_norm=float(pg),
-        iterations=it,
-    )
+    (result,) = _fit_group([node_data], spec, options or FitOptions())
+    if not result.estimated:
+        raise EstimationError(result.error)
+    return result
 
 
 def fit_all(datasets: dict, specs, options: FitOptions = None) -> dict:
     """Fit every node of ``datasets``, a ``{node: NodeData}`` dict such as
     ``build_all_node_data(traces, graph)``.
 
-    ``specs`` is a single ThresholdSpec or a per-node sequence.  Per-node
-    failures are recorded on the result (``error`` field), never raised, so
-    a batch over many nodes always completes.
+    ``specs`` is a single ThresholdSpec or a per-node sequence; the nodes
+    sharing a spec are fitted in lockstep.  Per-node failures are recorded
+    on the result (``error`` field), never raised, so a batch over many
+    nodes always completes.
     """
-    options = options or FitOptions()
-    if isinstance(specs, ThresholdSpec):
-        spec_of = lambda v: specs
-    else:
-        specs = tuple(specs)
-        spec_of = lambda v: specs[v]
-
-    def run(v, data):
-        try:
-            return fit_node(data, spec_of(v), options)
-        except Exception as exc:  # noqa: BLE001 - per-node isolation is the contract
-            return NodeFitResult(
-                node=v,
-                parents=data.parents,
-                weights=None,
-                converged=False,
-                loglik=np.nan,
-                n_obs=0,
-                epsilon=options.epsilon,
-                gamma=np.nan,
-                spec=spec_of(v),
-                error=str(exc),
-            )
-
-    return {v: run(v, data) for v, data in datasets.items()}
+    options, groups, out = options or FitOptions(), {}, {}
+    spec_of = (lambda v: specs) if isinstance(specs, ThresholdSpec) else tuple(specs).__getitem__
+    for v in datasets:
+        groups.setdefault(spec_of(v), []).append(v)
+    for spec, nodes in groups.items():
+        out.update(zip(nodes, _fit_group([datasets[v] for v in nodes], spec, options)))
+    return {v: out[v] for v in datasets}
 
 
-def fit_with_threshold_grid(node_data: NodeData, grid, options: FitOptions = None) -> NodeFitResult:
-    """Fit beta(alpha, beta) thresholds at each ``(alpha, beta)`` of ``grid``,
-    keep the best.
+def fit_with_threshold_grid(datasets, grid, options: FitOptions = None):
+    """Fit beta(alpha, beta) thresholds at each ``(alpha, beta)`` of ``grid``
+    to every node of ``datasets``, a ``{node: NodeData}`` dict, and keep each
+    node's best fit: ``{node: NodeFitResult}``, the parameters in ``phi``.
 
-    Ties in log-likelihood break toward the earliest grid position.  Raises
-    only if every grid fit failed.
+    The nodes are fitted in lockstep at each grid point, as by
+    :func:`fit_all`.  Ties in log-likelihood break toward the earliest grid
+    position.  A node whose every grid fit failed gets a result whose
+    ``error`` lists the failures; only an empty grid raises.  Given one
+    NodeData instead of a dict, it returns that node's result and raises
+    EstimationError if every grid fit failed.
     """
     grid = tuple(grid)
     if not grid:
         raise EstimationError("threshold-parameter grid is empty")
-    best = None
-    failures = []
+    if isinstance(datasets, NodeData):
+        (result,) = fit_with_threshold_grid({datasets.node: datasets}, grid, options).values()
+        if not result.estimated:
+            raise EstimationError(result.error)
+        return result
+    options = options or FitOptions()
+    best, failures = {}, {v: [] for v in datasets}
     for phi in grid:
         spec = make_beta(*phi)
         if not spec.log_concave_density:
-            failures.append(f"{phi}: not fit-safe (density not log-concave)")
+            for v in datasets:
+                failures[v].append(f"{phi}: not fit-safe (density not log-concave)")
             continue
-        try:
-            result = fit_node(node_data, spec, options)
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"{phi}: {exc}")
-            continue
-        if best is None or result.loglik > best.loglik:
-            result.phi = {"family": "beta", "params": phi}
-            best = result
-    if best is None:
-        raise EstimationError(
-            "all grid fits failed: " + "; ".join(failures[:5])
-        )
-    return best
+        for v, result in zip(datasets, _fit_group(list(datasets.values()), spec, options)):
+            if not result.estimated:
+                failures[v].append(f"{phi}: {result.error}")
+            elif v not in best or result.loglik > best[v].loglik:
+                result.phi = {"family": "beta", "params": phi}
+                best[v] = result
+    failed = "all grid fits failed: "
+    return {v: best.get(v) or _failure(d, None, options, failed + "; ".join(failures[v][:5]))
+            for v, d in datasets.items()}
 
 
 # -- heuristic baselines ------------------------------------------------------

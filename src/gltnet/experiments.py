@@ -317,15 +317,9 @@ def _fit_candidates(config, truth, traces):
     rounds, horizons = _activation_rounds(traces, graph.n)
     datasets = {v: _node_rows(rounds, horizons, graph.parent_list(v), v) for v in graph.child_nodes()}
     grid = tuple((1, b) for b in config.beta_grid)
-    glt_fits = {}
-    options = FitOptions()
-    for v, data in datasets.items():
-        if data.n_informative_rows == 0:
-            continue
-        try:
-            glt_fits[v] = fit_with_threshold_grid(data, grid, options)
-        except Exception:  # noqa: BLE001 - candidate fit may fail per node
-            continue
+    informative = {v: data for v, data in datasets.items() if data.n_informative_rows}
+    glt_fits = fit_with_threshold_grid(informative, grid, FitOptions())
+    glt_fits = {v: fit for v, fit in glt_fits.items() if fit.estimated}
     out["glt"] = _fitted_model(graph, make_uniform(), glt_fits)
 
     lt, ic = make_uniform(), make_exponential_unit()

@@ -23,8 +23,9 @@ evaluation, which makes the cost per likelihood call independent of the
 number of traces.
 
 The value, gradient and Hessian share one kernel, which never branches on
-the threshold family.  It computes each array once per evaluation: the
-arguments ``z @ theta``, then the unchecked ``ThresholdSpec`` forms
+the threshold family and evaluates a stack of nodes at once (the per-node
+functions are stacks of one).  It computes each array once per evaluation:
+the arguments ``z @ theta``, then the unchecked ``ThresholdSpec`` forms
 ``_interval`` and ``_sf``, their logs ``_log_interval`` and ``_log_sf`` for
 the value, ``_density`` for the gradient or Hessian and
 ``_density_derivative`` for the Hessian; ``z @ theta`` with 0/1 indicators
@@ -88,28 +89,25 @@ class NodeData:
     def compressed(self):
         """Distinct (z_prev, z_curr) patterns with counts, per outcome kind:
         ``(zp_act, zc_act, w_act, zc_term, w_term)``, separate float64 arrays."""
-        return self._patterns[:5]
+        return self._patterns
 
     @cached_property
     def _patterns(self):
-        """The five arrays of :meth:`compressed`, then the mask of activation
-        patterns with no previously active parent (None if there are none)."""
-
         def _group(rows):
-            if rows.shape[0] == 0:
-                return np.zeros((0, rows.shape[1]), dtype=np.uint8), np.zeros(0)
-            uniq, counts = np.unique(rows, axis=0, return_counts=True)
-            return uniq, counts.astype(float)
+            # each 0/1 row packed into one void scalar; the packed bytes
+            # compare in the lexicographic order of the rows
+            packed = np.packbits(rows, axis=1)
+            keys = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))
+            _, first, counts = np.unique(keys.ravel(), return_index=True, return_counts=True)
+            return rows[first], counts.astype(float)
 
         m = len(self.parents)
         act = self.outcome == ROW_ACTIVATED
         uniq_a, w_a = _group(np.hstack([self.z_prev[act], self.z_curr[act]]))
         uniq_t, w_t = _group(self.z_curr[self.outcome == ROW_TERMINAL])
-        empty = ~uniq_a[:, :m].any(axis=1)
         # astype copies each block into its own C-contiguous array; strided
         # views of one array change the rounding of the kernel's BLAS products
-        zp_a, zc_a = uniq_a[:, :m].astype(float), uniq_a[:, m:].astype(float)
-        return zp_a, zc_a, w_a, uniq_t.astype(float), w_t, (empty if empty.any() else None)
+        return uniq_a[:, :m].astype(float), uniq_a[:, m:].astype(float), w_a, uniq_t.astype(float), w_t
 
 
 @dataclass(frozen=True)
@@ -199,71 +197,112 @@ def build_pseudo_node_data(pseudo_traces, v: int, graph: Graph) -> NodeData:
     return NodeData(v, parents, np.zeros_like(z_curr), z_curr, outcome, trace_index)
 
 
-def _evaluate(node_data: NodeData, theta, spec, order: int):
-    """The likelihood kernel: the log-likelihood (``order`` 0), it and the
-    gradient (1), or the Hessian (2)."""
-    zp_a, zc_a, w_a, zc_t, w_t, empty = node_data._patterns
-    theta = np.asarray(theta, dtype=float)
-    x_a = zc_a @ theta
-    y_a = zp_a @ theta
-    x_t = zc_t @ theta
+def _stack(datas, m: int):
+    """The patterns of the nodes ``datas`` in zero-padded (nodes x patterns x
+    ``m``) arrays: ``(zp_a, zc_a, w_a, zc_t, w_t, empty, pad_a, pad_t)``, the
+    masks marking activation rows with no previously active parent and the
+    padding rows (each None where it marks nothing).  Padding rows weigh 0."""
+    n = len(datas)
+    n_a, n_t = (np.array([d._patterns[i].size for d in datas]) for i in (2, 4))
+    a, t = n_a.max(), n_t.max()
+    zp_a, zc_a, zc_t, w_a, w_t = (np.zeros(shape) for shape in ((n, a, m), (n, a, m), (n, t, m), (n, a), (n, t)))
+    for b, d in enumerate(datas):
+        zp, zc, wa, zt, wt = d._patterns
+        k = zp.shape[1]
+        zp_a[b, : wa.size, :k], zc_a[b, : wa.size, :k], w_a[b, : wa.size] = zp, zc, wa
+        zc_t[b, : wt.size, :k], w_t[b, : wt.size] = zt, wt
+    masks = (~zp_a.any(axis=2), np.arange(a) >= n_a[:, None], np.arange(t) >= n_t[:, None])
+    return (zp_a, zc_a, w_a, zc_t, w_t) + tuple(mask if mask.any() else None for mask in masks)
+
+
+def _evaluate(stack, theta, spec, order: int):
+    """The likelihood kernel at ``theta`` (nodes x m) for a :func:`_stack`:
+    ``(value, grad, hess, vanished)``, the gradient from ``order`` 1 and the
+    Hessian from ``order`` 2 (else None).  ``vanished`` is 1 where an
+    activation factor vanished, 2 where only a survival factor did (value
+    -inf, the rest meaningless), else 0.  Stacked ``matmul`` makes each
+    node's BLAS calls of a per-node kernel, so a stack of one rounds alike;
+    in a larger stack, zero padding can move low bits.  Padding rows are
+    evaluated at the threshold median, where every factor is finite and
+    nonzero, so they add exact zeros."""
+    zp_a, zc_a, w_a, zc_t, w_t, empty, pad_a, pad_t = stack
+    column = theta[:, :, None]
+    x_a, y_a, x_t = (zc_a @ column)[..., 0], (zp_a @ column)[..., 0], (zc_t @ column)[..., 0]
+    for x, pad in ((x_a, pad_a), (x_t, pad_t)):
+        if pad is not None:
+            x[pad] = spec._median
     diffs = spec._interval(x_a, y_a)
     surv = spec._sf(x_t)
     tol = spec.interval_zero_tol()
-    for factor, kind in ((diffs, "activation"), (surv, "survival")):
-        if (factor <= tol).any():
-            raise ZeroProbabilityError(
-                node_data.node, None, f"{kind} factor vanished at this theta"
-            )
-    if order < 2:
-        value = 0.0
-        if w_a.size:
-            value += float(w_a @ spec._log_interval(x_a, y_a, diffs))
-        if w_t.size:
-            value += float(w_t @ spec._log_sf(x_t, surv))
+    vanished = np.where((diffs <= tol).any(axis=1), 1, 2 * (surv <= tol).any(axis=1))
+    grad = hess = None
+    # only a node with a vanished factor divides by zero or takes log(0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.zeros(len(theta))
+        value += _dot(w_a, spec._log_interval(x_a, y_a, diffs))
+        value += _dot(w_t, spec._log_sf(x_t, surv))
+        value[vanished > 0] = -np.inf
         if order == 0:
-            return value
-    # an all-zero z_prev row contributes nothing regardless of the density
-    # value at 0, which may be infinite (e.g. beta with alpha < 1)
-    fx, ft = spec._density(x_a), spec._density(x_t)
-    fy = _zero_where(empty, spec._density(y_a))
-    m = len(node_data.parents)
-    if order == 1:
-        grad = np.zeros(m)
-        if w_a.size:
-            grad += zc_a.T @ (w_a * fx / diffs) - zp_a.T @ (w_a * fy / diffs)
-        if w_t.size:
-            grad -= zc_t.T @ (w_t * ft / surv)
-        return value, grad
-    dfx, dft = spec._density_derivative(x_a), spec._density_derivative(x_t)
-    dfy = _zero_where(empty, spec._density_derivative(y_a))
-    hess = np.zeros((m, m))
-    if w_a.size:
+            return value, grad, hess, vanished
+        # an all-zero z_prev row contributes nothing regardless of the density
+        # value at 0, which may be infinite (e.g. beta with alpha < 1)
+        fx, ft = spec._density(x_a), spec._density(x_t)
+        fy = _zero_where(empty, spec._density(y_a))
+        grad = np.zeros(theta.shape)
+        grad += _gram(zc_a, w_a * fx / diffs) - _gram(zp_a, w_a * fy / diffs)
+        grad -= _gram(zc_t, w_t * ft / surv)
+        if order == 1:
+            return value, grad, hess, vanished
+        dfx, dft = spec._density_derivative(x_a), spec._density_derivative(x_t)
+        dfy = _zero_where(empty, spec._density_derivative(y_a))
+        hess = np.zeros(theta.shape + theta.shape[-1:])
         coef_cc = w_a * (dfx / diffs - (fx / diffs) ** 2)
         coef_pp = w_a * (-dfy / diffs - (fy / diffs) ** 2)
         coef_cp = w_a * fx * fy / diffs**2
-        hess += (zc_a * coef_cc[:, None]).T @ zc_a
-        hess += (zp_a * coef_pp[:, None]).T @ zp_a
-        cross = (zc_a * coef_cp[:, None]).T @ zp_a
-        hess += cross + cross.T
-    if w_t.size:
-        coef = w_t * (-dft / surv - (ft / surv) ** 2)
-        hess += (zc_t * coef[:, None]).T @ zc_t
-    return hess
+        hess += _gram(zc_a, coef_cc, zc_a)
+        hess += _gram(zp_a, coef_pp, zp_a)
+        cross = _gram(zc_a, coef_cp, zp_a)
+        hess += cross + cross.transpose(0, 2, 1)
+        hess += _gram(zc_t, w_t * (-dft / surv - (ft / surv) ** 2), zc_t)
+    return value, grad, hess, vanished
+
+
+def _dot(u, v):
+    """Row-wise dot products of two (nodes x k) arrays."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _gram(z, coef, other=None):
+    """Per node, ``(z * coef[:, None]).T @ other``, or ``z.T @ coef`` without ``other``."""
+    if other is None:
+        return (z.transpose(0, 2, 1) @ coef[:, :, None])[..., 0]
+    return (z * coef[:, :, None]).transpose(0, 2, 1) @ other
 
 
 def _zero_where(mask, values):
     return values if mask is None else np.where(mask, 0.0, values)
 
 
+def _single(node_data: NodeData, theta, spec, order: int):
+    """The kernel on one node: ``(value, grad, hess)``, raising
+    :class:`ZeroProbabilityError` where a likelihood factor vanished."""
+    theta = np.asarray(theta, dtype=float)
+    value, grad, hess, vanished = _evaluate(_stack([node_data], theta.size), theta[None], spec, order)
+    if vanished[0]:
+        kind = "activation" if vanished[0] == 1 else "survival"
+        raise ZeroProbabilityError(node_data.node, None, f"{kind} factor vanished at this theta")
+    return float(value[0]), grad, hess
+
+
 def node_log_likelihood(node_data: NodeData, theta, spec) -> float:
     """Log-likelihood of node_data at parent weights theta."""
-    return _evaluate(node_data, theta, spec, 0)
+    return _single(node_data, theta, spec, 0)[0]
 
 
 def node_value_and_gradient(node_data: NodeData, theta, spec):
     """Log-likelihood and its analytic gradient, in one pass."""
-    return _evaluate(node_data, theta, spec, 1)
+    value, grad, _ = _single(node_data, theta, spec, 1)
+    return value, grad[0]
 
 
 def node_gradient(node_data: NodeData, theta, spec) -> np.ndarray:
@@ -272,4 +311,4 @@ def node_gradient(node_data: NodeData, theta, spec) -> np.ndarray:
 
 def node_hessian(node_data: NodeData, theta, spec) -> np.ndarray:
     """Analytic Hessian of the node log-likelihood (exactly symmetric)."""
-    return _evaluate(node_data, theta, spec, 2)
+    return _single(node_data, theta, spec, 2)[2][0]

@@ -614,6 +614,12 @@ class ExactSpreadOracle:
             for block in range(0, len(first), _STATE_BLOCK):
                 pick = first[block : block + _STATE_BLOCK]
                 levels.append(self._branches(active[pick], frontier[pick]))
+                # a state has 2^k successor terms, one fewer with no certain
+                # candidate; one whose terms alone exceed the cap is refused
+                # before they are built
+                _, _, certain, k, _, _ = levels[-1]
+                if (np.exp2(k) - ~certain.any(axis=-1) > self.node_cap).any():
+                    raise EnumerationCapError(self.node_cap + 1, self.node_cap)
                 for _, prob, succ, chosen in self._successors(levels[-1]):
                     live = (prob != 0.0) & chosen.any(axis=-1)
                     visit(succ[live], chosen[live])

@@ -123,6 +123,11 @@ class ThresholdSpec:
     def _beta_norm(self) -> float:
         return special.beta(self.alpha, self.beta)
 
+    @cached_property
+    def _median(self) -> float:
+        """F^-1(1/2): every factor of the likelihood is finite and nonzero there."""
+        return float(self.inverse_cdf(0.5))
+
     def _cdf(self, x):
         if self.family == "uniform":
             return x.clip(0.0, 1.0)
@@ -154,10 +159,15 @@ class ThresholdSpec:
             return -np.exp(-x)
         a, b = self.alpha, self.beta
         xc = x.clip(0.0, 1.0)
+        # a term whose coefficient is 0 (a == 1 or b == 1) is dropped, not
+        # multiplied out: its power is infinite at the matching end of [0, 1]
+        out = np.zeros_like(xc)
         with np.errstate(divide="ignore", invalid="ignore"):
-            term1 = (a - 1.0) * np.power(xc, a - 2.0) * np.power(1.0 - xc, b - 1.0)
-            term2 = (b - 1.0) * np.power(xc, a - 1.0) * np.power(1.0 - xc, b - 2.0)
-        return np.where(x > 1.0, 0.0, (term1 - term2) / self._beta_norm)
+            if a != 1.0:
+                out += (a - 1.0) * np.power(xc, a - 2.0) * np.power(1.0 - xc, b - 1.0)
+            if b != 1.0:
+                out -= (b - 1.0) * np.power(xc, a - 1.0) * np.power(1.0 - xc, b - 2.0)
+        return np.where(x > 1.0, 0.0, out / self._beta_norm)
 
     def _interval(self, x, y):
         """F(x) - F(y), unclamped: below 0 when x < y or from rounding."""

@@ -417,6 +417,167 @@ def reference_projected_gradient_norm(theta, grad, epsilon, gamma):
     return float(np.linalg.norm(d))
 
 
+class _SolverState:
+    __slots__ = ("theta", "value", "grad", "pg", "step")
+
+    def __init__(self, theta, value, grad, pg, step):
+        self.theta = theta
+        self.value = value
+        self.grad = grad
+        self.pg = pg
+        self.step = step
+
+
+def _node_fg(node_data, spec):
+    from gltnet.likelihood import node_value_and_gradient
+    from gltnet.model import ZeroProbabilityError
+
+    def fg(theta):
+        try:
+            return node_value_and_gradient(node_data, theta, spec)
+        except ZeroProbabilityError:
+            return -np.inf, None
+
+    return fg
+
+
+def _start_state(fg, m, epsilon, gamma):
+    from gltnet.estimation import project_truncated_simplex, projected_gradient_norm
+
+    theta = np.full(m, epsilon + (gamma - m * epsilon) / (2.0 * m))
+    theta = project_truncated_simplex(theta, epsilon, gamma)
+    value, grad = fg(theta)
+    assert np.isfinite(value), "degenerate interior starting point"
+    return _SolverState(
+        theta,
+        value,
+        grad,
+        projected_gradient_norm(theta, grad, epsilon, gamma),
+        1.0 / max(1.0, float(np.linalg.norm(grad))),
+    )
+
+
+def _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol, budget):
+    """The per-node active-set Newton polish of the Newton-first solver;
+    returns the number of Newton steps taken, at most ``budget``."""
+    from gltnet.estimation import (
+        _BOUNDARY_TOL,
+        _POLISH_STEPS,
+        project_truncated_simplex,
+        projected_gradient_norm,
+    )
+    from gltnet.likelihood import node_hessian
+
+    it = 0
+    while state.pg > tol and it < min(_POLISH_STEPS, budget):
+        it += 1
+        theta, grad = state.theta, state.grad
+        low = theta <= epsilon + _BOUNDARY_TOL
+        face = theta.sum() >= gamma - _BOUNDARY_TOL
+        free = ~low
+        k = int(free.sum())
+        if k == 0:
+            break
+        hess = node_hessian(node_data, theta, spec)
+        h_ff = hess[np.ix_(free, free)]
+        g_f = grad[free]
+        if face:
+            lhs = np.zeros((k + 1, k + 1))
+            lhs[:k, :k] = h_ff
+            lhs[:k, k] = 1.0
+            lhs[k, :k] = 1.0
+            rhs = np.concatenate([-g_f, [0.0]])
+        else:
+            lhs, rhs = h_ff, -g_f
+        try:
+            d_f = np.linalg.solve(lhs, rhs)[:k]
+        except np.linalg.LinAlgError:
+            d_f = np.linalg.lstsq(lhs, rhs, rcond=None)[0][:k]
+        direction = np.zeros_like(theta)
+        direction[free] = d_f
+        improved = False
+        damp = 1.0
+        for _ in range(25):
+            cand = project_truncated_simplex(theta + damp * direction, epsilon, gamma)
+            if (cand != theta).any():
+                cand_value, cand_grad = fg(cand)
+                if np.isfinite(cand_value):
+                    cand_pg = projected_gradient_norm(cand, cand_grad, epsilon, gamma)
+                    if cand_pg < state.pg:
+                        state.theta, state.value, state.grad = cand, cand_value, cand_grad
+                        state.pg = cand_pg
+                        improved = True
+                        break
+            damp *= 0.5
+        if not improved:
+            break
+    return it
+
+
+def _bb_steps(fg, state, epsilon, gamma, tol, limit):
+    """Per-node projected gradient ascent with Barzilai-Borwein steps and
+    Armijo backtracking; returns the number of accepted steps."""
+    from gltnet.estimation import project_truncated_simplex, projected_gradient_norm
+
+    used = 0
+    while state.pg > tol and used < limit:
+        s = state.step
+        theta, grad, value = state.theta, state.grad, state.value
+        cand = project_truncated_simplex(theta + s * grad, epsilon, gamma)
+        for _ in range(40):
+            # escape the ulp regime where the projected point does not move
+            if (cand != theta).any():
+                break
+            s *= 4.0
+            cand = project_truncated_simplex(theta + s * grad, epsilon, gamma)
+        accepted = False
+        for _ in range(60):
+            move = cand - theta
+            if not move.any():
+                break
+            cand_value, cand_grad = fg(cand)
+            if np.isfinite(cand_value) and cand_value >= value + 1e-4 * float(
+                grad @ move
+            ):
+                accepted = True
+                break
+            s *= 0.25
+            cand = project_truncated_simplex(theta + s * grad, epsilon, gamma)
+        if not accepted:
+            return used
+        used += 1
+        d_theta = cand - theta
+        d_grad = cand_grad - grad
+        curv = float(d_theta @ d_grad)
+        if curv < 0:
+            state.step = min(max(float(d_theta @ d_theta) / -curv, 1e-12), 1e8)
+        else:
+            state.step = min(state.step * 4.0, 1e8)
+        state.theta, state.value, state.grad = cand, cand_value, cand_grad
+        state.pg = projected_gradient_norm(cand, cand_grad, epsilon, gamma)
+    return used
+
+
+def reference_node_maximize(node_data, spec, epsilon, gamma, tol, max_iter):
+    """The Newton-first solver on one node, as a per-node loop over the
+    package's one-node kernel: the algorithm the lockstep solver runs for
+    every member.  Returns ``(theta, value, pg, iterations)``."""
+    fg = _node_fg(node_data, spec)
+    state = _start_state(fg, len(node_data.parents), epsilon, gamma)
+    it = 0
+    if not spec.log_concave_density:
+        it = _bb_steps(fg, state, epsilon, gamma, tol, min(25, max_iter))
+    while state.pg > tol and it < max_iter:
+        start = state.theta
+        it += _newton_polish(fg, node_data, spec, state, epsilon, gamma, tol, max_iter - it)
+        if state.pg <= tol:
+            break
+        it += _bb_steps(fg, state, epsilon, gamma, tol, min(10, max_iter - it))
+        if state.theta is start:
+            break  # stuck: a repeat round would move nothing either
+    return state.theta, state.value, state.pg, it
+
+
 def reference_newton_polish(fg, node_data, spec, state, epsilon, gamma, tol):
     """The active-set Newton polish as it stood before the Newton-first
     solver: a full round of ``_POLISH_STEPS`` whatever the budget, and an
@@ -473,39 +634,14 @@ def reference_newton_polish(fg, node_data, spec, state, epsilon, gamma, tol):
 
 def reference_maximize(node_data, spec, epsilon, gamma, tol, max_iter, warm_up=25):
     """The node solver as it stood before the Newton-first change, on
-    ``reference_newton_polish`` and the package's Barzilai-Borwein steps:
+    ``reference_newton_polish`` and the per-node Barzilai-Borwein steps:
     a ``warm_up``-step gradient warm-up for every density, then polish and
     10-step bursts until the certificate holds or a round moves nothing.
     The iteration count can exceed ``max_iter``.  Returns ``(theta, value,
     pg, iterations, singular)``, ``singular`` telling whether any polish
     round ended on an exactly singular Newton system."""
-    from gltnet.estimation import (
-        _bb_steps,
-        _SolverState,
-        project_truncated_simplex,
-        projected_gradient_norm,
-    )
-    from gltnet.likelihood import node_value_and_gradient
-    from gltnet.model import ZeroProbabilityError
-
-    def fg(theta):
-        try:
-            return node_value_and_gradient(node_data, theta, spec)
-        except ZeroProbabilityError:
-            return -np.inf, None
-
-    m = len(node_data.parents)
-    theta = np.full(m, epsilon + (gamma - m * epsilon) / (2.0 * m))
-    theta = project_truncated_simplex(theta, epsilon, gamma)
-    value, grad = fg(theta)
-    assert np.isfinite(value), "degenerate interior starting point"
-    state = _SolverState(
-        theta,
-        value,
-        grad,
-        projected_gradient_norm(theta, grad, epsilon, gamma),
-        1.0 / max(1.0, float(np.linalg.norm(grad))),
-    )
+    fg = _node_fg(node_data, spec)
+    state = _start_state(fg, len(node_data.parents), epsilon, gamma)
     it = _bb_steps(fg, state, epsilon, gamma, tol, min(warm_up, max_iter))
     singular = False
     while state.pg > tol and it < max_iter:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -7,6 +9,7 @@ from gltnet import (
     EstimationError,
     FitOptions,
     GltModel,
+    NodeData,
     Trace,
     baseline_ptp,
     baseline_wc,
@@ -28,6 +31,7 @@ from gltnet import estimation
 from gltnet.estimation import project_truncated_simplex, projected_gradient_norm
 from gltnet.graph import SeedDistribution, generate_cws
 from gltnet.metrics import rmae
+from gltnet.model import ZeroProbabilityError
 from gltnet.rng import substream
 
 from conftest import (
@@ -35,6 +39,7 @@ from conftest import (
     parent_subset_seed_distribution,
     random_weights_within,
     reference_maximize,
+    reference_node_maximize,
     reference_node_hessian,
     reference_node_value_and_gradient,
     reference_project_truncated_simplex,
@@ -313,6 +318,92 @@ def test_fit_iterations_never_exceed_max_iter(case, max_iter):
     assert estimation._maximize(*args)[3] <= max_iter
 
 
+@settings(max_examples=120, deadline=None)
+@given(case=node_fit_cases(_CONCAVE_SPECS + _NON_CONCAVE_SPECS), max_iter=st.sampled_from([3, 30, 2000]))
+@example(case=_node_fit_case(make_beta(1, 4), 546126798, 4, 5), max_iter=2000)  # singular
+@example(case=_node_fit_case(make_beta(0.5, 1), 2411598173, 5, 5), max_iter=2000)
+def test_batch_of_one_runs_the_per_node_solver_bit_for_bit(case, max_iter):
+    data, spec = case
+    options = FitOptions()
+    gamma = options.resolve_gamma(spec, len(data.parents))
+    args = (data, spec, options.epsilon, gamma, estimation._TOL, max_iter)
+    theta, value, pg, it = estimation._maximize(*args)
+    ref_theta, ref_value, ref_pg, ref_it = reference_node_maximize(*args)
+    assert theta.tobytes() == ref_theta.tobytes()
+    assert (repr(value), repr(pg), it) == (repr(ref_value), repr(ref_pg), ref_it)
+
+
+def _uninformative_node(node):
+    rows = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+    return NodeData(node, (0, 1), rows, rows, np.full(2, -1, dtype=np.int8), np.zeros(2, dtype=np.int64))
+
+
+def _degenerate_node(node):
+    # an activation row with no newly active parent: its factor F(x) - F(x)
+    # vanishes at every theta, the interior starting point included
+    z = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.uint8)
+    return NodeData(node, (0, 1, 2), z, z, np.array([1, 0], dtype=np.int8), np.arange(2))
+
+
+@st.composite
+def fit_groups(draw):
+    spec = draw(st.sampled_from(_CONCAVE_SPECS))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6))
+    datasets = {}
+    for seed in seeds:
+        data, _ = _node_fit_case(spec, seed, draw(st.integers(1, 8)), draw(st.integers(5, 150)))
+        node = len(datasets)
+        datasets[node] = dataclasses.replace(data, node=node)
+    datasets[len(datasets)] = _uninformative_node(len(datasets))
+    datasets[len(datasets)] = _degenerate_node(len(datasets))
+    return datasets, spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=fit_groups())
+def test_lockstep_batches_match_each_nodes_own_fit(group):
+    datasets, spec = group
+    fits = fit_all(datasets, spec)
+    assert "no informative rows" in fits[len(datasets) - 2].error
+    assert "degenerate at the interior starting point" in fits[len(datasets) - 1].error
+    for v, data in datasets.items():
+        try:
+            alone = fit_node(data, spec)
+        except EstimationError as exc:
+            assert fits[v].error == str(exc)
+            continue
+        fit = fits[v]
+        assert fit.estimated and fit.converged == alone.converged
+        assert fit.loglik == pytest.approx(alone.loglik, abs=1e-9)
+        mu = np.linalg.eigvalsh(-reference_node_hessian(data, alone.weights, spec))[0]
+        event(f"weights pinned: {mu >= 2 * estimation._TOL / 1e-7}")
+        if mu >= 2 * estimation._TOL / 1e-7:
+            assert np.abs(fit.weights - alone.weights).max() <= 1e-7
+
+
+def test_fit_all_results_do_not_depend_on_the_order_of_datasets():
+    graph = generate_cws(30, 4, 0.2, substream(41, "g"))
+    model = GltModel(graph, sample_weights_simplex(graph, 0.9, substream(41, "w")), make_beta(1, 3))
+    dist = SeedDistribution.uniform_by_size(3)
+    traces = simulate_traces(
+        model,
+        [sample_seed(dist, graph, substream(41, "s", i)) for i in range(300)],
+        [substream(41, "t", i) for i in range(300)],
+    )
+    datasets = build_all_node_data(traces, graph)
+    order = list(datasets)
+    substream(41, "order").shuffle(order)
+    shuffled = {v: datasets[v] for v in order}
+    for spec in (make_uniform(), make_beta(1, 3)):
+        forward, permuted = fit_all(datasets, spec), fit_all(shuffled, spec)
+        assert list(permuted) == order
+        assert all(_fit_fields(forward[v]) == _fit_fields(permuted[v]) for v in datasets)
+    forward = fit_with_threshold_grid(datasets, [(1, 2), (1, 3)])
+    permuted = fit_with_threshold_grid(shuffled, [(1, 2), (1, 3)])
+    assert list(permuted) == order
+    assert all(_fit_fields(forward[v]) == _fit_fields(permuted[v]) for v in datasets)
+
+
 def test_fit_no_informative_rows():
     g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     data = build_node_data([Trace([{1}])], g, 1)
@@ -498,10 +589,43 @@ def _fit_fields(fit):
     )
 
 
+def _stacked_reference_kernel(calls):
+    """A kernel for the lockstep solver that evaluates each member on its own
+    through the per-call public-method references, for ``estimation._stack``
+    replaced by ``lambda datas, m: list(datas)``."""
+
+    def kernel(datas, theta, spec, order):
+        calls.append(len(datas))
+        n, m = theta.shape
+        value, grad, hess = np.empty(n), np.zeros((n, m)), np.zeros((n, m, m))
+        vanished = np.zeros(n, dtype=int)
+        for b, data in enumerate(datas):
+            k = len(data.parents)
+            try:
+                value[b], grad[b, :k] = reference_node_value_and_gradient(data, theta[b, :k], spec)
+                hess[b, :k, :k] = reference_node_hessian(data, theta[b, :k], spec)
+            except ZeroProbabilityError:
+                value[b], vanished[b] = -np.inf, 1
+        return value, grad, hess, vanished
+
+    return kernel
+
+
+def _within_fit_diff_gates(got, want):
+    # the gates of scripts/fit_diff.py, with want as A and got as B
+    if (got.estimated, got.converged) != (want.estimated, want.converged):
+        return False
+    if not got.estimated:
+        return got.error == want.error
+    return np.abs(got.weights - want.weights).max() <= 1e-7 and got.loglik >= want.loglik - 1e-9
+
+
 def test_fits_match_reference_kernel(monkeypatch):
-    # the solver driven by the shared kernel and by the per-call reference
-    # reaches the same iterates: weights, loglik, certificate and iteration
-    # counts agree bit for bit for every family and for grid fits
+    # the solver driven by the shared kernel and by a per-member kernel made
+    # of the per-call references: a batch of one reaches the same iterates
+    # bit for bit (weights, loglik, certificate, iteration count) for every
+    # family and for grid fits; full batches, whose zero padding moves low
+    # bits, stay within the fit_diff gates
     graph = generate_cws(14, 4, 0.2, substream(39, "g"))
     model = GltModel(graph, sample_weights_simplex(graph, 0.9, substream(39, "w")), make_beta(1, 3))
     dist = SeedDistribution.uniform_by_size(3)
@@ -513,18 +637,25 @@ def test_fits_match_reference_kernel(monkeypatch):
     datasets = build_all_node_data(traces, graph)
     specs = (make_uniform(), make_exponential_unit(), make_beta(1, 3), make_beta(2, 2))
     grid = tuple((1, b) for b in range(1, 6)) + ((2, 2),)
-    informative = [v for v, d in datasets.items() if d.n_informative_rows][:5]
+    informative = {v: d for v, d in datasets.items() if d.n_informative_rows}
 
     def run():
-        fits = [fit_all(datasets, spec) for spec in specs]
-        grids = [fit_with_threshold_grid(datasets[v], grid) for v in informative]
-        return [_fit_fields(f) for fit in fits for f in fit.values()] + [
-            _fit_fields(f) for f in grids
+        singles = [
+            fit_node(data, spec) if v in informative else None
+            for spec in specs for v, data in datasets.items()
         ]
+        singles += [fit_with_threshold_grid(informative[v], grid) for v in list(informative)[:5]]
+        batches = [fit for spec in specs for fit in fit_all(datasets, spec).values()]
+        batches += list(fit_with_threshold_grid(informative, grid).values())
+        return singles, batches
 
-    got = run()
-    monkeypatch.setattr(estimation, "node_value_and_gradient", reference_node_value_and_gradient)
-    monkeypatch.setattr(estimation, "node_hessian", reference_node_hessian)
-    want = run()
-    assert sum(isinstance(f, tuple) for f in got) >= 40
-    assert got == want
+    got_singles, got_batches = run()
+    calls = []
+    monkeypatch.setattr(estimation, "_stack", lambda datas, m: list(datas))
+    monkeypatch.setattr(estimation, "_evaluate", _stacked_reference_kernel(calls))
+    want_singles, want_batches = run()
+    assert calls and max(calls) > 1
+    assert sum(f is not None for f in got_singles) >= 40
+    assert [_fit_fields(f) for f in got_singles if f] == [_fit_fields(f) for f in want_singles if f]
+    assert len(got_batches) == len(want_batches) >= 60
+    assert all(_within_fit_diff_gates(g, w) for g, w in zip(got_batches, want_batches))

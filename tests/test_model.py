@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import numpy as np
@@ -247,6 +248,16 @@ def test_exact_node_cap(caller):
     assert (err.value.state_count, err.value.cap) == (3, 2)
     assert str(err.value) == "enumeration exceeded cap: 3 states > 2"
     call(model, states)  # a cap that covers every reachable state never raises
+
+
+def test_exact_cap_refuses_a_wide_state_before_building_it():
+    # the seed's state has 2^40 successor terms; they are never materialized
+    model = from_lt(build_graph(41, [(0, v) for v in range(1, 41)]), [0.5] * 40)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError) as err:
+        ExactSpreadOracle(model, node_cap=1000).spread({0})
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.state_count, err.value.cap) == (1001, 1000)
 
 
 @pytest.mark.parametrize("spec_maker", [make_uniform, make_exponential_unit, lambda: make_beta(2, 2)])

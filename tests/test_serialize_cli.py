@@ -338,6 +338,31 @@ def test_cli_infer_builds_rows_and_checks_traces_once(pipeline, monkeypatch):
     assert len(checks) == len(read_traces_jsonl(traces_path)) == 40
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--grid", "0.5:2"], "(0.5, 2.0): not fit-safe (density not log-concave)"),
+        (["--grid", "1,2", "--gamma", "1e-9"], "(1.0, 2.0): infeasible truncation"),
+    ],
+    ids=["not-fit-safe", "infeasible"],
+)
+def test_cli_grid_fit_exits_1_when_every_grid_fit_of_a_node_fails(tmp_path, capsys, extra, message):
+    base = str(tmp_path)
+    model = os.path.join(base, "model.json")
+    traces = os.path.join(base, "traces.jsonl")
+    assert _run(["generate", "--n", "8", "--k", "2", "--family", "beta:1,2", "--seed", "5", "--out", model]) == 0
+    assert _run(["simulate", "--model", model, "--count", "40", "--seed", "6", "--out", traces]) == 0
+    capsys.readouterr()
+    out = os.path.join(base, "fit.json")
+    argv = ["fit", "--model", model, "--traces", traces, "--family", "beta:1,2", "--out", out]
+    assert _run(argv + extra) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "EstimationError"
+    assert error["message"].startswith("all grid fits failed: ")
+    assert message in error["message"]
+    assert not os.path.exists(out)
+
+
 def test_cli_pseudo_fit_records_node_failures(tmp_path):
     # as with --traces, a node that cannot be fitted gets an error entry and
     # the command still succeeds

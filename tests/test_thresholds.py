@@ -103,6 +103,20 @@ def test_density_derivative_matches_density_finite_difference():
             assert spec.density_derivative(x) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+# at a support end where a beta density derivative is finite, the term with a
+# zero coefficient (alpha == 1 or beta == 1) must not turn 0 * inf into nan
+def test_beta_1_3_density_derivative_at_0():
+    assert make_beta(1, 3).density_derivative(0.0) == pytest.approx(-6.0, rel=1e-14)
+
+
+def test_beta_2_1_density_derivative_at_1():
+    assert make_beta(2, 1).density_derivative(1.0) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_beta_1_1_density_derivative_at_0():
+    assert make_beta(1, 1).density_derivative(0.0) == 0.0
+
+
 def test_log_density_midpoint_concavity_when_flagged():
     for spec in [make_uniform(), make_exponential_unit(), make_beta(2, 2), make_beta(1, 3)]:
         assert spec.log_concave_density
