@@ -13,16 +13,15 @@ the norm of the gradient projected onto the feasible cone at the solution;
 its sum-face multiplier comes from the same sort-based threshold as the
 projection.
 
-Nodes are fitted in lockstep batches: the nodes of a ``fit_all`` call that
-share a spec, or every node at one grid point of ``fit_with_threshold_grid``.
-Each member runs the algorithm above on its own, as array rows advanced by
-per-member masks; one kernel call per round evaluates the value, gradient
-and Hessian of every waiting candidate over zero-padded (nodes x patterns x
+Nodes under one spec (in ``fit_all``, and at each grid point of
+``fit_with_threshold_grid``) are fitted in lockstep: each runs the algorithm
+above as array rows advanced by per-member masks, one kernel call per round
+evaluates every waiting candidate over zero-padded (nodes x patterns x
 parents) arrays, and the Newton systems are solved stacked.  ``fit_node`` is
-a batch of one and rounds exactly like a per-node solver.  In a larger
-batch, padding changes the order of some sums: a node's low bits (about
-1e-13 in the log-likelihood) can depend on which nodes share its chunk, and
-results stay deterministic for the same inputs.
+a batch of one and rounds exactly like a per-node solver; in a larger batch
+padding reorders some sums, so a node's low bits (about 1e-13 in the
+log-likelihood) can depend on which nodes share its chunk.  Results stay
+deterministic for the same inputs.
 """
 
 from __future__ import annotations
@@ -157,9 +156,10 @@ def _face_threshold(clipped, count, target, free_sum, n_free):
     return np.where(above.any(axis=1), t, rest)
 
 
-def _project(theta, m, real, epsilon: float, gamma: float) -> np.ndarray:
-    """Rows of ``theta`` (``m`` parents each, zero padding after) projected
-    as by :func:`project_truncated_simplex`; padding stays 0."""
+def _project(theta, real, epsilon: float, gamma: float) -> np.ndarray:
+    """Rows of ``theta`` projected as by :func:`project_truncated_simplex`
+    over their parents, marked by ``real``; padding stays 0."""
+    m = real.sum(axis=1)
     radius = gamma - m * epsilon
     # shift to the nonnegative l1 ball {w >= 0, sum(w) <= radius}
     w = np.maximum(theta - epsilon, 0.0)
@@ -189,19 +189,12 @@ def _certificate(theta, grad, real, epsilon: float, gamma: float) -> np.ndarray:
     face = np.flatnonzero(theta.sum(axis=1) >= gamma - max(1.0, gamma) * 1e-12)
     if face.size:
         g, free, at_low = grad[face], ~low[face], low[face] & real[face]
+        free_sum = np.array([row[keep].sum() for row, keep in zip(g, free)])  # rounded as a per-node sum
         lam[face] = np.maximum(_face_threshold(np.where(at_low, g, -np.inf), at_low.sum(axis=1),
-                                               np.zeros(face.size), _free_sums(g, free), free.sum(axis=1)), 0.0)
+                                               np.zeros(face.size), free_sum, free.sum(axis=1)), 0.0)
     d = grad - lam[:, None]
     np.maximum(d, 0.0, out=d, where=low)
     return np.sqrt(_dot(d, d))
-
-
-def _free_sums(g, free):
-    """Row sums of ``g`` over ``free``, rounded as sums of the compressed rows
-    (numpy adds fewer than 8 entries in order, where zeros change nothing)."""
-    if g.shape[1] < 8:
-        return np.where(free, g, 0.0).sum(axis=1)
-    return np.array([row[keep].sum() for row, keep in zip(g, free)])
 
 
 def project_truncated_simplex(theta, epsilon: float, gamma: float) -> np.ndarray:
@@ -213,7 +206,7 @@ def project_truncated_simplex(theta, epsilon: float, gamma: float) -> np.ndarray
     more than an ulp), then by shaving ulps off the largest coordinate.
     """
     theta = np.asarray(theta, dtype=float)[None]
-    return _project(theta, np.array([theta.size]), np.ones(theta.shape, dtype=bool), epsilon, gamma)[0]
+    return _project(theta, np.ones(theta.shape, dtype=bool), epsilon, gamma)[0]
 
 
 def projected_gradient_norm(theta, grad, epsilon: float, gamma: float) -> float:
@@ -229,17 +222,13 @@ def projected_gradient_norm(theta, grad, epsilon: float, gamma: float) -> float:
     return float(_certificate(theta, grad, np.ones(theta.shape, dtype=bool), epsilon, gamma)[0])
 
 
-def _newton_directions(hess, grad, free, face, m):
+def _newton_directions(hess, grad, free, face):
     """Active-set Newton directions, one per row: each row solves its system
     over its free coordinates, bordered by the sum constraint on the face,
     in the compressed order of a per-node solve, padded with identity rows
     to the largest system of the batch."""
     k = free.sum(axis=1)
     n, width = grad.shape
-    if not face.any() and (k == m).all():
-        # every row off the face and free on all its m parents: each system
-        # is its Hessian, padded with identity
-        return _solve_rows(hess + np.eye(width) * ~free[:, :, None], -grad, k)
     size = k + face
     order = np.argsort(~free, axis=1, kind="stable")  # free coordinates first
     rows = np.arange(n)[:, None]
@@ -252,13 +241,10 @@ def _newton_directions(hess, grad, free, face, m):
     lhs[:, :c, :c] = np.where(inside[:, :c, None] & inside[:, None, :c], h[:, :c, :c], 0.0)
     rhs[:, :c] = np.where(inside[:, :c], -g[:, :c], 0.0)
     f = np.flatnonzero(face)
-    lhs[f, k[f], :] = inside[f]
-    lhs[f, :, k[f]] = inside[f]
+    lhs[f, k[f], :] = lhs[f, :, k[f]] = inside[f]
     lhs[:, slot, slot] += slot >= size[:, None]
-    step = np.zeros((n, width))
-    step[:, :c] = np.where(inside[:, :c], _solve_rows(lhs, rhs, size)[:, :c], 0.0)
     direction = np.zeros((n, width))
-    direction[rows, order] = step
+    direction[rows, order[:, :c]] = np.where(inside[:, :c], _solve_rows(lhs, rhs, size)[:, :c], 0.0)
     return direction
 
 
@@ -288,10 +274,9 @@ _OUTER, _STEP, _DAMP, _BURST, _NEWTON, _GRADIENT, _DONE = range(7)
 class _Lockstep:
     """The solver of the module docstring on several nodes under one spec.
 
-    Each member keeps its state in array rows and follows the per-node
-    algorithm exactly; ``phase`` says where it stands.  Between kernel calls
-    the members of each phase advance together until every member waits on
-    a candidate or is done."""
+    Each member keeps its state in array rows and ``phase`` says where it
+    stands; between kernel calls the members of each phase advance together
+    until every member waits on a candidate or is done."""
 
     def __init__(self, datas, spec, epsilon, gamma, tol, max_iter):
         self.datas, self.spec, self.eps, self.gamma = datas, spec, epsilon, gamma
@@ -300,28 +285,18 @@ class _Lockstep:
         width = int(self.m.max())
         self.real = np.arange(width) < self.m[:, None]  # the parents among the coordinates
         self.rows, self.stack = np.arange(n), _stack(datas, width)  # the members the stack holds
-        start = np.repeat((epsilon + (gamma - self.m * epsilon) / (2.0 * self.m))[:, None], width, axis=1)
-        self.cand = self._project(start * self.real, self.rows)
-        self.direction, self.damp, self.s = np.zeros((n, width)), np.ones(n), np.ones(n)
-        self.it, self.pit, self.used, self.limit, self.tries = np.zeros((5, n), dtype=int)
-        self.moved, self.warm = np.zeros((2, n), dtype=bool)
-        self.phase = np.full(n, _OUTER)
-
-    def _project(self, theta, i):
-        return _project(theta, self.m[i], self.real[i], self.eps, self.gamma)
-
-    def _certificate(self, theta, grad, i):
-        return _certificate(theta, grad, self.real[i], self.eps, self.gamma)
+        start = (epsilon + (gamma - self.m * epsilon) / (2.0 * self.m))[:, None]
+        self.cand = _project(np.where(self.real, start, 0.0), self.real, epsilon, gamma)
+        self.direction, self.s = np.zeros((n, width)), np.ones(n)  # a trial moves by s * direction
+        self.it, self.limit, self.tries = np.zeros((3, n), dtype=int)  # limit: of the running polish or burst
+        self.moved, self.phase = np.zeros(n, dtype=bool), np.full(n, _OUTER)
 
     def _evaluate(self, i):
-        """Value, gradient and Hessian at the candidates of members ``i``."""
-        if 2 * i.size <= self.rows.size:  # drop the patterns of finished members
+        """Value, gradient and Hessian at the candidates of the members ``i``
+        not done; the stack drops the patterns of members that are done."""
+        if i.size < self.rows.size:
             self.rows, self.stack = i, _stack([self.datas[k] for k in i], self.cand.shape[1])
-        value, grad, hess, _ = _evaluate(self.stack, self.cand[self.rows], self.spec, 2)
-        if i.size == self.rows.size:
-            return value, grad, hess
-        at = np.searchsorted(self.rows, i)
-        return value[at], grad[at], hess[at]
+        return _evaluate(self.stack, self.cand[i], self.spec, 2)[:3]
 
     def run(self):
         """Per member ``(theta, value, pg, iterations)``, or the
@@ -330,20 +305,18 @@ class _Lockstep:
         self.value, self.grad, self.hess = self._evaluate(everyone)
         self.theta, ok = self.cand.copy(), np.isfinite(self.value)
         self.pg = np.full(len(ok), np.inf)
-        self.pg[ok] = self._certificate(self.theta[ok], self.grad[ok], everyone[ok])
+        self.pg[ok] = _certificate(self.theta[ok], self.grad[ok], self.real[ok], self.eps, self.gamma)
         self.step = 1.0 / np.fmax(1.0, np.sqrt(_dot(self.grad, self.grad)))
-        if not self.spec.log_concave_density:  # the warm-up burst
-            self.warm[:], self.limit[:], self.phase[:] = True, min(25, self.max_iter), _BURST
+        if not self.spec.log_concave_density:  # the warm-up burst, which always hands over to Newton
+            self.moved[:], self.limit[:], self.phase[:] = True, min(25, self.max_iter), _BURST
         self.phase[~ok] = _DONE
-        handlers = ((_OUTER, self._outer), (_STEP, self._step), (_DAMP, self._damp), (_BURST, self._burst))
+        handlers = (self._outer, self._step, self._damp, self._burst)  # by phase
         while True:
-            counts = np.bincount(self.phase, minlength=_DONE)
-            for phase, handler in handlers:
-                i = np.flatnonzero(self.phase == phase) if counts[phase] else ()
-                if len(i):
-                    handler(i)
-            if counts[:_NEWTON].any():
-                continue
+            while (self.phase < _NEWTON).any():
+                for phase, handler in enumerate(handlers):
+                    i = np.flatnonzero(self.phase == phase)
+                    if i.size:
+                        handler(i)
             i = np.flatnonzero(self.phase != _DONE)
             if not i.size:
                 break
@@ -365,15 +338,14 @@ class _Lockstep:
     def _outer(self, i):
         go = (self.pg[i] > self.tol) & (self.it[i] < self.max_iter)
         self.phase[i] = np.where(go, _STEP, _DONE)
-        self.moved[i], self.pit[i] = False, 0
+        self.moved[i], self.limit[i] = False, np.minimum(self.it[i] + _POLISH_STEPS, self.max_iter)
 
     # Polish: active-set Newton steps, accepted when they shrink the projected
     # gradient rather than when they raise the objective, since near a
     # solution objective differences fall below floating-point noise while
     # the first-order residual is still measurable.
     def _step(self, i):
-        go = (self.pg[i] > self.tol) & (self.pit[i] < _POLISH_STEPS) & (self.it[i] < self.max_iter)
-        self.pit[i[go]] += 1
+        go = (self.pg[i] > self.tol) & (self.it[i] < self.limit[i])
         self.it[i[go]] += 1
         free = self.theta[i] > self.eps + _BOUNDARY_TOL
         go &= free.any(axis=1)
@@ -381,17 +353,17 @@ class _Lockstep:
         i, free = i[go], free[go]
         if i.size:
             face = self.theta[i].sum(axis=1) >= self.gamma - _BOUNDARY_TOL
-            self.direction[i] = _newton_directions(self.hess[i], self.grad[i], free, face, self.m[i])
-            self.damp[i], self.tries[i], self.phase[i] = 1.0, 0, _DAMP
+            self.direction[i] = _newton_directions(self.hess[i], self.grad[i], free, face)
+            self.s[i], self.tries[i], self.phase[i] = 1.0, 0, _DAMP
 
     def _damp(self, i):
-        cand = self._project(self.theta[i] + self.damp[i][:, None] * self.direction[i], i)
+        cand = self._trial(i)
         moves = (cand != self.theta[i]).any(axis=1)
         self.cand[i[moves]], self.phase[i[moves]] = cand[moves], _NEWTON
         self._halve(i[~moves])
 
     def _halve(self, i):
-        self.damp[i] *= 0.5
+        self.s[i] *= 0.5
         self.tries[i] += 1
         over = self.tries[i] == 25
         self.phase[i[~over]] = _DAMP
@@ -400,26 +372,25 @@ class _Lockstep:
     def _newton_results(self, i, value, grad, hess):
         ok = np.isfinite(value)
         pg = np.full(i.size, np.inf)
-        pg[ok] = self._certificate(self.cand[i[ok]], grad[ok], i[ok])
+        pg[ok] = _certificate(self.cand[i[ok]], grad[ok], self.real[i[ok]], self.eps, self.gamma)
         better = ok & (pg < self.pg[i])
         self._accept(i[better], value[better], grad[better], hess[better], pg[better])
         self.phase[i[better]] = _STEP
         self._halve(i[~better])
 
     def _polish_over(self, i):
-        done = self.pg[i] <= self.tol
-        self.phase[i[done]] = _DONE
-        i = i[~done]
-        self.used[i], self.limit[i], self.phase[i] = 0, np.minimum(10, self.max_iter - self.it[i]), _BURST
+        # a certified member passes through the burst and the outer test unmoved
+        self.limit[i], self.phase[i] = np.minimum(self.it[i] + 10, self.max_iter), _BURST
 
     # Burst: projected gradient ascent with Barzilai-Borwein steps and Armijo
     # backtracking, the fallback when Newton stalls and the warm-up for
     # densities that are not log-concave.
     def _burst(self, i):
-        go = (self.pg[i] > self.tol) & (self.used[i] < self.limit[i])
+        go = (self.pg[i] > self.tol) & (self.it[i] < self.limit[i])
         self._burst_over(i[~go])
         i = i[go]
         self.s[i], self.tries[i] = self.step[i], 0
+        self.direction[i] = self.grad[i]
         cand = self._trial(i)
         for _ in range(40):
             # escape the ulp regime where the projected point does not move
@@ -431,7 +402,7 @@ class _Lockstep:
         self._offer(i, cand)
 
     def _trial(self, i):
-        return self._project(self.theta[i] + self.s[i][:, None] * self.grad[i], i)
+        return _project(self.theta[i] + self.s[i][:, None] * self.direction[i], self.real[i], self.eps, self.gamma)
 
     def _offer(self, i, cand):
         moves = (cand != self.theta[i]).any(axis=1)
@@ -443,12 +414,11 @@ class _Lockstep:
         ok = np.isfinite(value) & (value >= self.value[i] + 1e-4 * _dot(self.grad[i], move))
         a, move = i[ok], move[ok]
         curv = _dot(move, grad[ok] - self.grad[a])
-        step = np.minimum(self.step[a] * 4.0, 1e8)
-        neg = curv < 0
-        step[neg] = np.minimum(np.maximum(_dot(move[neg], move[neg]) / -curv[neg], 1e-12), 1e8)
-        self.step[a] = step
-        self._accept(a, value[ok], grad[ok], hess[ok], self._certificate(self.cand[a], grad[ok], a))
-        self.used[a] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = np.maximum(_dot(move, move) / -curv, 1e-12)  # the Barzilai-Borwein step, where curv < 0
+        self.step[a] = np.minimum(np.where(curv < 0, bb, self.step[a] * 4.0), 1e8)
+        pg = _certificate(self.cand[a], grad[ok], self.real[a], self.eps, self.gamma)
+        self._accept(a, value[ok], grad[ok], hess[ok], pg)
         self.it[a] += 1
         self.phase[a] = _BURST
         r = i[~ok]
@@ -460,9 +430,7 @@ class _Lockstep:
         self._offer(r, self._trial(r))
 
     def _burst_over(self, i):
-        # the warm-up always hands over to Newton
-        self.phase[i] = np.where(self.moved[i] | self.warm[i], _OUTER, _DONE)
-        self.warm[i] = False
+        self.phase[i] = np.where(self.moved[i], _OUTER, _DONE)
 
 
 def _solve(datas, spec, epsilon, gamma, tol, max_iter):
@@ -564,9 +532,9 @@ def fit_with_threshold_grid(datasets, grid, options: FitOptions = None):
     The nodes are fitted in lockstep at each grid point, as by
     :func:`fit_all`.  Ties in log-likelihood break toward the earliest grid
     position.  A node whose every grid fit failed gets a result whose
-    ``error`` lists the failures; only an empty grid raises.  Given one
-    NodeData instead of a dict, it returns that node's result and raises
-    EstimationError if every grid fit failed.
+    ``error`` lists the failures and whose ``spec`` is None; only an empty
+    grid raises.  Given one NodeData instead of a dict, it returns that
+    node's result and raises EstimationError if every grid fit failed.
     """
     grid = tuple(grid)
     if not grid:

@@ -201,7 +201,7 @@ def _stack(datas, m: int):
     """The patterns of the nodes ``datas`` in zero-padded (nodes x patterns x
     ``m``) arrays: ``(zp_a, zc_a, w_a, zc_t, w_t, empty, pad_a, pad_t)``, the
     masks marking activation rows with no previously active parent and the
-    padding rows (each None where it marks nothing).  Padding rows weigh 0."""
+    padding rows.  Padding rows weigh 0."""
     n = len(datas)
     n_a, n_t = (np.array([d._patterns[i].size for d in datas]) for i in (2, 4))
     a, t = n_a.max(), n_t.max()
@@ -211,8 +211,7 @@ def _stack(datas, m: int):
         k = zp.shape[1]
         zp_a[b, : wa.size, :k], zc_a[b, : wa.size, :k], w_a[b, : wa.size] = zp, zc, wa
         zc_t[b, : wt.size, :k], w_t[b, : wt.size] = zt, wt
-    masks = (~zp_a.any(axis=2), np.arange(a) >= n_a[:, None], np.arange(t) >= n_t[:, None])
-    return (zp_a, zc_a, w_a, zc_t, w_t) + tuple(mask if mask.any() else None for mask in masks)
+    return zp_a, zc_a, w_a, zc_t, w_t, ~zp_a.any(axis=2), np.arange(a) >= n_a[:, None], np.arange(t) >= n_t[:, None]
 
 
 def _evaluate(stack, theta, spec, order: int):
@@ -220,17 +219,14 @@ def _evaluate(stack, theta, spec, order: int):
     ``(value, grad, hess, vanished)``, the gradient from ``order`` 1 and the
     Hessian from ``order`` 2 (else None).  ``vanished`` is 1 where an
     activation factor vanished, 2 where only a survival factor did (value
-    -inf, the rest meaningless), else 0.  Stacked ``matmul`` makes each
-    node's BLAS calls of a per-node kernel, so a stack of one rounds alike;
-    in a larger stack, zero padding can move low bits.  Padding rows are
-    evaluated at the threshold median, where every factor is finite and
-    nonzero, so they add exact zeros."""
+    -inf, the rest meaningless), else 0.  A stack of one rounds like a
+    per-node kernel; in a larger stack, zero padding can move low bits.
+    Padding rows sit at the threshold median, where every factor is finite
+    and nonzero, so they add exact zeros."""
     zp_a, zc_a, w_a, zc_t, w_t, empty, pad_a, pad_t = stack
     column = theta[:, :, None]
     x_a, y_a, x_t = (zc_a @ column)[..., 0], (zp_a @ column)[..., 0], (zc_t @ column)[..., 0]
-    for x, pad in ((x_a, pad_a), (x_t, pad_t)):
-        if pad is not None:
-            x[pad] = spec._median
+    x_a[pad_a] = x_t[pad_t] = spec._median
     diffs = spec._interval(x_a, y_a)
     surv = spec._sf(x_t)
     tol = spec.interval_zero_tol()
@@ -247,14 +243,14 @@ def _evaluate(stack, theta, spec, order: int):
         # an all-zero z_prev row contributes nothing regardless of the density
         # value at 0, which may be infinite (e.g. beta with alpha < 1)
         fx, ft = spec._density(x_a), spec._density(x_t)
-        fy = _zero_where(empty, spec._density(y_a))
+        fy = np.where(empty, 0.0, spec._density(y_a))
         grad = np.zeros(theta.shape)
         grad += _gram(zc_a, w_a * fx / diffs) - _gram(zp_a, w_a * fy / diffs)
         grad -= _gram(zc_t, w_t * ft / surv)
         if order == 1:
             return value, grad, hess, vanished
         dfx, dft = spec._density_derivative(x_a), spec._density_derivative(x_t)
-        dfy = _zero_where(empty, spec._density_derivative(y_a))
+        dfy = np.where(empty, 0.0, spec._density_derivative(y_a))
         hess = np.zeros(theta.shape + theta.shape[-1:])
         coef_cc = w_a * (dfx / diffs - (fx / diffs) ** 2)
         coef_pp = w_a * (-dfy / diffs - (fy / diffs) ** 2)
@@ -279,14 +275,12 @@ def _gram(z, coef, other=None):
     return (z * coef[:, :, None]).transpose(0, 2, 1) @ other
 
 
-def _zero_where(mask, values):
-    return values if mask is None else np.where(mask, 0.0, values)
-
-
 def _single(node_data: NodeData, theta, spec, order: int):
     """The kernel on one node: ``(value, grad, hess)``, raising
     :class:`ZeroProbabilityError` where a likelihood factor vanished."""
     theta = np.asarray(theta, dtype=float)
+    if theta.shape != (len(node_data.parents),):
+        raise ValueError(f"theta has shape {theta.shape}, node {node_data.node} has {len(node_data.parents)} parents")
     value, grad, hess, vanished = _evaluate(_stack([node_data], theta.size), theta[None], spec, order)
     if vanished[0]:
         kind = "activation" if vanished[0] == 1 else "survival"

@@ -553,6 +553,15 @@ def test_grid_fit_all_failed():
         fit_with_threshold_grid(data, [(0.5, 0.5)], FitOptions())
 
 
+def test_grid_records_a_node_whose_every_grid_fit_failed():
+    datasets = {1: _bernoulli_data(10, 4), 2: _bernoulli_data(10, 4)}
+    results = fit_with_threshold_grid(datasets, [(0.5, 0.5)], FitOptions())
+    assert list(results) == [1, 2]
+    for result in results.values():
+        assert not result.estimated and result.spec is None
+        assert result.error == "all grid fits failed: (0.5, 0.5): not fit-safe (density not log-concave)"
+
+
 def test_baseline_wc():
     g = build_graph(3, [(0, 2), (1, 2)])
     assert np.allclose(baseline_wc(g), [0.5, 0.5])

@@ -247,6 +247,15 @@ def test_nonpositive_factor_raises():
         node_log_likelihood(data, np.array([0.0]), make_uniform())
 
 
+@pytest.mark.parametrize("kernel", [node_log_likelihood, node_value_and_gradient, node_hessian])
+@pytest.mark.parametrize("theta", [[0.2, 0.3], []])
+def test_theta_of_the_wrong_length_is_rejected(kernel, theta):
+    g = build_graph(2, [(0, 1)])
+    data = build_node_data([Trace([{0}, {1}])], g, 1)
+    with pytest.raises(ValueError, match="1 parents"):
+        kernel(data, np.array(theta), make_uniform())
+
+
 def test_pseudo_trace_validation():
     with pytest.raises(ValueError):
         PseudoTrace(node=2, active_parents=frozenset(), y=0)
