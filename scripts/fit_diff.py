@@ -13,7 +13,8 @@ only the two text files, so it runs against outputs of any checkout.
 
 It exits 1, naming each gate that failed, when B loses a fit that A
 estimated or converged (or lacks one A has), when a weight moved by more
-than 1e-7, or when a log-likelihood fell by more than 1e-9; else 0.
+than 1e-7, when a log-likelihood fell by more than 1e-9, or when a grid
+fit chose other threshold parameters; else 0.
 """
 
 import argparse
@@ -32,12 +33,13 @@ def _read(path):
             if rest.startswith("error "):
                 fits[name, int(node), label] = None
                 continue
-            weights, loglik, iterations, converged, _pg = rest.split()
+            weights, loglik, iterations, converged, _pg, *chosen = rest.split()
             fits[name, int(node), label] = (
                 [float.fromhex(w) for w in weights.split(",")],
                 float(loglik),
                 int(iterations),
                 converged == "True",
+                chosen,  # the parameters a grid fit chose, else empty
             )
     return fits
 
@@ -60,7 +62,7 @@ def main(argv=None):
     _side("B", b)
     for key in sorted(a.keys() ^ b.keys()):
         print("only in", "A" if key in a else "B", *key)
-    moved, fell = Counter(), []
+    moved, fell, other = Counter(), [], []
     max_dw = max_dll = 0.0
     lost = [key for key in a.keys() - b.keys() if a[key] is not None]
     for key in sorted(a.keys() & b.keys()):
@@ -72,7 +74,10 @@ def main(argv=None):
                 moved[key[2]] += 1
                 print("failed on one side only:", *key)
             continue
-        (wa, lla, _, _), (wb, llb, _, _) = fa, fb
+        (wa, lla, _, _, ca), (wb, llb, _, _, cb) = fa, fb
+        if ca != cb:
+            other.append(key)
+            print("other grid choice:", *key, *ca, "->", *cb)
         if wa == wb and lla == llb:
             continue
         moved[key[2]] += 1
@@ -91,6 +96,8 @@ def main(argv=None):
         gates.append(f"max |dw| {max_dw:.3g} > 1e-7")
     if max(fell, default=0.0) > 1e-9:
         gates.append(f"a loglik fell by {max(fell):.3g} > 1e-9")
+    if other:
+        gates.append(f"{len(other)} grid fits chose other parameters")
     for gate in gates:
         print("gate failed:", gate)
     return 1 if gates else 0

@@ -12,8 +12,10 @@ Every node of both sets is fitted under uniform, exponential, and
 beta(1, b) for b in 1..5 thresholds, all log-concave, and under the
 non-log-concave beta(0.5, 2).  Each line holds the trace set, the node, the
 threshold, the float.hex of each weight (comma-separated), repr(loglik),
-the iteration count, converged and repr(projected_gradient_norm).  Run
-from the root of a checkout:
+the iteration count, converged and repr(projected_gradient_norm).  Each
+node is also fitted by `fit_with_threshold_grid` over beta(1, b), b in
+1..5: its line has the threshold label `grid` and ends with the chosen
+parameters, such as `beta(1,3)`.  Run from the root of a checkout:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/fit_fingerprint.py --seed 7
 
@@ -64,17 +66,19 @@ def main(argv=None):
     for name, build in (("cli-chain", cli_chain_set), ("im-study", im_study_set)):
         graph, traces = build(args.seed)
         datasets = g.build_all_node_data(traces, graph, validate=False)
-        for label, spec in SPECS:
+        for label, spec in SPECS + [("grid", None)]:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the non-log-concave warning
-                fits = g.fit_all(datasets, spec)
+                fits = (g.fit_all(datasets, spec) if spec else
+                        g.fit_with_threshold_grid(datasets, [(1, b) for b in range(1, 6)]))
             for v, fit in fits.items():
                 if not fit.estimated:
                     print(name, v, label, "error", repr(fit.error))
                     continue
                 weights = ",".join(float(w).hex() for w in fit.weights)
+                chosen = ["beta({},{})".format(*fit.phi["params"])] if fit.phi else []
                 print(name, v, label, weights, repr(fit.loglik), fit.iterations,
-                      fit.converged, repr(fit.projected_gradient_norm))
+                      fit.converged, repr(fit.projected_gradient_norm), *chosen)
 
 
 if __name__ == "__main__":

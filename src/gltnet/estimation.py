@@ -454,8 +454,8 @@ def _maximize(node_data, spec, epsilon, gamma, tol, max_iter):
 
 def _fit_group(datas, spec, options):
     """Fit the nodes ``datas`` under one spec, failures recorded in ``error``:
-    sorted by pattern count, then node id, so results do not depend on the
-    order of ``datas``, in lockstep chunks of about ``_BLOCK`` elements."""
+    sorted by pattern count, node id, parents and patterns, so results do not
+    depend on the order of ``datas``, in lockstep chunks of ``_BLOCK``."""
     out, todo = [None] * len(datas), []
     for k, data in enumerate(datas):
         try:
@@ -469,7 +469,7 @@ def _fit_group(datas, spec, options):
         except EstimationError as exc:
             out[k] = _failure(data, spec, options, exc)
     size = [d._patterns[2].size + d._patterns[4].size for d in datas]
-    todo.sort(key=lambda k: (size[k], datas[k].node))
+    todo.sort(key=lambda k: (size[k], datas[k].node, datas[k].parents, [p.tobytes() for p in datas[k]._patterns]))
     chunks, width = [[]], 0
     for k in todo:
         width = max(width, len(datas[k].parents))
@@ -507,13 +507,13 @@ def fit_node(node_data: NodeData, spec: ThresholdSpec, options: FitOptions = Non
 
 
 def fit_all(datasets: dict, specs, options: FitOptions = None) -> dict:
-    """Fit every node of ``datasets``, a ``{node: NodeData}`` dict such as
-    ``build_all_node_data(traces, graph)``.
+    """Fit every NodeData of ``datasets``, a dict such as
+    ``build_all_node_data(traces, graph)``.  Keys only label the datasets and
+    need not be node ids: ``(rep, v)`` keys fit several replications at once.
 
-    ``specs`` is a single ThresholdSpec or a per-node sequence; the nodes
-    sharing a spec are fitted in lockstep.  Per-node failures are recorded
-    on the result (``error`` field), never raised, so a batch over many
-    nodes always completes.
+    ``specs`` is a single ThresholdSpec or a sequence indexed by key; the
+    datasets sharing a spec are fitted in lockstep.  Failures are recorded
+    on the result (``error`` field), never raised, so a batch always completes.
     """
     options, groups, out = options or FitOptions(), {}, {}
     spec_of = (lambda v: specs) if isinstance(specs, ThresholdSpec) else tuple(specs).__getitem__
@@ -526,8 +526,8 @@ def fit_all(datasets: dict, specs, options: FitOptions = None) -> dict:
 
 def fit_with_threshold_grid(datasets, grid, options: FitOptions = None):
     """Fit beta(alpha, beta) thresholds at each ``(alpha, beta)`` of ``grid``
-    to every node of ``datasets``, a ``{node: NodeData}`` dict, and keep each
-    node's best fit: ``{node: NodeFitResult}``, the parameters in ``phi``.
+    to every NodeData of ``datasets``, a dict keyed as for :func:`fit_all`,
+    and keep each one's best fit under its key, the parameters in ``phi``.
 
     The nodes are fitted in lockstep at each grid point, as by
     :func:`fit_all`.  Ties in log-likelihood break toward the earliest grid

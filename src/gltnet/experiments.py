@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import (
-    FitOptions,
     _ptp_weights,
     baseline_wc,
     fit_all,
@@ -309,25 +308,30 @@ def run_activation_prediction(config: ExperimentConfig):
 # -- influence-maximization studies ---------------------------------------------
 
 
-def _fit_candidates(config, truth, traces):
-    """Fit the GLT grid model, LT, IC, and the two heuristics."""
-    graph = truth.graph
-    out = {}
-    # one activation-round table feeds the node rows and the PTP scores
-    rounds, horizons = _activation_rounds(traces, graph.n)
-    datasets = {v: _node_rows(rounds, horizons, graph.parent_list(v), v) for v in graph.child_nodes()}
-    grid = tuple((1, b) for b in config.beta_grid)
-    informative = {v: data for v, data in datasets.items() if data.n_informative_rows}
-    glt_fits = fit_with_threshold_grid(informative, grid, FitOptions())
-    glt_fits = {v: fit for v, fit in glt_fits.items() if fit.estimated}
-    out["glt"] = _fitted_model(graph, make_uniform(), glt_fits)
-
-    lt, ic = make_uniform(), make_exponential_unit()
-    out["lt"] = _fitted_model(graph, lt, fit_all(datasets, lt))
-    out["ic"] = _fitted_model(graph, ic, fit_all(datasets, ic))
-
-    out["wc"] = GltModel(graph, baseline_wc(graph), make_uniform())
-    out["ptp"] = GltModel(graph, _ptp_weights(rounds, graph), make_uniform())
+def _fit_candidates(config, studies):
+    """Per replication's ``(truth, traces)``, fit the GLT grid model, LT, IC,
+    and the two heuristics.  One grid, one LT and one IC fit cover every
+    replication, their datasets keyed by ``(rep, v)``."""
+    # one activation-round table per replication feeds its node rows and PTP scores
+    tables = [_activation_rounds(traces, truth.graph.n) for truth, traces in studies]
+    datasets = {
+        (rep, v): _node_rows(rounds, horizons, truth.graph.parent_list(v), v)
+        for rep, ((truth, _), (rounds, horizons)) in enumerate(zip(studies, tables))
+        for v in truth.graph.child_nodes()
+    }
+    specs = {"glt": make_uniform(), "lt": make_uniform(), "ic": make_exponential_unit()}  # glt: where no grid fit
+    fits = {
+        "glt": fit_with_threshold_grid(datasets, tuple((1, b) for b in config.beta_grid)),
+        "lt": fit_all(datasets, specs["lt"]),
+        "ic": fit_all(datasets, specs["ic"]),
+    }
+    out = []
+    for rep, ((truth, _), (rounds, _)) in enumerate(zip(studies, tables)):
+        graph = truth.graph
+        mine = {name: {v: f for (r, v), f in got.items() if r == rep and f.estimated} for name, got in fits.items()}
+        out.append({name: _fitted_model(graph, specs[name], mine[name]) for name in fits})
+        out[-1]["wc"] = GltModel(graph, baseline_wc(graph), make_uniform())
+        out[-1]["ptp"] = GltModel(graph, _ptp_weights(rounds, graph), make_uniform())
     return out
 
 
@@ -336,9 +340,11 @@ def run_im_comparison(config: ExperimentConfig):
 
     Ground truth: beta(1, beta_v) thresholds with beta_v uniform on the
     configured grid.  Candidates: grid-fitted GLT, LT, IC, and the WC/PTP
-    heuristics; the oracle runs greedy on the truth itself.
+    heuristics; the oracle runs greedy on the truth itself.  Every
+    replication's truth and traces are simulated first; the candidates of
+    all replications are then fitted together (see :func:`_fit_candidates`).
     """
-    rows = []
+    studies = []
     for rep in range(config.replications):
         beta_rng = substream(config.seed, "beta", rep)
         graph = generate_cws(
@@ -352,8 +358,9 @@ def run_im_comparison(config: ExperimentConfig):
             graph, config.d_max, substream(config.seed, "weights", "im", rep)
         )
         truth = GltModel(graph, weights, specs)
-        traces = _simulate_traces(config, truth, config.n_traces, rep, tag="im")
-        candidates = _fit_candidates(config, truth, traces)
+        studies.append((truth, _simulate_traces(config, truth, config.n_traces, rep, tag="im")))
+    rows = []
+    for rep, ((truth, _), candidates) in enumerate(zip(studies, _fit_candidates(config, studies))):
         candidates["oracle"] = truth
         for name in sorted(candidates):
             model = candidates[name]

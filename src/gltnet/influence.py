@@ -8,7 +8,8 @@ activates once its summed active-parent weight reaches its threshold
 marginal gains.  The Monte Carlo evaluator reuses one draw matrix per step
 across all candidate seeds (common random numbers), closes the step's base
 set S once on it, and closes each candidate v from closure(S) + v, which is
-exact: on fixed thresholds closure(S + v) = closure(closure(S) + v).  The
+exact: on fixed thresholds closure(S + v) = closure(closure(S) + v).  A
+step's candidates close side by side in pieces, with the same bits.  The
 exact evaluators take sigma from :func:`exact_evaluator`, trace enumeration
 or, for bipartite graphs, a closed form.
 """
@@ -174,6 +175,10 @@ class _MonteCarloGains:
     closure(closure(S) + v): candidate v keeps the base size where closure(S)
     holds v and closes the other replicates from closure(S) + v.  The row
     sums ``b`` are the same, so every size is bit-identical to a fresh one.
+    Consecutive candidates close together, each v set in its own columns,
+    in pieces of at most max(R, _CHUNK // n) columns; closure is column by
+    column, so the sizes do not change, and no piece is larger than the
+    step's own n x R block or _CHUNK elements.
     """
 
     def __init__(self, model, root, replicates):
@@ -188,13 +193,25 @@ class _MonteCarloGains:
         thresholds = _thresholds(self.model, rng, self.replicates)
         base = np.zeros(thresholds.shape)
         base_sizes = _final_sizes(self.weights, thresholds, seeds, base)
-        out = []
-        for v in candidates:
-            cold = np.flatnonzero(base[v] == 0.0)
-            sizes = base_sizes.copy()
-            sizes[cold] = _final_sizes(self.weights, thresholds.take(cold, axis=1), [v], base.take(cold, axis=1))
-            out.append(sizes.mean() - base_sizes.mean())
-        return out
+        n, replicates = thresholds.shape
+        cold = [np.flatnonzero(base[v] == 0.0) for v in candidates]
+        sizes = np.tile(base_sizes, (len(candidates), 1))
+        pieces, width = [[]], 0
+        for j, c in enumerate(cold):
+            if width + c.size > max(replicates, _CHUNK // n):
+                pieces.append([])
+                width = 0
+            pieces[-1].append(j)
+            width += c.size
+        for piece in filter(None, pieces):
+            counts = [cold[j].size for j in piece]
+            cols = np.concatenate([cold[j] for j in piece])
+            state = base.take(cols, axis=1)
+            state[np.repeat(np.take(candidates, piece), counts), np.arange(cols.size)] = 1.0
+            closed = _final_sizes(self.weights, thresholds.take(cols, axis=1), [], state)
+            for j, got in zip(piece, np.split(closed, np.cumsum(counts)[:-1])):
+                sizes[j, cold[j]] = got
+        return list(sizes.mean(axis=1) - base_sizes.mean())
 
     def spread(self, seeds) -> SpreadEstimate:
         if not seeds:

@@ -660,9 +660,12 @@ class ExactSpreadOracle:
         level, its 2^k successor terms in ascending subset order, each with
         its probability, successor active set and newly active set.  States
         are padded to their block's k with probability-0 candidates, whose
-        terms come last and are 0."""
+        terms come last and are 0.  A state with 2^k > ``_BLOCK`` yields its
+        terms in consecutive blocks of ``_BLOCK``, one per subset of its
+        candidates past the first ``log2(_BLOCK)``."""
         active, _, certain, k, nodes, probs = level
         start = np.cumsum(k) - k
+        low = _BLOCK.bit_length() - 1
         for rows, size in _blocks(k):
             slot = np.arange(size)
             real = slot < k[rows, None]
@@ -672,11 +675,19 @@ class ExactSpreadOracle:
             one = np.uint64(1) << (nodes[at] & 63).astype(np.uint64)
             bit[np.arange(len(rows))[:, None], slot, nodes[at] >> 6] = np.where(real, one, np.uint64(0))
             prob, chosen = np.ones((len(rows), 1)), certain[rows, None, :]
-            for i in range(size):  # candidate i is bit i of the subset index
+            for i in range(min(size, low)):  # candidate i is bit i of the subset index
                 q = p[:, i, None]
                 prob = np.concatenate([prob * (1.0 - q), prob * q], axis=1)
                 chosen = np.concatenate([chosen, chosen | bit[:, i, None, :]], axis=1)
-            yield rows, prob, active[rows, None, :] | chosen, chosen
+            for high in range(1 << max(0, size - low)):  # a wide state's terms, _BLOCK at a time
+                block_prob, block_chosen = prob, chosen
+                for i in range(low, size):  # the same products, in the same order
+                    q = p[:, i, None]
+                    if high >> (i - low) & 1:
+                        block_prob, block_chosen = block_prob * q, block_chosen | bit[:, i, None, :]
+                    else:
+                        block_prob = block_prob * (1.0 - q)
+                yield rows, block_prob, active[rows, None, :] | block_chosen, block_chosen
 
     def _evaluate(self, levels):
         """Memoize the values of the discovered levels, by decreasing |A|."""
@@ -692,12 +703,13 @@ class ExactSpreadOracle:
         stop = len(keys)
         for level, level_keys in zip(reversed(levels), reversed(new)):
             size = float(_popcount(level[0][:1])[0])
-            total = np.empty(len(level_keys))
+            total = np.zeros(len(level_keys))
             for rows, prob, succ, chosen in self._successors(level):
                 value = np.full(prob.shape, size)
                 live = (prob != 0.0) & chosen.any(axis=-1)
                 value[live] = values[_find(keys, self._keys_of(succ[live], chosen[live]))]
                 terms = np.where(prob != 0.0, prob * value, 0.0)
+                terms[:, 0] += total[rows]  # the sum of a wide state's earlier blocks
                 total[rows] = np.cumsum(terms, axis=1)[:, -1]  # in subset order
             values[slot[stop - len(total) : stop]] = total
             stop -= len(total)

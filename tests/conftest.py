@@ -835,7 +835,10 @@ class ReferenceBatchPropagator:
     """Dense replicate-by-node closure; reference for the Monte Carlo kernel.
 
     Holds the n x n weight matrix ``w[u, v]`` and propagates a
-    replicate-by-node boolean state with ``active @ w``.
+    replicate-by-node boolean state.  Each node's influence adds its active
+    parents' weights one parent at a time in ascending order, the order of
+    ``GltModel.influence``; a BLAS product ``active @ w`` sums in another
+    order, which moves a threshold tied to the full parent influence.
     """
 
     def __init__(self, model):
@@ -864,7 +867,9 @@ class ReferenceBatchPropagator:
         active = np.zeros((r, self.n), dtype=bool)
         active[:, seed_list] = True
         while True:
-            b = active @ self.weight_matrix
+            b = np.zeros(active.shape)
+            for u in range(self.n):
+                b[active[:, u]] += self.weight_matrix[u]
             newly = (b >= thresholds) & ~active
             if not newly.any():
                 return active

@@ -254,3 +254,25 @@ def test_simulation_with_staggered_stops_matches_reference():
     assert got == want
     horizons = sorted(t.horizon for t in want)
     assert horizons[0] == 0 and horizons[-1] >= 20 and len(set(horizons)) >= 10
+
+
+def test_reference_sums_parents_in_the_kernels_order():
+    # node 1's parents 0, 3, 4 and 7 sum, in ascending order, exactly to its
+    # threshold; a BLAS product sums them to one ulp less, so a reference
+    # built on one would leave node 1 inactive where the kernel activates it
+    weights = [float.fromhex(w) for w in ("0x1.36fc5004ab74bp-4", "0x1.cd455f483b514p-4",
+                                          "0x1.b74d6d5c71dbep-4", "0x1.bc99e6e3e0b40p-8")]
+    g = gltnet.build_graph(8, [(0, 3), (0, 4), (0, 7), (0, 1), (3, 1), (4, 1), (7, 1)])
+    w = np.zeros(g.edge_count())
+    for v, theta in ((1, weights), (3, [1.0]), (4, [1.0]), (7, [1.0])):
+        w[g.child_slice(v)] = theta
+    model = GltModel(g, w, make_uniform())
+    full = model.influence(1, {0, 3, 4, 7})
+    assert full == 0.3025748546873886
+    thresholds = np.full((8, 1), 1.5)
+    thresholds[[3, 4, 7, 1], 0] = [0.5, 0.5, 0.5, full]
+    want = ReferenceBatchPropagator(model).final_active([0], thresholds.T)
+    assert want[0].tolist() == [v in (0, 1, 3, 4, 7) for v in range(8)]
+    assert np.array_equal(_closed(model, thresholds, [0]), want.T.astype(float))
+    base = _closed(model, thresholds, [])
+    assert np.array_equal(_closed(model, thresholds, [0], base), want.T.astype(float))

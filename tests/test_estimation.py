@@ -381,27 +381,53 @@ def test_lockstep_batches_match_each_nodes_own_fit(group):
             assert np.abs(fit.weights - alone.weights).max() <= 1e-7
 
 
+def _replication_datasets(seeds, n=30):
+    """Node datasets of one CWS replication per seed, keyed by ``(rep, v)``:
+    node ids repeat across replications."""
+    datasets = {}
+    for rep, seed in enumerate(seeds):
+        graph = generate_cws(n, 4, 0.2, substream(seed, "g"))
+        model = GltModel(graph, sample_weights_simplex(graph, 0.9, substream(seed, "w")), make_beta(1, 3))
+        dist = SeedDistribution.uniform_by_size(3)
+        traces = simulate_traces(
+            model,
+            [sample_seed(dist, graph, substream(seed, "s", i)) for i in range(300)],
+            [substream(seed, "t", i) for i in range(300)],
+        )
+        datasets.update({(rep, v): data for v, data in build_all_node_data(traces, graph).items()})
+    return datasets
+
+
 def test_fit_all_results_do_not_depend_on_the_order_of_datasets():
-    graph = generate_cws(30, 4, 0.2, substream(41, "g"))
-    model = GltModel(graph, sample_weights_simplex(graph, 0.9, substream(41, "w")), make_beta(1, 3))
-    dist = SeedDistribution.uniform_by_size(3)
-    traces = simulate_traces(
-        model,
-        [sample_seed(dist, graph, substream(41, "s", i)) for i in range(300)],
-        [substream(41, "t", i) for i in range(300)],
-    )
-    datasets = build_all_node_data(traces, graph)
+    # keys label datasets: node ids repeat across the three replications
+    datasets = _replication_datasets([41, 42, 43])
     order = list(datasets)
     substream(41, "order").shuffle(order)
-    shuffled = {v: datasets[v] for v in order}
+    shuffled = {key: datasets[key] for key in order}
     for spec in (make_uniform(), make_beta(1, 3)):
         forward, permuted = fit_all(datasets, spec), fit_all(shuffled, spec)
         assert list(permuted) == order
-        assert all(_fit_fields(forward[v]) == _fit_fields(permuted[v]) for v in datasets)
+        assert all(_fit_fields(forward[key]) == _fit_fields(permuted[key]) for key in datasets)
     forward = fit_with_threshold_grid(datasets, [(1, 2), (1, 3)])
     permuted = fit_with_threshold_grid(shuffled, [(1, 2), (1, 3)])
     assert list(permuted) == order
-    assert all(_fit_fields(forward[v]) == _fit_fields(permuted[v]) for v in datasets)
+    assert all(_fit_fields(forward[key]) == _fit_fields(permuted[key]) for key in datasets)
+
+
+def test_fits_keyed_by_replication_match_each_replications_own_fit():
+    # one call over (rep, v) keys gives each key its own replication's fit,
+    # within the gates of scripts/fit_diff.py and with the same grid choice
+    datasets = _replication_datasets([44, 45], n=16)
+    grid = tuple((1, b) for b in range(1, 6))
+    for fit in (lambda d: fit_all(d, make_uniform()), lambda d: fit_all(d, make_exponential_unit()),
+                lambda d: fit_with_threshold_grid(d, grid)):
+        joint = fit(datasets)
+        for rep in (0, 1):
+            alone = fit({v: data for (r, v), data in datasets.items() if r == rep})
+            for v, want in alone.items():
+                got = joint[rep, v]
+                assert _within_fit_diff_gates(got, want) and got.phi == want.phi, (rep, v)
+                assert got.node == want.node == v
 
 
 def test_fit_no_informative_rows():

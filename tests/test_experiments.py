@@ -119,16 +119,24 @@ def test_all_experiments_are_registered():
 
 
 def test_fit_candidates_build_rows_once_per_node(monkeypatch):
-    # the grid, LT and IC fits share one row build per child node, and the
-    # rows and the PTP scores share one activation-round table
+    # per replication, the grid, LT and IC fits share one row build per child
+    # node, and the rows and the PTP scores share one activation-round table;
+    # one grid, one LT and one IC call fit both replications
     config = ExperimentConfig(seed=212, n=10, k=2, n_traces=60, beta_grid=(1, 2))
-    graph = generate_cws(config.n, config.k, config.p, substream(212, "g"))
-    weights = sample_weights_simplex(graph, 1.0, substream(212, "w"))
-    truth = gltnet.GltModel(graph, weights, gltnet.make_beta(1, 2))
-    traces = experiments._simulate_traces(config, truth, config.n_traces, 0)
+    studies = []
+    for rep in range(2):
+        graph = generate_cws(config.n, config.k, config.p, substream(212, "g", rep))
+        weights = sample_weights_simplex(graph, 1.0, substream(212, "w", rep))
+        truth = gltnet.GltModel(graph, weights, gltnet.make_beta(1, 2))
+        studies.append((truth, experiments._simulate_traces(config, truth, config.n_traces, rep)))
     tables = count_calls(monkeypatch, gltnet.model._activation_rounds)
     builds = count_calls(monkeypatch, gltnet.likelihood._node_rows)
-    candidates = experiments._fit_candidates(config, truth, traces)
-    assert set(candidates) == {"glt", "lt", "ic", "wc", "ptp"}
-    assert len(tables) == 1
-    assert [call["v"] for call in builds] == graph.child_nodes()
+    grids = count_calls(monkeypatch, gltnet.estimation.fit_with_threshold_grid)
+    fits = count_calls(monkeypatch, gltnet.estimation.fit_all)
+    candidates = experiments._fit_candidates(config, studies)
+    assert len(candidates) == 2 and len(grids) == 1 and len(fits) == 2
+    assert [call["traces"] for call in tables] == [traces for _, traces in studies]
+    for rep, (truth, _) in enumerate(studies):
+        assert set(candidates[rep]) == {"glt", "lt", "ic", "wc", "ptp"}
+        assert all(model.graph is truth.graph for model in candidates[rep].values())
+    assert [call["v"] for call in builds] == studies[0][0].graph.child_nodes() + studies[1][0].graph.child_nodes()

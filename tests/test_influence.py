@@ -318,3 +318,21 @@ def test_greedy_matches_reference_loops(case):
     got = greedy_im(model, budget, evaluator, seed, replicates=replicates)
     want = reference_greedy_im(model, budget, evaluator, seed, replicates=replicates)
     assert got == want
+
+
+def test_greedy_mc_closes_pieces_of_several_candidates_bit_for_bit(monkeypatch):
+    # n = 64 and R = 20 give pieces of at most max(20, _CHUNK // 64) = 256
+    # cold columns, so each step closes several pieces of several candidates;
+    # seeds, gains and spread still equal the per-candidate reference loops
+    from gltnet import influence
+
+    g = random_simple_digraph(64, 0.06, substream(97, "g"))
+    model = GltModel(g, random_weights_within(g, substream(97, "w")), make_beta(1, 2))
+    calls = count_calls(monkeypatch, influence._final_sizes)
+    got = greedy_im(model, 2, "mc", 98, replicates=20)
+    widths = [call["thresholds"].shape[1] for call in calls]
+    assert max(widths) <= 256
+    assert sum(width > 2 * 20 for width in widths) >= 6
+    assert len(calls) <= 20
+    assert got == reference_greedy_im(model, 2, "mc", 98, replicates=20)
+    assert got.gains[0] > 1.0
