@@ -5,12 +5,15 @@ n=9, k=4, rewiring 0.2 and simplex weights with in-degree sums at most 0.9,
 built from the same substreams.  Each graph is scored under beta(1, 2)
 thresholds (the workload's own), uniform, unit-exponential and beta(0.5, 2)
 thresholds.  Each line holds the model, the seed set and the float.hex of
-its exact spread.  Run from the root of a checkout:
+its exact spread.  After a graph's spread lines come its identifiability
+reports under uniform-by-size seeds of up to 1 and 2 nodes: per child node,
+the verdict and the sorted achievable parent subsets.  Run from the root of
+a checkout:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/exact_fingerprint.py --seed 7
 
 It uses only the public API, so it runs unchanged on older checkouts; diff
-its output at two commits to find the spreads a change moved.
+its output at two commits to find the spreads and reports a change moved.
 """
 
 import argparse
@@ -37,6 +40,12 @@ def main(argv=None):
                 for seed_set in combinations(range(graph.n), size):
                     value = oracle.spread(set(seed_set))
                     print(tag, label, ",".join(map(str, seed_set)), float(value).hex())
+        for s_max in (1, 2):
+            report = g.check_identifiability(graph, g.SeedDistribution.uniform_by_size(s_max))
+            for v, node in sorted(report.nodes.items()):
+                subsets = sorted(sorted(s) for s in node.achievable)
+                print(tag, f"identifiability s_max={s_max}", v, node.verdict,
+                      " ".join(",".join(map(str, s)) for s in subsets))
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 Identifiability of a node's parent weights is decided by collecting every
 parent subset that can appear as a newly-activated set while the node is
-still inactive (forward search over feasible trace prefixes from the seed
-support) and checking, with exact integer arithmetic, whether the 0/1
-matrix of achievable subsets has full rank.
+still inactive and checking, with exact integer arithmetic, whether the 0/1
+matrix of achievable subsets has full rank.  One forward search over the
+feasible trace prefixes from the seed support serves every node: the
+prefixes that leave a node inactive are exactly those its own search would
+reach.  ``state_cap`` bounds each node's share of that search.
 
 Submodularity and monotonicity of the influence function are checked
 exhaustively against exact spreads on small graphs.  The triggering-set
@@ -93,41 +95,47 @@ def _exact_rank_and_pivots(columns, m):
     return len(pivots), pivots, int(det) if len(pivots) == m else None
 
 
-def _achievable_parent_subsets(graph, child_mask, support, v, state_cap):
-    """All subsets D_t intersect P(v) reachable while v stays inactive.
-
-    Forward search over (active set, frontier) states of feasible trace
-    prefixes, v excluded from every expansion; ``child_mask`` is the graph's
-    :func:`~gltnet.model.child_masks`.  Returns (subsets, capped).
-    """
-    parent_mask = _node_mask(graph.parent_list(v))
-    achievable = set()
-    visited = set()
-    stack = []
-    for seed, prob in support:
-        if prob <= 0 or v in seed:
-            continue
-        mask = _node_mask(seed)
-        if (mask, mask) not in visited:
-            visited.add((mask, mask))
-            stack.append((mask, mask))
+def _achievable_subsets(graph, support, state_cap, counting=False):
+    """Per child node v, the masks F & P(v) over the reachable (A, F) with v
+    outside A, by one depth-first search over states ``A << n | F``; and the
+    mask of the nodes capped as :func:`check_identifiability` says.  A search
+    that outgrows ``state_cap`` states restarts, counting states per node and
+    keeping a state only while an uncapped child node is outside its A."""
+    n, child_mask, full = graph.n, child_masks(graph), (1 << graph.n) - 1
+    nodes = uncapped = _node_mask(graph.child_nodes())
+    states = {m << n | m for m in {_node_mask(s) for s, p in support if p > 0} if nodes & ~m}
+    stack, count, nonseed, children, seen = list(states), [0] * n, 0, {}, {}
     while stack:
-        active, frontier = stack.pop()
-        sub = frontier & parent_mask
-        if sub:
-            achievable.add(sub)
-        cand = _frontier_children(child_mask, frontier) & ~active & ~(1 << v)
-        # enumerate nonempty subsets of the candidate set
-        sub_mask = cand
-        while sub_mask:
-            state = (active | sub_mask, sub_mask)
-            if state not in visited:
-                if len(visited) >= state_cap:
-                    return achievable, True
-                visited.add(state)
-                stack.append(state)
-            sub_mask = (sub_mask - 1) & cand
-    return achievable, False
+        state = stack.pop()
+        active, frontier = state >> n, state & full
+        free = uncapped & ~active
+        if not free:
+            continue
+        while counting and free:  # count the state toward each uncapped node outside A
+            v = (free & -free).bit_length() - 1
+            free ^= 1 << v
+            count[v] += 1
+            nonseed |= (active != frontier) << v
+            if count[v] > state_cap and nonseed >> v & 1:
+                uncapped ^= 1 << v
+        cand = children.get(frontier)
+        if cand is None:
+            cand = children[frontier] = _frontier_children(child_mask, frontier)
+        cand &= ~active
+        seen[frontier] = seen.get(frontier, 0) | cand  # the candidates met with this frontier
+        sub = cand
+        while sub:
+            grown = active | sub
+            new = grown << n | sub
+            if new not in states and uncapped & ~grown:
+                if len(states) >= state_cap and not counting:
+                    return _achievable_subsets(graph, support, state_cap, True)
+                states.add(new)
+                stack.append(new)
+            sub = (sub - 1) & cand
+    parent_mask = {v: _node_mask(graph.parent_list(v)) for v in graph.child_nodes()}
+    found = {v: {f & mask for f, cand in seen.items() if cand >> v & 1} for v, mask in parent_mask.items()}
+    return found, nodes & ~uncapped
 
 
 def check_identifiability(graph: Graph, seed_distribution: SeedDistribution, state_cap: int = 100_000) -> IdentifiabilityReport:
@@ -135,22 +143,21 @@ def check_identifiability(graph: Graph, seed_distribution: SeedDistribution, sta
 
     A node is identifiable iff the achievable parent subsets contain m of
     them whose 0/1 incidence matrix is invertible; rank decisions use exact
-    integer arithmetic.  Nodes whose forward search exceeds ``state_cap``
-    get the verdict "unknown-cap-exceeded".
+    integer arithmetic.  One forward search from the seed support collects
+    every node's subsets.  A node gets the verdict "unknown-cap-exceeded",
+    with a partial list of subsets, when more than ``state_cap`` of the
+    search's states leave it inactive and one of them is not a seed state.
     """
     support = [(frozenset(map(graph._check, s)), p) for s, p in seed_distribution.explicit_support(graph.n)]
-    child_mask = child_masks(graph)
+    found, capped = _achievable_subsets(graph, support, state_cap)
     nodes = {}
     for v in graph.child_nodes():
         parents = graph.parent_list(v)
         m = len(parents)
-        masks, capped = _achievable_parent_subsets(
-            graph, child_mask, support, v, state_cap
-        )
         subsets = tuple(
-            frozenset(u for u in parents if mask >> u & 1) for mask in sorted(masks)
+            frozenset(u for u in parents if mask >> u & 1) for mask in sorted(found[v])
         )
-        if capped:
+        if capped >> v & 1:
             nodes[v] = NodeIdentifiability(
                 node=v,
                 verdict="unknown-cap-exceeded",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, is_node_id
 from .likelihood import NodeData, _dot, _evaluate, _stack
 from .model import NEVER, _activation_rounds
 from .thresholds import ThresholdSpec, make_beta
@@ -513,12 +513,15 @@ def fit_all(datasets: dict, specs, options: FitOptions = None) -> dict:
 
     ``specs`` is a single ThresholdSpec or a sequence indexed by key; the
     datasets sharing a spec are fitted in lockstep.  Failures are recorded
-    on the result (``error`` field), never raised, so a batch always completes.
+    on the result (``error`` field), never raised, so a batch always
+    completes; only a key that indexes no spec of a sequence raises.
     """
     options, groups, out = options or FitOptions(), {}, {}
-    spec_of = (lambda v: specs) if isinstance(specs, ThresholdSpec) else tuple(specs).__getitem__
+    table = None if isinstance(specs, ThresholdSpec) else tuple(specs)
     for v in datasets:
-        groups.setdefault(spec_of(v), []).append(v)
+        if table is not None and not (is_node_id(v) and 0 <= v < len(table)):
+            raise EstimationError(f"dataset key {v!r} indexes no spec of the {len(table)} given")
+        groups.setdefault(specs if table is None else table[v], []).append(v)
     for spec, nodes in groups.items():
         out.update(zip(nodes, _fit_group([datasets[v] for v in nodes], spec, options)))
     return {v: out[v] for v in datasets}

@@ -1067,3 +1067,43 @@ def reference_greedy_im(model, budget, spread_evaluator, rng=None, replicates=10
         model, seeds, replicates, substream(root, "im-final")
     ) if seeds else SpreadEstimate(0.0, 0.0, replicates)
     return ImSolution(seeds=tuple(seeds), gains=tuple(gains), spread=final)
+
+
+def reference_achievable_parent_subsets(graph, seed_distribution, v, state_cap=100_000):
+    """Node v's achievable parent subsets by its own depth-first search.
+
+    Forward search over (active set, frontier) states of feasible trace
+    prefixes from the seed support, v excluded from every expansion; each
+    state's frontier meets P(v) in one achievable subset.  Returns (the
+    subsets as bitmasks, capped): capped when the search would hold more
+    than ``state_cap`` states.  Reference for ``check_identifiability``.
+    """
+    support = seed_distribution.explicit_support(graph.n)
+    child_mask = child_masks(graph)
+    parent_mask = _node_mask(graph.parent_list(v))
+    achievable = set()
+    visited = set()
+    stack = []
+    for seed, prob in support:
+        if prob <= 0 or v in seed:
+            continue
+        mask = _node_mask(seed)
+        if (mask, mask) not in visited:
+            visited.add((mask, mask))
+            stack.append((mask, mask))
+    while stack:
+        active, frontier = stack.pop()
+        sub = frontier & parent_mask
+        if sub:
+            achievable.add(sub)
+        cand = _frontier_children(child_mask, frontier) & ~active & ~(1 << v)
+        sub_mask = cand
+        while sub_mask:
+            state = (active | sub_mask, sub_mask)
+            if state not in visited:
+                if len(visited) >= state_cap:
+                    return achievable, True
+                visited.add(state)
+                stack.append(state)
+            sub_mask = (sub_mask - 1) & cand
+    return achievable, False

@@ -21,7 +21,12 @@ from gltnet import (
 from gltnet.diagnostics import _exact_rank_and_pivots
 from gltnet.rng import substream
 
-from conftest import random_simple_digraph, random_weights_within, reference_exact_determinant
+from conftest import (
+    random_simple_digraph,
+    random_weights_within,
+    reference_achievable_parent_subsets,
+    reference_exact_determinant,
+)
 
 
 def _star2():
@@ -86,6 +91,31 @@ def test_identifiability_cap():
     dist = SeedDistribution.uniform_by_size(2)
     report = check_identifiability(g, dist, state_cap=5)
     assert any(r.verdict == "unknown-cap-exceeded" for r in report.nodes.values())
+
+
+@pytest.mark.parametrize(
+    "graph, s_max, state_cap, capped",
+    [
+        # node v's search holds 59, 77, 57, 28, 77, 42, 35 states for v = 1..7
+        (random_simple_digraph(8, 0.35, substream(52, "g")), 1, 57, {1, 2, 5}),
+        (random_simple_digraph(8, 0.35, substream(52, "g")), 1, 56, {1, 2, 3, 5}),
+        # 96, 155, 112, 142, 91, 144 states for v = 0, 1, 2, 3, 4, 6
+        (random_simple_digraph(7, 0.4, substream(52, "g")), 2, 142, {1, 6}),
+        # node 2 has 5 seed states and nothing else, node 3 has 7 states
+        (build_graph(6, [(0, 2), (1, 2), (2, 3)]), 1, 2, {3}),
+    ],
+)
+def test_identifiability_cap_is_per_node(graph, s_max, state_cap, capped):
+    # a node is capped iff more than state_cap states have it inactive and
+    # one of them is not a seed state; the other nodes get their full reports
+    dist = SeedDistribution.uniform_by_size(s_max)
+    report = check_identifiability(graph, dist, state_cap=state_cap)
+    full = check_identifiability(graph, dist)
+    assert {v for v, r in report.nodes.items() if r.verdict == "unknown-cap-exceeded"} == capped
+    assert report.nodes.keys() == full.nodes.keys()
+    for v in report.nodes.keys() - capped:
+        assert report.nodes[v] == full.nodes[v]
+        assert full.nodes[v].verdict != "unknown-cap-exceeded"
 
 
 def test_uniform_by_size_support_expansion_used():
@@ -217,3 +247,42 @@ def test_elimination_determinant_matches_reference(case):
         return
     witness_matrix = [[columns[j][i] for j in pivots] for i in range(m)]
     assert det == reference_exact_determinant(witness_matrix) != 0
+
+
+@st.composite
+def _identifiability_cases(draw):
+    n = draw(st.integers(2, 9))
+    node = st.integers(0, n - 1)
+    density = draw(st.sampled_from([0.2, 0.35, 0.5]))
+    graph = random_simple_digraph(n, density, substream(draw(st.integers(0, 2**16)), "g"))
+    if draw(st.booleans()):
+        sets = draw(st.lists(st.frozensets(node, min_size=1, max_size=3), min_size=1, max_size=4))
+        weights = [draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in sets[1:]]
+        dist = SeedDistribution.explicit([(s, w / sum(weights)) for s, w in zip(sets, weights)])
+    else:
+        dist = SeedDistribution.uniform_by_size(draw(st.integers(1, 3)))
+    state_cap = draw(st.one_of(st.integers(1, 80), st.just(100_000)))
+    return graph, dist, state_cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(_identifiability_cases())
+def test_identifiability_matches_per_node_searches(case):
+    # one shared search gives each node what its own held-out search gives
+    graph, dist, state_cap = case
+    report = check_identifiability(graph, dist, state_cap=state_cap)
+    assert sorted(report.nodes) == graph.child_nodes()
+    for v, node in report.nodes.items():
+        masks, capped = reference_achievable_parent_subsets(graph, dist, v, state_cap)
+        assert (node.verdict == "unknown-cap-exceeded") == capped
+        if capped:
+            continue
+        parents = graph.parent_list(v)
+        subsets = tuple(frozenset(u for u in parents if m >> u & 1) for m in sorted(masks))
+        assert node.achievable == subsets
+        columns = [[int(u in s) for u in parents] for s in subsets]
+        rank, pivots, det = _exact_rank_and_pivots(columns, len(parents))
+        assert node.rank == rank
+        assert node.verdict == ("identifiable" if rank == len(parents) else "not-identifiable")
+        assert node.witnesses == (tuple(subsets[j] for j in pivots) if det is not None else None)
+        assert node.determinant == det

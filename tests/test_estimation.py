@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -507,6 +508,20 @@ def test_fit_all_flags_uninformative_nodes():
     assert fits[1].estimated
     assert not fits[3].estimated
     assert "no informative" in fits[3].error
+
+
+@pytest.mark.parametrize(
+    "keys, bad",
+    [([(0, 1), (0, 3)], "(0, 1)"), ([1, 3], "3"), ([1, -1], "-1"), ([0, True], "True")],
+)
+def test_fit_all_rejects_keys_that_index_no_spec(keys, bad):
+    # a spec sequence is indexed by node id: other keys need a single spec
+    g = build_graph(4, [(0, 1), (2, 3)])
+    data = build_all_node_data([Trace([{0, 2}, {1, 3}])], g)
+    datasets = {key: data[1] for key in keys}
+    with pytest.raises(EstimationError, match=f"dataset key {re.escape(bad)} indexes no spec of the 3 given"):
+        fit_all(datasets, [make_uniform()] * 3)
+    assert all(fit.estimated for fit in fit_all(datasets, make_uniform()).values())
 
 
 def test_fit_all_order_invariant():
