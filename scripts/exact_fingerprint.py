@@ -5,10 +5,13 @@ n=9, k=4, rewiring 0.2 and simplex weights with in-degree sums at most 0.9,
 built from the same substreams.  Each graph is scored under beta(1, 2)
 thresholds (the workload's own), uniform, unit-exponential and beta(0.5, 2)
 thresholds.  Each line holds the model, the seed set and the float.hex of
-its exact spread.  After a graph's spread lines come its identifiability
-reports under uniform-by-size seeds of up to 1 and 2 nodes: per child node,
-the verdict and the sorted achievable parent subsets.  Run from the root of
-a checkout:
+its exact spread.  Under beta(1, 2) each graph then gets the exact
+`greedy_im` seeds, gains and spread at k=3, `optimal_seed_set` at k=2, the
+`check_submodularity_exact(max_budget=2)` violations, and `im_solution_gap`
+at k=2 against an estimate with re-drawn simplex weights.  Last come the
+graph's identifiability reports under uniform-by-size seeds of up to 1 and 2
+nodes: per child node, the verdict and the sorted achievable parent subsets.
+Floats print as float.hex.  Run from the root of a checkout:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/exact_fingerprint.py --seed 7
 
@@ -26,6 +29,26 @@ SPECS = [("beta(1,2)", g.make_beta(1, 2)), ("uniform", g.make_uniform()),
          ("exponential", g.make_exponential_unit()), ("beta(0.5,2)", g.make_beta(0.5, 2))]
 
 
+def _nodes(nodes):
+    return ",".join(map(str, sorted(nodes)))
+
+
+def im_checks(tag, model, rng):
+    """Print the exact greedy, optimum, submodularity and IM-gap results of ``model``."""
+    greedy = g.greedy_im(model, 3, "exact")
+    print(tag, "greedy k=3", ",".join(map(str, greedy.seeds)),
+          " ".join(float(x).hex() for x in greedy.gains), float(greedy.spread.mean).hex())
+    best, value = g.optimal_seed_set(model, 2, "exact")
+    print(tag, "optimal k=2", _nodes(best), float(value).hex())
+    violations = g.check_submodularity_exact(model, max_budget=2)
+    print(tag, "submodularity max_budget=2", len(violations), "violations")
+    for viol in violations:
+        print(tag, "violation", viol.node, _nodes(viol.subset), _nodes(viol.superset),
+              float(viol.gain_at_subset).hex(), float(viol.gain_at_superset).hex())
+    estimate = model.with_weights(g.sample_weights_simplex(model.graph, 0.9, rng))
+    print(tag, "im_solution_gap k=2", float(g.im_solution_gap(model, estimate, 2, "exact")).hex())
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -40,6 +63,7 @@ def main(argv=None):
                 for seed_set in combinations(range(graph.n), size):
                     value = oracle.spread(set(seed_set))
                     print(tag, label, ",".join(map(str, seed_set)), float(value).hex())
+        im_checks(tag, g.GltModel(graph, weights, SPECS[0][1]), substream(args.seed, "estimate", tag))
         for s_max in (1, 2):
             report = g.check_identifiability(graph, g.SeedDistribution.uniform_by_size(s_max))
             for v, node in sorted(report.nodes.items()):

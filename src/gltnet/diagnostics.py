@@ -6,13 +6,15 @@ still inactive and checking, with exact integer arithmetic, whether the 0/1
 matrix of achievable subsets has full rank.  One forward search over the
 feasible trace prefixes from the seed support serves every node: the
 prefixes that leave a node inactive are exactly those its own search would
-reach.  ``state_cap`` bounds each node's share of that search.
+reach.  ``state_cap`` bounds each node's share of that search, which holds
+sets as Python-int bitmasks.
 
 Submodularity and monotonicity of the influence function are checked
-exhaustively against exact spreads on small graphs.  The triggering-set
-embedding solver reconstructs, for an in-degree-3 star, the unique signed
-measure a triggering model would need, certifying non-embeddability when
-any of its entries is negative.
+exhaustively against exact spreads on small graphs, in one exact-oracle
+batch that refuses more than ``node_cap`` seed sets before building them.
+The triggering-set embedding solver reconstructs, for an in-degree-3 star,
+the unique signed measure a triggering model would need, certifying
+non-embeddability when any of its entries is negative.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from .graph import Graph, SeedDistribution
-from .model import ExactSpreadOracle, GltModel, _frontier_children, _node_mask, child_masks
+from .model import EnumerationCapError, ExactSpreadOracle, GltModel
 
 SPREAD_TOL = 1e-9  # spread differences the exact checks treat as zero
 EMBEDDING_TOL = 1e-9  # negative triggering-set mass treated as zero
@@ -65,6 +68,29 @@ class IdentifiabilityReport:
 
     def verdict(self, v: int) -> str:
         return self.nodes[v].verdict
+
+
+def _node_mask(nodes) -> int:
+    """The bitmask of a collection of int node ids."""
+    mask = 0
+    for u in nodes:
+        mask |= 1 << u
+    return mask
+
+
+def child_masks(graph: Graph) -> list:
+    """Per node, the bitmask of its children."""
+    return [_node_mask(graph.children(u)) for u in range(graph.n)]
+
+
+def _frontier_children(child_mask, frontier: int) -> int:
+    """The union of ``child_mask`` over the nodes of the ``frontier`` mask."""
+    children = 0
+    while frontier:
+        low = frontier & -frontier
+        children |= child_mask[low.bit_length() - 1]
+        frontier ^= low
+    return children
 
 
 def _exact_rank_and_pivots(columns, m):
@@ -228,8 +254,14 @@ def _mask_to_set(mask):
     return frozenset(out)
 
 
-def _exact_sigma(model, masks, node_cap):
-    """sigma(mask) for each of the seed bitmasks, from one exact-oracle batch."""
+def _exact_sigma(model, size, node_cap):
+    """sigma(mask) for every seed bitmask of at most ``size`` nodes, from one
+    exact-oracle batch; each nonempty set is its own oracle state, so more
+    than ``node_cap`` of them are refused before any is built."""
+    n = model.graph.n
+    if sum(comb(n, r) for r in range(1, size + 1)) > node_cap:
+        raise EnumerationCapError(node_cap + 1, node_cap)
+    masks = _masks_up_to(n, size)
     spreads = ExactSpreadOracle(model, node_cap=node_cap).spreads(map(_mask_to_set, masks))
     return dict(zip(masks, spreads))
 
@@ -245,11 +277,13 @@ def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap:
     Tests sigma(S' + v) - sigma(S') >= sigma(S + v) - sigma(S) for every
     S' subset of S with |S| <= max_budget (default: all sets) and v outside
     S, flagging violations beyond ``SPREAD_TOL``.  Only feasible on graphs
-    small enough for exact spread enumeration.
+    small enough for exact spread enumeration.  Refuses a negative budget.
     """
     n = model.graph.n
+    if max_budget is not None and max_budget < 0:
+        raise ValueError(f"max_budget must be nonnegative, got {max_budget}")
     budget = n if max_budget is None else min(max_budget, n)
-    sigma = _exact_sigma(model, _masks_up_to(n, min(budget + 1, n)), node_cap)
+    sigma = _exact_sigma(model, min(budget + 1, n), node_cap)
 
     violations = []
     for s_mask in _masks_up_to(n, budget):
@@ -281,7 +315,7 @@ def check_monotonicity_exact(model: GltModel, node_cap: int = 10**6) -> list:
     """Exhaustive sigma(S) <= sigma(S + v) check (should never fail), flagging
     decreases beyond ``SPREAD_TOL``."""
     n = model.graph.n
-    sigma = _exact_sigma(model, range(1 << n), node_cap)
+    sigma = _exact_sigma(model, n, node_cap)
 
     violations = []
     for s_mask in range(1 << n):

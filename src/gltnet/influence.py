@@ -9,19 +9,20 @@ marginal gains.  The Monte Carlo evaluator reuses one draw matrix per step
 across all candidate seeds (common random numbers), closes the step's base
 set S once on it, and closes each candidate v from closure(S) + v, which is
 exact: on fixed thresholds closure(S + v) = closure(closure(S) + v).  A
-step's candidates close side by side in pieces, with the same bits.  The
-exact evaluators take sigma from :func:`exact_evaluator`, trace enumeration
-or, for bipartite graphs, a closed form.
+step's candidates close side by side in column chunks, with the same bits.
+The exact evaluators take sigma from :func:`exact_evaluator`, trace
+enumeration or, for bipartite graphs, a closed form, one batch per scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .model import _CHUNK, ExactSpreadOracle, GltModel, _closure_rounds, _parent_weights, _spec_groups
+from .model import _CHUNK, EnumerationCapError, ExactSpreadOracle, GltModel, _closure_rounds, _parent_weights, _spec_groups
 from .rng import as_generator, substream
 
 __all__ = [
@@ -175,10 +176,10 @@ class _MonteCarloGains:
     closure(closure(S) + v): candidate v keeps the base size where closure(S)
     holds v and closes the other replicates from closure(S) + v.  The row
     sums ``b`` are the same, so every size is bit-identical to a fresh one.
-    Consecutive candidates close together, each v set in its own columns,
-    in pieces of at most max(R, _CHUNK // n) columns; closure is column by
-    column, so the sizes do not change, and no piece is larger than the
-    step's own n x R block or _CHUNK elements.
+    Every candidate's cold columns (where closure(S) lacks v), each with its
+    v set, close together in column chunks of max(R, _CHUNK // n); closure
+    is column by column, so the sizes do not change, and no chunk is larger
+    than the step's own n x R block or _CHUNK elements.
     """
 
     def __init__(self, model, root, replicates):
@@ -195,22 +196,15 @@ class _MonteCarloGains:
         base_sizes = _final_sizes(self.weights, thresholds, seeds, base)
         n, replicates = thresholds.shape
         cold = [np.flatnonzero(base[v] == 0.0) for v in candidates]
+        owner = np.repeat(np.arange(len(candidates)), [c.size for c in cold])
+        cols = np.concatenate(cold)
         sizes = np.tile(base_sizes, (len(candidates), 1))
-        pieces, width = [[]], 0
-        for j, c in enumerate(cold):
-            if width + c.size > max(replicates, _CHUNK // n):
-                pieces.append([])
-                width = 0
-            pieces[-1].append(j)
-            width += c.size
-        for piece in filter(None, pieces):
-            counts = [cold[j].size for j in piece]
-            cols = np.concatenate([cold[j] for j in piece])
-            state = base.take(cols, axis=1)
-            state[np.repeat(np.take(candidates, piece), counts), np.arange(cols.size)] = 1.0
-            closed = _final_sizes(self.weights, thresholds.take(cols, axis=1), [], state)
-            for j, got in zip(piece, np.split(closed, np.cumsum(counts)[:-1])):
-                sizes[j, cold[j]] = got
+        width = max(replicates, _CHUNK // n)
+        for start in range(0, cols.size, width):
+            part = slice(start, start + width)
+            state = base.take(cols[part], axis=1)
+            state[np.take(candidates, owner[part]), np.arange(state.shape[1])] = 1.0
+            sizes[owner[part], cols[part]] = _final_sizes(self.weights, thresholds.take(cols[part], axis=1), [], state)
         return list(sizes.mean(axis=1) - base_sizes.mean())
 
     def spread(self, seeds) -> SpreadEstimate:
@@ -266,36 +260,32 @@ def optimal_seed_set(model: GltModel, budget: int, spread_evaluator: str = "exac
     """Exhaustive influence maximizer over all seed sets of the given size.
 
     Returns ``(seed_set, spread)``; spread is monotone, so only sets of
-    exactly ``budget`` nodes need scanning.  Lexicographically first among
-    ties.
+    exactly ``budget`` nodes need scanning, in one batch.  Lexicographically
+    first among ties.  The "exact" oracle refuses more than ``node_cap`` sets
+    (each is its own state) before any is built.
     """
-    return _best_seed_set(exact_evaluator(model, spread_evaluator, node_cap), model.graph.n, budget)
-
-
-def _best_seed_set(sigma, n: int, budget: int):
-    """``optimal_seed_set`` over the nodes ``range(n)`` of the spread ``sigma``."""
+    sigma = exact_evaluator(model, spread_evaluator, node_cap)
+    n = model.graph.n
     if not (0 <= budget <= n):
         raise InfluenceError(f"budget {budget} outside [0, {n}]")
-    if budget == 0:
-        return frozenset(), 0.0
+    if spread_evaluator == "exact" and comb(n, budget) > node_cap:
+        raise EnumerationCapError(node_cap + 1, node_cap)
     combos = list(combinations(range(n), budget))
-    best_set, best_val = None, None
-    for combo, val in zip(combos, sigma.spreads(combos)):
-        if best_val is None or val > best_val:
-            best_set, best_val = frozenset(combo), val
-    return best_set, float(best_val)
+    spreads = sigma.spreads(combos)
+    best = max(range(len(combos)), key=spreads.__getitem__)
+    return frozenset(combos[best]), float(spreads[best])
 
 
 def im_solution_gap(true_model: GltModel, est_model: GltModel, budget: int, spread_evaluator: str = "exact", node_cap: int = 10**6) -> float:
     """Spread lost by optimizing under estimated instead of true weights.
 
     Both optima are exhaustive; the gap is evaluated under the true model:
-    sigma_true(S*(true)) - sigma_true(S*(est)) >= 0 up to ties.  The scan
-    for S*(true) already memoized sigma_true(S*(est)) in the exact oracle.
+    sigma_true(S*(true)) - sigma_true(S*(est)) >= 0 up to ties.  The true
+    model's evaluator scores every candidate set and S*(est) in one batch.
     """
     if true_model.graph != est_model.graph:
         raise InfluenceError("models must share the same underlying graph")
     sigma_true = exact_evaluator(true_model, spread_evaluator, node_cap)
-    _, best = _best_seed_set(sigma_true, true_model.graph.n, budget)
     s_est, _ = optimal_seed_set(est_model, budget, spread_evaluator, node_cap)
-    return float(best - sigma_true(s_est))
+    *spreads, at_est = sigma_true.spreads([*combinations(range(true_model.graph.n), budget), s_est])
+    return float(max(spreads) - at_est)

@@ -443,53 +443,16 @@ def enumerate_feasible_traces(graph: Graph, seed_set, node_cap: int = 10**6) -> 
     return out
 
 
-def _node_mask(nodes) -> int:
-    """The bitmask of a collection of int node ids."""
-    mask = 0
-    for u in nodes:
-        mask |= 1 << u
-    return mask
-
-
-def child_masks(graph: Graph) -> list:
-    """Per node, the bitmask of its children."""
-    return [_node_mask(graph.children(u)) for u in range(graph.n)]
-
-
-def _frontier_children(child_mask, frontier: int) -> int:
-    """The union of ``child_mask`` over the nodes of the ``frontier`` mask."""
-    children = 0
-    while frontier:
-        low = frontier & -frontier
-        children |= child_mask[low.bit_length() - 1]
-        frontier ^= low
-    return children
-
-
 def _set_bits(words, rows, nodes):
     """Set bit ``nodes[i]`` in row ``rows[i]`` of the uint64 word array ``words``."""
     np.bitwise_or.at(words, (rows, nodes >> 6), np.uint64(1) << (nodes & 63).astype(np.uint64))
 
 
-def _ranges(start, count):
-    """The concatenated integer ranges ``start[i] : start[i] + count[i]``."""
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-
-
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-_BYTE_COUNT = _BYTE_BITS.sum(axis=1, dtype=np.int64)  # set bits of each byte value
-_BYTE_FIRST = np.cumsum(_BYTE_COUNT) - _BYTE_COUNT  # where they start in:
-_BYTE_POSITIONS = np.nonzero(_BYTE_BITS)[1]  # the set bits of every byte value, ascending
-
-
-def _bits_of(words):
-    """``(rows, nodes)`` of every set bit of ``words``, by row, then node."""
-    bytes_ = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    rows, cols = np.nonzero(bytes_)
-    value = bytes_[rows, cols]
-    count = _BYTE_COUNT[value]
-    at = _ranges(_BYTE_FIRST[value], count)
-    return np.repeat(rows, count), np.repeat(cols * 8, count) + _BYTE_POSITIONS[at]
+def _bits_of(words, n):
+    """``(rows, nodes)`` of every set bit of ``words``, rows of sets of nodes below ``n``,
+    by row, then node."""
+    bytes_ = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)[:, : -(-n // 8)]
+    return np.nonzero(np.unpackbits(bytes_, axis=1, bitorder="little"))
 
 
 def _popcount(words):
@@ -631,19 +594,18 @@ class ExactSpreadOracle:
         mask of each one's certain candidates, and its k uncertain candidates
         (flat, by state then node) with their activation probabilities.  The
         candidates are the union of the (nonempty) frontier's child rows less A."""
-        rows, nodes = _bits_of(frontier)
+        rows, nodes = _bits_of(frontier, self._n)
         children = np.bitwise_or.reduceat(self._child_rows[nodes], np.flatnonzero(np.diff(rows, prepend=-1)))
-        rows, cand = _bits_of(children & ~active)
+        rows, cand = _bits_of(children & ~active, self._n)
         words = np.stack([active, active & ~frontier])
         # B_v(A) and B_v(A - F), summed in ascending parent order (padding adds 0.0)
         b = np.zeros((2, len(cand)))
         for word, bit, theta in zip(self._word[cand].T, self._bit[cand].T, self._theta[cand].T):
             b += np.where(words[:, rows, word] & bit != 0, theta, 0.0)
         f = np.empty_like(b)
-        for i, spec in enumerate(self._specs):  # F_v once per distinct B_v
+        for i, spec in enumerate(self._specs):
             pick = self._spec_index[cand] == i
-            touched, inverse = np.unique(b[:, pick].ravel(), return_inverse=True)
-            f[:, pick] = spec._cdf(touched)[inverse].reshape(2, -1)
+            f[:, pick] = spec._cdf(b[:, pick])
         f_now, f_prev = f
         denom = 1.0 - f_prev
         with np.errstate(divide="ignore", invalid="ignore"):

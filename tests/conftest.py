@@ -22,8 +22,8 @@ from gltnet import (
     make_uniform,
     spread_bipartite_closed_form,
 )
+from gltnet.diagnostics import _frontier_children, _node_mask, child_masks
 from gltnet.influence import ImSolution, SpreadEstimate
-from gltnet.model import _frontier_children, _node_mask, child_masks
 from gltnet.rng import as_generator, substream
 
 

@@ -180,6 +180,12 @@ def test_submodularity_star_matches_interval_characterization():
         assert bool(violations) == expected
 
 
+def test_submodularity_rejects_a_negative_budget():
+    model = GltModel(build_graph(3, [(0, 2), (1, 2)]), np.array([0.3, 0.4]), make_uniform())
+    with pytest.raises(ValueError, match="max_budget must be nonnegative, got -1"):
+        check_submodularity_exact(model, max_budget=-1)
+
+
 def test_monotonicity_and_spread_floor():
     g = random_simple_digraph(6, 0.4, substream(55, "g"))
     w = random_weights_within(g, substream(55, "w"))

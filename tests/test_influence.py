@@ -336,3 +336,20 @@ def test_greedy_mc_closes_pieces_of_several_candidates_bit_for_bit(monkeypatch):
     assert len(calls) <= 20
     assert got == reference_greedy_im(model, 2, "mc", 98, replicates=20)
     assert got.gains[0] > 1.0
+
+
+def test_greedy_mc_chunks_straddle_candidates_bit_for_bit(monkeypatch):
+    # with _CHUNK = 110, n = 10 and R = 7 the chunks hold 11 columns; at the
+    # first step every candidate has all 7 columns cold, so chunk boundaries
+    # fall inside candidates' columns; seeds, gains and spread still equal
+    # the per-candidate reference loops
+    from gltnet import influence
+
+    g = random_simple_digraph(10, 0.3, substream(99, "g"))
+    model = GltModel(g, random_weights_within(g, substream(99, "w")), make_beta(1, 2))
+    monkeypatch.setattr(influence, "_CHUNK", 110)
+    calls = count_calls(monkeypatch, influence._final_sizes)
+    got = greedy_im(model, 3, "mc", 100, replicates=7)
+    widths = [call["thresholds"].shape[1] for call in calls]
+    assert widths[:8] == [7] + [11] * 6 + [4]  # the base set, then 70 cold columns
+    assert got == reference_greedy_im(model, 3, "mc", 100, replicates=7)

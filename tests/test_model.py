@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gltnet
@@ -30,7 +30,7 @@ from gltnet import (
     transition_probability,
     validate_trace,
 )
-from gltnet.model import NEVER, _activation_rounds
+from gltnet.model import NEVER, _activation_rounds, _bits_of
 from gltnet.rng import substream
 
 from conftest import (
@@ -261,6 +261,31 @@ def test_exact_cap_refuses_a_wide_state_before_building_it():
     assert (err.value.state_count, err.value.cap) == (1001, 1000)
 
 
+# each exact scan over a seed-set family of C(40, 20) or 2^40 - 1 sets
+_FAMILY_SCANS = {
+    "optimal": lambda model: gltnet.optimal_seed_set(model, 20, "exact", node_cap=1000),
+    "gap": lambda model: gltnet.im_solution_gap(model, model, 20, "exact", node_cap=1000),
+    "submodularity": lambda model: gltnet.check_submodularity_exact(model, node_cap=1000),
+    "monotonicity": lambda model: gltnet.check_monotonicity_exact(model, node_cap=1000),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(_FAMILY_SCANS))
+def test_exact_cap_refuses_an_oversized_seed_set_family_before_building_it(scan):
+    # every nonempty seed set is its own oracle state, so a family of more
+    # than node_cap sets exceeds the cap; on a 40-node path it is never built
+    model = from_lt(build_graph(40, [(v, v + 1) for v in range(39)]), [0.5] * 39)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError) as err:
+            _FAMILY_SCANS[scan](model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.state_count, err.value.cap) == (1001, 1000)
+    assert peak < 1e6
+
+
 @pytest.mark.parametrize("spec_maker", [make_uniform, make_exponential_unit, lambda: make_beta(2, 2)])
 def test_normalization_over_enumeration(spec_maker):
     rng = substream(6, spec_maker().family)
@@ -369,6 +394,28 @@ def test_exact_oracle_memory_on_a_wide_state():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gltnet.model, "_BLOCK", 1 << k)
         assert ExactSpreadOracle(model).spread({0}) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 192), st.lists(st.lists(st.integers(0, 191)), max_size=6))
+@example(130, [[0, 7, 8, 63, 64, 127, 128, 129], [], [63]])
+@example(13, [[12, 0, 7, 8]])
+def test_bits_of_matches_a_per_bit_reference(n, rows):
+    # 1-3 words per row and n not a multiple of 8: every set bit comes back
+    # once, by row, then node
+    words = np.zeros((len(rows), -(-n // 64)), dtype=np.uint64)
+    for i, nodes in enumerate(rows):
+        for v in {v % n for v in nodes}:
+            words[i, v >> 6] |= np.uint64(1) << np.uint64(v & 63)
+    want = [
+        (i, 64 * w + b)
+        for i in range(len(rows))
+        for w in range(words.shape[1])
+        for b in range(64)
+        if int(words[i, w]) >> b & 1
+    ]
+    got_rows, got_nodes = _bits_of(words, n)
+    assert list(zip(got_rows.tolist(), got_nodes.tolist())) == want
 
 
 def test_exact_oracle_multiword_states():

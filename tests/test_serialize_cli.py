@@ -434,6 +434,16 @@ def test_cli_diagnose(tmp_path):
     assert doc["identifiability"]["2"]["verdict"] == "not-identifiable"
 
 
+def test_cli_diagnose_rejects_a_negative_max_budget(tmp_path, capsys):
+    model_path = str(tmp_path / "model.json")
+    g = build_graph(3, [(0, 2), (1, 2)])
+    dump_json(model_to_dict(GltModel(g, np.array([0.3, 0.4]), make_uniform())), model_path)
+    argv = ["diagnose", "--model", model_path, "--max-budget", "-1", "--out", str(tmp_path / "d.json")]
+    assert _run(argv) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error == {"type": "ValueError", "message": "max_budget must be nonnegative, got -1"}
+
+
 @pytest.mark.parametrize(
     "seeds, kind, message",
     [
