@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -20,12 +21,11 @@ from dataclasses import fields
 from . import __version__
 from .diagnostics import check_identifiability, check_submodularity_exact
 from .estimation import EstimationError, FitOptions, fit_all, fit_with_threshold_grid
-from .experiments import EXPERIMENTS, ExperimentConfig, _fitted_model, run_experiment
-from .graph import SeedDistribution, generate_cws, sample_seed, sample_weights_simplex
+from .experiments import EXPERIMENTS, ExperimentConfig, _fitted_model, _sample, _simulate, run_experiment
+from .graph import SeedDistribution
 from .inference import node_covariance, weight_intervals
 from .influence import estimate_spread_mc, exact_evaluator, greedy_im
 from .likelihood import build_all_node_data, build_pseudo_node_data
-from .model import GltModel, simulate_traces
 from .rng import substream
 from .serialize import (
     SchemaError,
@@ -138,23 +138,19 @@ def _run_fits(args):
 
 
 def cmd_generate(args):
-    graph = generate_cws(args.n, args.k, args.p, substream(args.seed, "graph"))
-    weights = sample_weights_simplex(graph, args.d_max, substream(args.seed, "weights"))
     spec = spec_from_dict(_parse_family(args.family))
-    model = GltModel(graph, weights, spec)
+    model = _sample(args.n, args.k, args.p, args.d_max, spec, args.seed)
     dump_json(model_to_dict(model), args.out)
     if args.graph_out:
-        dump_json(graph_to_dict(graph), args.graph_out)
-    return {"out": args.out, "edges": graph.edge_count()}
+        dump_json(graph_to_dict(model.graph), args.graph_out)
+    return {"out": args.out, "edges": model.graph.edge_count()}
 
 
 def cmd_simulate(args):
+    if args.count < 0:
+        raise SchemaError(f"--count must be nonnegative, got {args.count}")
     model = model_from_dict(load_json(args.model), where=args.model)
-    dist = SeedDistribution.uniform_by_size(args.s_max)
-    indices = range(args.count)
-    seed_sets = [sample_seed(dist, model.graph, substream(args.seed, "seed", i)) for i in indices]
-    rngs = [substream(args.seed, "sim", i) for i in indices]
-    traces = simulate_traces(model, seed_sets, rngs)
+    traces = _simulate(model, args.count, args.s_max, args.seed)
     write_traces_jsonl(traces, args.out)
     return {"out": args.out, "traces": len(traces)}
 
@@ -373,11 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gltnet",
         description="General linear threshold diffusion: simulate, fit, infer, maximize",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"gltnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("generate", help="sample a synthetic model (CWS graph + simplex weights)")
+    p = add_parser("generate", help="sample a synthetic model (CWS graph + simplex weights)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p", type=float, default=0.2)
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph-out")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("simulate", help="sample propagation traces from a model")
+    p = add_parser("simulate", help="sample propagation traces from a model")
     p.add_argument("--model", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--s-max", type=int, default=5)
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     for name in ("fit", "infer"):
-        p = sub.add_parser(
+        p = add_parser(
             name,
             help=(
                 "maximum-likelihood weight fit"
@@ -422,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--level", type=float, default=0.95)
             p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("diagnose", help="identifiability (and submodularity) report")
+    p = add_parser("diagnose", help="identifiability (and submodularity) report")
     p.add_argument("--graph")
     p.add_argument("--model")
     p.add_argument("--seeds", help="JSON file of [[nodes...], probability] pairs")
@@ -433,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("im", help="greedy influence maximization")
+    p = add_parser("im", help="greedy influence maximization")
     p.add_argument("--model", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--evaluator", choices=["mc", "exact", "bipartite"], default="mc")
@@ -443,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_im)
 
-    p = sub.add_parser("spread", help="spread of a given seed set")
+    p = add_parser("spread", help="spread of a given seed set")
     p.add_argument("--model", required=True)
     p.add_argument("--seed-set", required=True, help="comma-separated node ids")
     p.add_argument("--evaluator", choices=["mc", "exact", "bipartite"], default="mc")
@@ -453,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_spread)
 
-    p = sub.add_parser("experiment", help="run a named synthetic study")
+    p = add_parser("experiment", help="run a named synthetic study")
     p.add_argument("--experiment", required=True, choices=sorted(EXPERIMENTS))
     p.add_argument("--config", help="JSON file of ExperimentConfig overrides")
     p.add_argument("--seed", type=int, required=True)

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from .graph import Graph, SeedDistribution
-from .model import EnumerationCapError, ExactSpreadOracle, GltModel
+from .influence import _spread_table, exact_evaluator
+from .model import GltModel
 
 SPREAD_TOL = 1e-9  # spread differences the exact checks treat as zero
 EMBEDDING_TOL = 1e-9  # negative triggering-set mass treated as zero
@@ -174,6 +173,8 @@ def check_identifiability(graph: Graph, seed_distribution: SeedDistribution, sta
     with a partial list of subsets, when more than ``state_cap`` of the
     search's states leave it inactive and one of them is not a seed state.
     """
+    if state_cap < 1:
+        raise ValueError(f"state_cap must be at least 1, got {state_cap}")
     support = [(frozenset(map(graph._check, s)), p) for s, p in seed_distribution.explicit_support(graph.n)]
     found, capped = _achievable_subsets(graph, support, state_cap)
     nodes = {}
@@ -254,23 +255,6 @@ def _mask_to_set(mask):
     return frozenset(out)
 
 
-def _exact_sigma(model, size, node_cap):
-    """sigma(mask) for every seed bitmask of at most ``size`` nodes, from one
-    exact-oracle batch; each nonempty set is its own oracle state, so more
-    than ``node_cap`` of them are refused before any is built."""
-    n = model.graph.n
-    if sum(comb(n, r) for r in range(1, size + 1)) > node_cap:
-        raise EnumerationCapError(node_cap + 1, node_cap)
-    masks = _masks_up_to(n, size)
-    spreads = ExactSpreadOracle(model, node_cap=node_cap).spreads(map(_mask_to_set, masks))
-    return dict(zip(masks, spreads))
-
-
-def _masks_up_to(n, size):
-    """The bitmasks of all subsets of ``range(n)`` with at most ``size`` nodes, ascending."""
-    return sorted(_node_mask(c) for r in range(size + 1) for c in combinations(range(n), r))
-
-
 def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap: int = 10**6) -> list:
     """Exhaustive diminishing-returns check against exact spreads.
 
@@ -283,10 +267,11 @@ def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap:
     if max_budget is not None and max_budget < 0:
         raise ValueError(f"max_budget must be nonnegative, got {max_budget}")
     budget = n if max_budget is None else min(max_budget, n)
-    sigma = _exact_sigma(model, min(budget + 1, n), node_cap)
+    table = _spread_table(exact_evaluator(model, "exact", node_cap), n, range(min(budget + 1, n) + 1))
+    sigma = {_node_mask(s): value for s, value in table.items()}  # by seed bitmask
 
     violations = []
-    for s_mask in _masks_up_to(n, budget):
+    for s_mask in sorted(m for m in sigma if m.bit_count() <= budget):
         for v in range(n):
             bit = 1 << v
             if s_mask & bit:
@@ -315,7 +300,8 @@ def check_monotonicity_exact(model: GltModel, node_cap: int = 10**6) -> list:
     """Exhaustive sigma(S) <= sigma(S + v) check (should never fail), flagging
     decreases beyond ``SPREAD_TOL``."""
     n = model.graph.n
-    sigma = _exact_sigma(model, n, node_cap)
+    table = _spread_table(exact_evaluator(model, "exact", node_cap), n, range(n + 1))
+    sigma = {_node_mask(s): value for s, value in table.items()}
 
     violations = []
     for s_mask in range(1 << n):

@@ -76,8 +76,10 @@ class FitOptions:
     gamma: float = None  # default: h_v - epsilon for bounded supports, 10 otherwise
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise EstimationError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("epsilon", "gamma"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise EstimationError(f"{name} must be positive and finite, got {value}")
 
     def resolve_gamma(self, spec: ThresholdSpec, m: int) -> float:
         gamma = self.gamma if self.gamma is not None else default_gamma(spec, self.epsilon)

@@ -79,27 +79,31 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def _sample_model(config, rep, n=None, k=None, d_max=None, specs=None, tag=""):
-    n = n or config.n
-    k = k or config.k
-    d_max = d_max if d_max is not None else config.d_max
-    graph = generate_cws(n, k, config.p, substream(config.seed, "graph", tag, rep))
-    weights = sample_weights_simplex(
-        graph, d_max, substream(config.seed, "weights", tag, rep)
-    )
-    if specs is None:
-        specs = spec_from_dict(config.family)
+def _sample(n, k, p, d_max, specs, root, *labels):
+    """A CWS graph from ``(root, "graph", *labels)`` with simplex weights
+    from ``(root, "weights", *labels)`` and thresholds ``specs``."""
+    graph = generate_cws(n, k, p, substream(root, "graph", *labels))
+    weights = sample_weights_simplex(graph, d_max, substream(root, "weights", *labels))
     return GltModel(graph, weights, specs)
 
 
+def _sample_model(config, rep, n=None, k=None, d_max=None, specs=None, tag=""):
+    d_max = config.d_max if d_max is None else d_max
+    specs = spec_from_dict(config.family) if specs is None else specs
+    return _sample(n or config.n, k or config.k, config.p, d_max, specs, config.seed, tag, rep)
+
+
+def _simulate(model, count, s_max, root, *labels):
+    """``count`` traces; trace i starts from a uniform-by-size seed set of at
+    most ``s_max`` nodes drawn from ``(root, "seed", *labels, i)`` and runs
+    on ``(root, "sim", *labels, i)``."""
+    dist = SeedDistribution.uniform_by_size(s_max)
+    seed_sets = [sample_seed(dist, model.graph, substream(root, "seed", *labels, i)) for i in range(count)]
+    return simulate_traces(model, seed_sets, [substream(root, "sim", *labels, i) for i in range(count)])
+
+
 def _simulate_traces(config, model, count, rep, tag=""):
-    dist = SeedDistribution.uniform_by_size(config.s_max)
-    seed_sets = [
-        sample_seed(dist, model.graph, substream(config.seed, "seed", tag, rep, i))
-        for i in range(count)
-    ]
-    rngs = [substream(config.seed, "sim", tag, rep, i) for i in range(count)]
-    return simulate_traces(model, seed_sets, rngs)
+    return _simulate(model, count, config.s_max, config.seed, tag, rep)
 
 
 def _fitted_weight_vector(graph, fits):
@@ -347,17 +351,8 @@ def run_im_comparison(config: ExperimentConfig):
     studies = []
     for rep in range(config.replications):
         beta_rng = substream(config.seed, "beta", rep)
-        graph = generate_cws(
-            config.n, config.k, config.p, substream(config.seed, "graph", "im", rep)
-        )
-        specs = [
-            make_beta(1, int(beta_rng.choice(config.beta_grid)))
-            for _ in range(graph.n)
-        ]
-        weights = sample_weights_simplex(
-            graph, config.d_max, substream(config.seed, "weights", "im", rep)
-        )
-        truth = GltModel(graph, weights, specs)
+        specs = [make_beta(1, int(beta_rng.choice(config.beta_grid))) for _ in range(config.n)]
+        truth = _sample_model(config, rep, specs=specs, tag="im")
         studies.append((truth, _simulate_traces(config, truth, config.n_traces, rep, tag="im")))
     rows = []
     for rep, ((truth, _), candidates) in enumerate(zip(studies, _fit_candidates(config, studies))):

@@ -17,12 +17,11 @@ enumeration or, for bipartite graphs, a closed form, one batch per scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
+from itertools import combinations, tee
 
 import numpy as np
 
-from .model import _CHUNK, EnumerationCapError, ExactSpreadOracle, GltModel, _closure_rounds, _parent_weights, _spec_groups
+from .model import _CHUNK, ExactSpreadOracle, GltModel, _closure_rounds, _parent_weights, _spec_groups
 from .rng import as_generator, substream
 
 __all__ = [
@@ -256,36 +255,40 @@ def greedy_im(model: GltModel, budget: int, spread_evaluator: str = "mc", rng=No
     )
 
 
+def _spread_table(sigma, n, sizes) -> dict:
+    """Each subset of ``range(n)`` with a size in ``sizes``, as a tuple in
+    ``combinations`` order, mapped to its spread by one lazily read batch,
+    which the "exact" oracle refuses past ``node_cap`` nonempty sets."""
+    keys, batch = tee(c for r in sizes for c in combinations(range(n), r))
+    return dict(zip(keys, sigma.spreads(batch)))
+
+
 def optimal_seed_set(model: GltModel, budget: int, spread_evaluator: str = "exact", node_cap: int = 10**6):
     """Exhaustive influence maximizer over all seed sets of the given size.
 
     Returns ``(seed_set, spread)``; spread is monotone, so only sets of
-    exactly ``budget`` nodes need scanning, in one batch.  Lexicographically
-    first among ties.  The "exact" oracle refuses more than ``node_cap`` sets
-    (each is its own state) before any is built.
+    exactly ``budget`` nodes need scanning, in one batch (see
+    :func:`_spread_table`).  Lexicographically first among ties.
     """
     sigma = exact_evaluator(model, spread_evaluator, node_cap)
     n = model.graph.n
     if not (0 <= budget <= n):
         raise InfluenceError(f"budget {budget} outside [0, {n}]")
-    if spread_evaluator == "exact" and comb(n, budget) > node_cap:
-        raise EnumerationCapError(node_cap + 1, node_cap)
-    combos = list(combinations(range(n), budget))
-    spreads = sigma.spreads(combos)
-    best = max(range(len(combos)), key=spreads.__getitem__)
-    return frozenset(combos[best]), float(spreads[best])
+    table = _spread_table(sigma, n, [budget])
+    best = max(table, key=table.__getitem__)
+    return frozenset(best), float(table[best])
 
 
 def im_solution_gap(true_model: GltModel, est_model: GltModel, budget: int, spread_evaluator: str = "exact", node_cap: int = 10**6) -> float:
     """Spread lost by optimizing under estimated instead of true weights.
 
     Both optima are exhaustive; the gap is evaluated under the true model:
-    sigma_true(S*(true)) - sigma_true(S*(est)) >= 0 up to ties.  The true
-    model's evaluator scores every candidate set and S*(est) in one batch.
+    sigma_true(S*(true)) - sigma_true(S*(est)) >= 0 up to ties.  S*(est) is
+    looked up in the true model's table of every candidate set.
     """
     if true_model.graph != est_model.graph:
         raise InfluenceError("models must share the same underlying graph")
     sigma_true = exact_evaluator(true_model, spread_evaluator, node_cap)
     s_est, _ = optimal_seed_set(est_model, budget, spread_evaluator, node_cap)
-    *spreads, at_est = sigma_true.spreads([*combinations(range(true_model.graph.n), budget), s_est])
-    return float(max(spreads) - at_est)
+    table = _spread_table(sigma_true, true_model.graph.n, [budget])
+    return float(max(table.values()) - table[tuple(sorted(s_est))])

@@ -543,8 +543,16 @@ class ExactSpreadOracle:
         return self.spreads([seed_set])[0]
 
     def spreads(self, seed_sets) -> list:
-        """The exact spread of each seed set (0.0 for an empty one), as one batch."""
-        seeds = [sorted({self.model.graph._check(v) for v in s}) for s in seed_sets]
+        """The exact spread of each seed set (0.0 for an empty one), as one batch.
+
+        Every nonempty seed set is its own state, so the batch is read lazily
+        and refused as soon as it holds more than ``node_cap`` distinct ones."""
+        seeds, distinct = [], {()}  # () is the empty set, no state
+        for s in seed_sets:
+            seeds.append(tuple(sorted({self.model.graph._check(v) for v in s})))
+            distinct.add(seeds[-1])
+            if len(distinct) > self.node_cap + 1:
+                raise EnumerationCapError(self.node_cap + 1, self.node_cap)
         active = np.zeros((len(seeds), self._words), dtype=np.uint64)
         rows = np.repeat(np.arange(len(seeds)), [len(s) for s in seeds])
         _set_bits(active, rows, np.array([v for s in seeds for v in s], dtype=np.int64))

@@ -67,13 +67,17 @@ def atomic_write_text(path: str, text: str):
 
 
 def dump_json(obj, path: str):
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
+    """Write ``obj`` as JSON; NaN and Infinity, which JSON lacks, are refused."""
+    atomic_write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def load_json(path: str):
+    def refuse(constant):  # NaN, Infinity or -Infinity
+        raise SchemaError(f"{constant} is not a JSON number", where=path)
+
     with open(path) as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise SchemaError(str(exc), where=path) from exc
 

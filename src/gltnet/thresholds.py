@@ -76,10 +76,10 @@ class ThresholdSpec:
         if self.family == "beta":
             if self.alpha is None or self.beta is None:
                 raise ValueError("beta thresholds need alpha and beta")
-            if self.alpha <= 0 or self.beta <= 0:
+            if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
                 raise ValueError(
-                    f"beta parameters must be positive, got "
-                    f"({self.alpha}, {self.beta})"
+                    f"beta parameters alpha and beta must be positive and "
+                    f"finite, got ({self.alpha}, {self.beta})"
                 )
 
     @property

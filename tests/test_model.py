@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 from collections import Counter
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -284,6 +285,24 @@ def test_exact_cap_refuses_an_oversized_seed_set_family_before_building_it(scan)
         tracemalloc.stop()
     assert (err.value.state_count, err.value.cap) == (1001, 1000)
     assert peak < 1e6
+
+
+def test_exact_oracle_reads_a_batch_only_until_it_exceeds_the_cap():
+    # distinct nonempty seed sets are distinct states, so the 1,001st
+    # distinct set read refuses the batch, and no further set is read
+    model = from_lt(build_graph(40, [(v, v + 1) for v in range(39)]), [0.5] * 39)
+    reads = 0
+
+    def family():
+        nonlocal reads
+        for seed_set in islice(combinations(range(40), 3), 5000):
+            reads += 1
+            yield seed_set
+
+    with pytest.raises(EnumerationCapError) as err:
+        ExactSpreadOracle(model, node_cap=1000).spreads(family())
+    assert (err.value.state_count, err.value.cap) == (1001, 1000)
+    assert reads <= 1001
 
 
 @pytest.mark.parametrize("spec_maker", [make_uniform, make_exponential_unit, lambda: make_beta(2, 2)])

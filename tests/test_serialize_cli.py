@@ -516,6 +516,67 @@ def test_cli_spread_rejects_bad_seed_set_tokens(tmp_path, capsys):
         assert f"bad seed-set entry {token}" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, kind, names",
+    [
+        (["generate", "--n", "6", "--k", "2", "--seed", "1", "--family", "beta:nan,1"], "ValueError", "alpha"),
+        (["generate", "--n", "6", "--k", "2", "--seed", "1", "--family", "beta:1,inf"], "ValueError", "beta"),
+        (["spread", "--model", "{nan_model}", "--seed-set", "0"], "SchemaError", "{nan_model}"),
+        (["fit", "--model", "{model}", "--traces", "{traces}", "--epsilon", "nan"], "EstimationError", "epsilon"),
+        (["fit", "--model", "{model}", "--traces", "{traces}", "--epsilon", "inf"], "EstimationError", "epsilon"),
+        (["fit", "--model", "{model}", "--traces", "{traces}", "--gamma", "0"], "EstimationError", "gamma"),
+        (["fit", "--model", "{model}", "--traces", "{traces}", "--gamma", "-1"], "EstimationError", "gamma"),
+        (["infer", "--model", "{model}", "--traces", "{traces}", "--gamma", "nan"], "EstimationError", "gamma"),
+        (["diagnose", "--model", "{model}", "--state-cap", "0"], "ValueError", "state_cap"),
+        (["diagnose", "--model", "{model}", "--state-cap", "-5"], "ValueError", "state_cap"),
+        (["simulate", "--model", "{model}", "--count", "-1", "--seed", "1"], "SchemaError", "--count"),
+    ],
+)
+def test_cli_rejects_each_value_outside_its_boundary(pipeline, capsys, argv, kind, names):
+    # exit 1 with nothing written, and a message that names the flag, the
+    # field or the file; a model file with a NaN parameter is not JSON
+    base, model, traces = pipeline
+    nan_model = os.path.join(base, "nan.json")
+    doc = json.load(open(model))
+    doc["thresholds"] = [{"family": "beta", "alpha": float("nan"), "beta": 1.0}] * doc["n"]
+    with open(nan_model, "w") as fh:
+        json.dump(doc, fh)
+    fill = dict(model=model, traces=traces, nan_model=nan_model)
+    out = os.path.join(base, "out.json")
+    assert _run([a.format(**fill) for a in argv] + ["--out", out]) == 1
+    assert not os.path.exists(out)
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == kind
+    assert names.format(**fill) in error["message"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_json_writer_refuses_what_the_reader_refuses(tmp_path, value):
+    path = str(tmp_path / "doc.json")
+    with pytest.raises(ValueError):
+        dump_json({"weights": [value]}, path)
+    assert not os.path.exists(path)
+    with open(path, "w") as fh:
+        json.dump({"weights": [value]}, fh)
+    with pytest.raises(SchemaError) as err:
+        load_json(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["diagnose", "--graph", "graph.json", "--seed", "1"], "--seed"),
+        (["im", "--model", "model.json", "--k", "1", "--seed", "1", "--rep", "5"], "--rep"),
+    ],
+)
+def test_cli_refuses_abbreviated_flags(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_:
+        _run(argv + ["--out", str(tmp_path / "out.json")])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_cli_error_is_machine_readable(tmp_path, capsys):
     missing = os.path.join(str(tmp_path), "nope.json")
     out = os.path.join(str(tmp_path), "x.jsonl")
