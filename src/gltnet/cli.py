@@ -14,13 +14,14 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .diagnostics import check_identifiability, check_submodularity_exact
-from .estimation import EstimationError, FitOptions, fit_all, fit_with_threshold_grid
+from .estimation import DEFAULT_EPSILON, EstimationError, FitOptions, fit_all, fit_with_threshold_grid
 from .experiments import EXPERIMENTS, ExperimentConfig, _fitted_model, _sample, _simulate, run_experiment
 from .graph import SeedDistribution
 from .inference import node_covariance, weight_intervals
@@ -78,6 +79,8 @@ def _parse_grid(text: str) -> tuple:
             out.append((float(a), float(b)))
         except ValueError as exc:
             raise SchemaError(f"bad grid entry {token!r}; use A:B or B") from exc
+        if not all(0 < x < math.inf for x in out[-1]):
+            raise SchemaError(f"bad grid entry {token!r}; --grid parameters must be finite and positive")
     if not out:
         raise SchemaError(f"empty grid {text!r}")
     return tuple(out)
@@ -92,20 +95,11 @@ def _load_graph_or_model(args):
     raise SchemaError("supply --graph or --model")
 
 
-def _fit_options(args) -> FitOptions:
-    kwargs = {}
-    if getattr(args, "epsilon", None) is not None:
-        kwargs["epsilon"] = args.epsilon
-    if getattr(args, "gamma", None) is not None:
-        kwargs["gamma"] = args.gamma
-    return FitOptions(**kwargs)
-
-
 def _run_fits(args):
     """``(graph, spec, results, datasets)``: every fit uses the rows in
     ``datasets``, built once per node."""
     graph, model = _load_graph_or_model(args)
-    options = _fit_options(args)
+    options = FitOptions(args.epsilon, args.gamma)
     family = _parse_family(args.family)
     if args.pseudo:
         by_node = {}
@@ -139,6 +133,8 @@ def _run_fits(args):
 
 def cmd_generate(args):
     spec = spec_from_dict(_parse_family(args.family))
+    if args.d_max > spec.support_bound:
+        raise SchemaError(f"--d-max {args.d_max} exceeds the threshold support bound {spec.support_bound}")
     model = _sample(args.n, args.k, args.p, args.d_max, spec, args.seed)
     dump_json(model_to_dict(model), args.out)
     if args.graph_out:
@@ -217,13 +213,7 @@ def cmd_diagnose(args):
         )
         doc["submodularity"] = {
             "violations": [
-                {
-                    "node": viol.node,
-                    "subset": sorted(viol.subset),
-                    "superset": sorted(viol.superset),
-                    "gain_at_subset": viol.gain_at_subset,
-                    "gain_at_superset": viol.gain_at_superset,
-                }
+                {**asdict(viol), "subset": sorted(viol.subset), "superset": sorted(viol.superset)}
                 for viol in violations
             ],
             "concave_cdfs": all(
@@ -341,16 +331,33 @@ def _write_svg(summary, path):
     return True
 
 
+def _config_value(key, value, default, where):
+    """A config file's ``value`` for ``key`` in the shape of the key's
+    ``default``: an integer, a number, an object, or a nonempty list of such,
+    lists as tuples."""
+    if isinstance(default, tuple) and isinstance(value, list) and value:
+        return tuple(_config_value(key, x, default[0], where) for x in value)
+    kinds = (dict,) if isinstance(default, dict) else (int, float) if isinstance(default, float) else (int,)
+    if isinstance(default, tuple) or type(value) not in kinds:
+        raise SchemaError(f"config key {key!r} takes values shaped like {default!r}, got {value!r}", where=where)
+    return value
+
+
 def cmd_experiment(args):
-    config_kwargs = {"seed": args.seed}
+    config = ExperimentConfig(seed=args.seed)
     if args.config:
         raw = load_json(args.config)
+        if not isinstance(raw, dict):
+            raise SchemaError(f"expected a JSON object of config keys, got {raw!r}", where=args.config)
         valid = {f.name for f in fields(ExperimentConfig)}
         for key, value in raw.items():
             if key not in valid:
                 raise SchemaError(f"unknown config key {key!r}", where=args.config)
-            config_kwargs[key] = tuple(value) if isinstance(value, list) else value
-    config = ExperimentConfig(**config_kwargs)
+            raw[key] = _config_value(key, value, getattr(config, key), args.config)
+        try:
+            config = replace(config, **raw)
+        except ValueError as exc:
+            raise SchemaError(str(exc), where=args.config) from exc
     os.makedirs(args.out_dir, exist_ok=True)
     rows, summary = run_experiment(args.experiment, config)
     rows_path = os.path.join(args.out_dir, f"{args.experiment}_rows.csv")
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pseudo")
         p.add_argument("--family", default="uniform")
         p.add_argument("--grid", help="beta grid, e.g. 1:1,1:2,1:3 or 1,2,3")
-        p.add_argument("--epsilon", type=float)
+        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
         p.add_argument("--gamma", type=float)
         p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
         p.add_argument("--out", required=True)

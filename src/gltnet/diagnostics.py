@@ -180,45 +180,21 @@ def check_identifiability(graph: Graph, seed_distribution: SeedDistribution, sta
     nodes = {}
     for v in graph.child_nodes():
         parents = graph.parent_list(v)
-        m = len(parents)
         subsets = tuple(
             frozenset(u for u in parents if mask >> u & 1) for mask in sorted(found[v])
         )
+        nodes[v] = record = NodeIdentifiability(v, "unknown-cap-exceeded", parents, subsets)
         if capped >> v & 1:
-            nodes[v] = NodeIdentifiability(
-                node=v,
-                verdict="unknown-cap-exceeded",
-                parents=parents,
-                achievable=subsets,
-            )
             continue
         columns = [[1 if u in s else 0 for u in parents] for s in subsets]
-        rank, pivots, det = _exact_rank_and_pivots(columns, m)
-        if rank == m:
-            witnesses = tuple(subsets[j] for j in pivots)
-            matrix = tuple(
-                tuple(1 if u in s else 0 for s in witnesses) for u in parents
-            )
-            nodes[v] = NodeIdentifiability(
-                node=v,
-                verdict="identifiable",
-                parents=parents,
-                achievable=subsets,
-                rank=rank,
-                rank_deficiency=0,
-                witnesses=witnesses,
-                matrix=matrix,
-                determinant=det,
-            )
+        record.rank, pivots, record.determinant = _exact_rank_and_pivots(columns, len(parents))
+        record.rank_deficiency = len(parents) - record.rank
+        if record.rank_deficiency:
+            record.verdict = "not-identifiable"
         else:
-            nodes[v] = NodeIdentifiability(
-                node=v,
-                verdict="not-identifiable",
-                parents=parents,
-                achievable=subsets,
-                rank=rank,
-                rank_deficiency=m - rank,
-            )
+            record.verdict = "identifiable"
+            record.witnesses = tuple(subsets[j] for j in pivots)
+            record.matrix = tuple(tuple(1 if u in s else 0 for s in record.witnesses) for u in parents)
     return IdentifiabilityReport(nodes=nodes)
 
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, is_node_id
+from .graph import Graph, _cap_sum, is_node_id
 from .likelihood import NodeData, _dot, _evaluate, _stack
-from .model import NEVER, _activation_rounds
+from .model import NEVER, _activation_rounds, validate_trace
 from .thresholds import ThresholdSpec, make_beta
 
 __all__ = [
@@ -446,14 +446,6 @@ def _solve(datas, spec, epsilon, gamma, tol, max_iter):
         return [r for d in datas for r in _solve([d], spec, epsilon, gamma, tol, max_iter)]
 
 
-def _maximize(node_data, spec, epsilon, gamma, tol, max_iter):
-    """The solver on one node: ``(theta, value, pg, iterations)``."""
-    (result,) = _solve([node_data], spec, epsilon, gamma, tol, max_iter)
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _fit_group(datas, spec, options):
     """Fit the nodes ``datas`` under one spec, failures recorded in ``error``:
     sorted by pattern count, node id, parents and patterns, so results do not
@@ -571,22 +563,13 @@ def fit_with_threshold_grid(datasets, grid, options: FitOptions = None):
 # -- heuristic baselines ------------------------------------------------------
 
 
-def _cap_unit_sum(block: np.ndarray) -> np.ndarray:
-    # normalized weights must satisfy sum <= 1 exactly; rounding can leave
-    # the float sum an ulp above it (e.g. 7 * (1/7))
-    while block.sum() > 1.0:
-        j = int(np.argmax(block))
-        block[j] = np.nextafter(block[j], 0.0)
-    return block
-
-
 def baseline_wc(graph: Graph) -> np.ndarray:
     """Weighted-cascade heuristic: each edge (u, v) gets 1 / indegree(v)."""
     weights = np.zeros(graph.edge_count())
     for v in range(graph.n):
         m = graph.in_degree(v)
         if m:
-            weights[graph.child_slice(v)] = _cap_unit_sum(np.full(m, 1.0 / m))
+            weights[graph.child_slice(v)] = _cap_sum(np.full(m, 1.0 / m), 1.0)
     return weights
 
 
@@ -596,8 +579,10 @@ def baseline_ptp(traces, graph: Graph) -> np.ndarray:
     Each edge's raw score is (#traces where u activates strictly before v) /
     (#traces where u activates); scores are renormalized so each fitted
     child's parent weights sum to 1, falling back to the uniform 1/indegree
-    when all of a child's scores are zero.
+    when all of a child's scores are zero.  Each trace must be feasible on
+    ``graph``, as for ``build_all_node_data``.
     """
+    traces = [validate_trace(graph, t) for t in traces]
     return _ptp_weights(_activation_rounds(traces, graph.n)[0], graph)
 
 
@@ -613,5 +598,5 @@ def _ptp_weights(rounds, graph: Graph) -> np.ndarray:
         raw = np.divide(num, den, out=np.zeros(len(parents)), where=den > 0)
         total = raw.sum()
         raw = raw / total if total > 0 else np.full(len(parents), 1.0 / len(parents))
-        weights[graph.child_slice(v)] = _cap_unit_sum(raw)
+        weights[graph.child_slice(v)] = _cap_sum(raw, 1.0)
     return weights

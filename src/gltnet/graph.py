@@ -216,7 +216,7 @@ def generate_cws(n: int, k: int, p: float, rng) -> Graph:
     if k % 2 != 0:
         raise GraphError(f"ring-lattice degree k must be even, got {k}")
     if not (0.0 <= p <= 1.0):
-        raise GraphError(f"rewiring probability must be in [0, 1], got {p}")
+        raise GraphError(f"rewiring probability p must be in [0, 1], got {p}")
     rng = as_generator(rng)
     for _ in range(CWS_MAX_ATTEMPTS):
         undirected = _watts_strogatz_edges(n, k, p, rng)
@@ -238,8 +238,8 @@ def sample_weights_simplex(graph: Graph, d_max: float, rng) -> np.ndarray:
     aligned to the canonical edge order, and per-child sums are clamped so
     that ||theta_v||_1 <= d_max holds exactly in floating point.
     """
-    if d_max <= 0:
-        raise GraphError(f"d_max must be positive, got {d_max}")
+    if not 0 < d_max < np.inf:
+        raise GraphError(f"d_max must be finite and positive, got {d_max}")
     rng = as_generator(rng)
     weights = np.zeros(graph.edge_count())
     for v in range(graph.n):
@@ -247,12 +247,18 @@ def sample_weights_simplex(graph: Graph, d_max: float, rng) -> np.ndarray:
         if m == 0:
             continue
         e = rng.standard_exponential(m + 1)
-        theta = d_max * (e[:m] / e.sum())
-        while theta.sum() > d_max:
-            j = int(np.argmax(theta))
-            theta[j] = np.nextafter(theta[j], 0.0)
-        weights[graph.child_slice(v)] = theta
+        weights[graph.child_slice(v)] = _cap_sum(d_max * (e[:m] / e.sum()), d_max)
     return weights
+
+
+def _cap_sum(x: np.ndarray, bound: float) -> np.ndarray:
+    """``x`` with ulps shaved off its largest entry, in place, until its float
+    sum is at most ``bound``: scaled weights meant to sum to ``bound`` can
+    round an ulp above it (e.g. 7 * (1/7) > 1)."""
+    while x.sum() > bound:
+        j = int(np.argmax(x))
+        x[j] = np.nextafter(x[j], 0.0)
+    return x
 
 
 # -- seed distributions ----------------------------------------------------

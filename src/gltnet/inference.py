@@ -103,6 +103,14 @@ def _require_valid(covariance: CovarianceResult):
         )
 
 
+def _wald(point, se, level: float, upper: float):
+    """Normal-limit bounds ``point -/+ z * se`` at ``level``, clipped to ``[0, upper]``."""
+    if not (0.0 < level < 1.0):
+        raise InferenceError(f"level must be in (0, 1), got {level}")
+    z = float(special.ndtri(0.5 * (1.0 + level)))
+    return np.clip(point - z * se, 0.0, upper), np.clip(point + z * se, 0.0, upper)
+
+
 def weight_intervals(fit: NodeFitResult, covariance: CovarianceResult, level: float = 0.95) -> list:
     """Wald interval per parent weight, truncated to the parameter support.
 
@@ -110,21 +118,9 @@ def weight_intervals(fit: NodeFitResult, covariance: CovarianceResult, level: fl
     the normal approximation assumes an interior estimate.
     """
     _require_valid(covariance)
-    if not (0.0 < level < 1.0):
-        raise InferenceError(f"level must be in (0, 1), got {level}")
-    z = float(special.ndtri(0.5 * (1.0 + level)))
     se = np.sqrt(np.clip(np.diag(covariance.sigma), 0.0, None))
-    h = fit.spec.support_bound
-    out = []
-    for b, s in zip(fit.weights, se):
-        out.append(
-            Interval(
-                lower=float(max(b - z * s, 0.0)),
-                upper=float(min(b + z * s, h)),
-                level=level,
-            )
-        )
-    return out
+    lower, upper = _wald(fit.weights, se, level, fit.spec.support_bound)
+    return [Interval(float(a), float(b), level) for a, b in zip(lower, upper)]
 
 
 def weight_difference_test(fit: NodeFitResult, covariance: CovarianceResult, u: int, w: int):
@@ -195,11 +191,5 @@ def activation_probability_interval(
     dg_dy = -spec.density(y) * spec.sf(x) / sf_y**2
     grad = dg_dx * zc + dg_dy * zp
     var = float(grad @ covariance.sigma @ grad)
-    se = np.sqrt(max(var, 0.0))
-    z = float(special.ndtri(0.5 * (1.0 + level)))
-    interval = Interval(
-        lower=float(np.clip(point - z * se, 0.0, 1.0)),
-        upper=float(np.clip(point + z * se, 0.0, 1.0)),
-        level=level,
-    )
-    return point, interval
+    lower, upper = _wald(point, np.sqrt(max(var, 0.0)), level, 1.0)
+    return point, Interval(float(lower), float(upper), level)

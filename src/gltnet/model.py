@@ -407,6 +407,11 @@ def trace_log_probability(model: GltModel, trace, seed_log_prob: float = 0.0) ->
 # -- exhaustive enumeration --------------------------------------------------
 
 
+def _check_node_cap(node_cap):
+    if node_cap < 1:
+        raise ModelError(f"node_cap must be at least 1, got {node_cap}")
+
+
 def enumerate_feasible_traces(graph: Graph, seed_set, node_cap: int = 10**6) -> list:
     """All feasible traces starting at the given seed, in depth-first order.
 
@@ -415,6 +420,7 @@ def enumerate_feasible_traces(graph: Graph, seed_set, node_cap: int = 10**6) -> 
     expansion keeps an explicit stack, so long traces cannot exhaust the
     interpreter's recursion limit.
     """
+    _check_node_cap(node_cap)
     seed = frozenset(graph._check(v) for v in seed_set)
     if not seed:
         raise ModelError("seed set must be nonempty")
@@ -508,6 +514,7 @@ class ExactSpreadOracle:
     """
 
     def __init__(self, model: GltModel, node_cap: int = 10**6):
+        _check_node_cap(node_cap)
         self.model = model
         self.node_cap = node_cap
         graph = model.graph

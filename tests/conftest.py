@@ -220,7 +220,7 @@ def reference_build_node_data(traces, graph, v, validate=True):
 def reference_baseline_ptp(traces, graph):
     """PTP weights from per-trace activation-time dicts; oracle for
     ``gltnet.baseline_ptp``."""
-    from gltnet.estimation import _cap_unit_sum
+    from gltnet.graph import _cap_sum
 
     traces = [t if isinstance(t, Trace) else Trace(t) for t in traces]
     times = []
@@ -253,7 +253,7 @@ def reference_baseline_ptp(traces, graph):
             raw /= total
         else:
             raw[:] = 1.0 / len(parents)
-        weights[graph.child_slice(v)] = _cap_unit_sum(raw)
+        weights[graph.child_slice(v)] = _cap_sum(raw, 1.0)
     return weights
 
 

@@ -10,6 +10,7 @@ from gltnet import (
     EstimationError,
     FitOptions,
     GltModel,
+    ModelError,
     NodeData,
     Trace,
     baseline_ptp,
@@ -251,7 +252,7 @@ def test_newton_first_solver_matches_warm_up_reference(case):
     options = FitOptions()
     gamma = options.resolve_gamma(spec, len(data.parents))
     args = (data, spec, options.epsilon, gamma, estimation._TOL, estimation._MAX_ITER)
-    theta, value, pg, _ = estimation._maximize(*args)
+    theta, value, pg, _ = estimation._solve([data], *args[1:])[0]
     ref_theta, ref_value, ref_pg, _, _ = reference_maximize(*args)
     assert pg <= estimation._TOL
     event(f"reference certified: {ref_pg <= estimation._TOL}")
@@ -278,7 +279,7 @@ def test_non_log_concave_fits_keep_the_warm_up(case):
     options = FitOptions()
     gamma = options.resolve_gamma(spec, len(data.parents))
     args = (data, spec, options.epsilon, gamma, estimation._TOL, estimation._MAX_ITER)
-    theta, value, pg, it = estimation._maximize(*args)
+    theta, value, pg, it = estimation._solve([data], *args[1:])[0]
     ref_theta, ref_value, ref_pg, ref_it, singular = reference_maximize(*args)
     assert pg <= estimation._TOL
     event(f"singular Newton system: {singular}")
@@ -316,7 +317,7 @@ def test_fit_iterations_never_exceed_max_iter(case, max_iter):
     options = FitOptions()
     gamma = options.resolve_gamma(spec, len(data.parents))
     args = (data, spec, options.epsilon, gamma, estimation._TOL, max_iter)
-    assert estimation._maximize(*args)[3] <= max_iter
+    assert estimation._solve([data], *args[1:])[0][3] <= max_iter
 
 
 @settings(max_examples=120, deadline=None)
@@ -328,7 +329,7 @@ def test_batch_of_one_runs_the_per_node_solver_bit_for_bit(case, max_iter):
     options = FitOptions()
     gamma = options.resolve_gamma(spec, len(data.parents))
     args = (data, spec, options.epsilon, gamma, estimation._TOL, max_iter)
-    theta, value, pg, it = estimation._maximize(*args)
+    theta, value, pg, it = estimation._solve([data], *args[1:])[0]
     ref_theta, ref_value, ref_pg, ref_it = reference_node_maximize(*args)
     assert theta.tobytes() == ref_theta.tobytes()
     assert (repr(value), repr(pg), it) == (repr(ref_value), repr(ref_pg), ref_it)
@@ -615,6 +616,13 @@ def test_baseline_ptp_always_before():
     # parent 0 activates before node 2 in every trace containing it;
     # parent 1 never does: all mass on edge (0, 2)
     assert np.allclose(w, [1.0, 0.0])
+
+
+def test_baseline_ptp_refuses_an_infeasible_trace():
+    # on 0 -> 1 -> 2, node 2 cannot follow the seed {0}; the weights read [1, 1]
+    g = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ModelError, match="node 2 activates at time 1 without a newly activated parent"):
+        baseline_ptp([[{0}, {2}]], g)
 
 
 def test_baseline_ptp_normalizes_and_falls_back():

@@ -252,6 +252,17 @@ def test_exact_node_cap(caller):
     call(model, states)  # a cap that covers every reachable state never raises
 
 
+@pytest.mark.parametrize("cap", [0, -1, -5])
+def test_node_cap_below_one_is_refused(cap):
+    # a cap below 1 was reported as an exceeded cap, e.g. "-4 states > -5"
+    model = _star3_model()
+    for call in [lambda: enumerate_feasible_traces(model.graph, {0}, node_cap=cap),
+                 lambda: ExactSpreadOracle(model, node_cap=cap),
+                 *[lambda c=c: c(model, cap) for c, _ in _CAPPED_CALLS.values()]]:
+        with pytest.raises(ModelError, match=f"^node_cap must be at least 1, got {cap}$"):
+            call()
+
+
 def test_exact_cap_refuses_a_wide_state_before_building_it():
     # the seed's state has 2^40 successor terms; they are never materialized
     model = from_lt(build_graph(41, [(0, v) for v in range(1, 41)]), [0.5] * 40)

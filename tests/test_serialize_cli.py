@@ -550,6 +550,55 @@ def test_cli_rejects_each_value_outside_its_boundary(pipeline, capsys, argv, kin
     assert names.format(**fill) in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, kind, message",
+    [
+        (["generate", "--n", "6", "--k", "2", "--seed", "1", "--d-max", "nan"], "GraphError",
+         "d_max must be finite and positive, got nan"),
+        (["generate", "--n", "6", "--k", "2", "--seed", "1", "--family", "exponential", "--d-max", "inf"], "GraphError",
+         "d_max must be finite and positive, got inf"),
+        (["generate", "--n", "6", "--k", "2", "--seed", "1", "--d-max", "2"], "SchemaError",
+         "--d-max 2.0 exceeds the threshold support bound 1.0"),
+        (["generate", "--n", "6", "--k", "2", "--seed", "1", "--p", "2"], "GraphError",
+         "rewiring probability p must be in [0, 1], got 2.0"),
+        (["diagnose", "--model", "{model}", "--max-budget", "1", "--node-cap", "-5"], "ModelError",
+         "node_cap must be at least 1, got -5"),
+        (["im", "--model", "{model}", "--k", "1", "--evaluator", "exact", "--seed", "1", "--node-cap", "-1"],
+         "ModelError", "node_cap must be at least 1, got -1"),
+        (["fit", "--model", "{model}", "--traces", "{traces}", "--family", "beta:1,2", "--grid", "1:nan"],
+         "SchemaError", "bad grid entry '1:nan'; --grid parameters must be finite and positive"),
+        (["fit", "--model", "{model}", "--traces", "{traces}", "--family", "beta:1,2", "--grid", "1:-1"],
+         "SchemaError", "bad grid entry '1:-1'; --grid parameters must be finite and positive"),
+        (["fit", "--model", "{model}", "--traces", "{traces}", "--family", "beta:1,2", "--grid", "0:0"],
+         "SchemaError", "bad grid entry '0:0'; --grid parameters must be finite and positive"),
+        (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", '{"budgets": 3}'],
+         "SchemaError", "{config}: config key 'budgets' takes values shaped like (1, 4, 7, 10, 13), got 3"),
+        (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", '{"n": 2.5}'],
+         "SchemaError", "{config}: config key 'n' takes values shaped like 30, got 2.5"),
+        (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", '{"beta_grid": []}'],
+         "SchemaError", "{config}: config key 'beta_grid' takes values shaped like (1, 2, 3, 4, 5), got []"),
+        (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", '{"n": 0}'],
+         "SchemaError", "{config}: n must be positive"),
+        (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", "[1]"],
+         "SchemaError", "{config}: expected a JSON object of config keys, got [1]"),
+    ],
+)
+def test_cli_names_the_flag_or_file_of_a_bad_value(pipeline, capsys, argv, kind, message):
+    # each exited with an error that named neither: a bare TypeError, numpy's
+    # "a cannot be empty", a ValueError from ThresholdSpec, a support-bound
+    # ModelError, or an exceeded cap of "-4 states > -5"
+    base, model, traces = pipeline
+    config = os.path.join(base, "config.json")
+    if "--config" in argv:
+        with open(config, "w") as fh:
+            fh.write(argv[-1])
+        argv = argv[:-1] + [config]
+    out = ["--out-dir", os.path.join(base, "exp")] if argv[0] == "experiment" else ["--out", os.path.join(base, "out.json")]
+    assert _run([a.format(model=model, traces=traces) for a in argv] + out) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error == {"type": kind, "message": message.format(config=config)}
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_json_writer_refuses_what_the_reader_refuses(tmp_path, value):
     path = str(tmp_path / "doc.json")
