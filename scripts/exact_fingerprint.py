@@ -8,10 +8,14 @@ thresholds.  Each line holds the model, the seed set and the float.hex of
 its exact spread.  Under beta(1, 2) each graph then gets the exact
 `greedy_im` seeds, gains and spread at k=3, `optimal_seed_set` at k=2, the
 `check_submodularity_exact(max_budget=2)` violations, and `im_solution_gap`
-at k=2 against an estimate with re-drawn simplex weights.  Last come the
-graph's identifiability reports under uniform-by-size seeds of up to 1 and 2
-nodes: per child node, the verdict and the sorted achievable parent subsets.
-Floats print as float.hex.  Run from the root of a checkout:
+at k=2 against an estimate with re-drawn simplex weights.  Under beta(3, 1)
+thresholds, whose convex cdf breaks submodularity, each graph gets the
+violation count and a sha256 of every field of every violation, in order,
+of `check_submodularity_exact` at max_budget=2 and at the full budget, and
+of `check_monotonicity_exact`.  Last come the graph's identifiability
+reports under uniform-by-size seeds of up to 1 and 2 nodes: per child node,
+the verdict and the sorted achievable parent subsets.  Floats print as
+float.hex.  Run from the root of a checkout:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/exact_fingerprint.py --seed 7
 
@@ -20,6 +24,8 @@ its output at two commits to find the spreads and reports a change moved.
 """
 
 import argparse
+import dataclasses
+import hashlib
 from itertools import combinations
 
 import gltnet as g
@@ -49,6 +55,26 @@ def im_checks(tag, model, rng):
     print(tag, "im_solution_gap k=2", float(g.im_solution_gap(model, estimate, 2, "exact")).hex())
 
 
+def _field_text(value):
+    if isinstance(value, frozenset):
+        return _nodes(value)
+    return float(value).hex() if isinstance(value, float) else str(value)
+
+
+def violation_checks(tag, model):
+    """Print the count and sha256 of the exhaustive checks' violation lists."""
+    checks = [("submodularity max_budget=2", lambda: g.check_submodularity_exact(model, max_budget=2)),
+              ("submodularity full", lambda: g.check_submodularity_exact(model)),
+              ("monotonicity", lambda: g.check_monotonicity_exact(model))]
+    for label, check in checks:
+        violations = check()
+        digest = hashlib.sha256()
+        for viol in violations:
+            digest.update(" ".join(f"{f.name}={_field_text(getattr(viol, f.name))}"
+                                   for f in dataclasses.fields(viol)).encode() + b"\n")
+        print(tag, "beta(3,1)", label, len(violations), "violations", digest.hexdigest())
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=7)
@@ -64,6 +90,7 @@ def main(argv=None):
                     value = oracle.spread(set(seed_set))
                     print(tag, label, ",".join(map(str, seed_set)), float(value).hex())
         im_checks(tag, g.GltModel(graph, weights, SPECS[0][1]), substream(args.seed, "estimate", tag))
+        violation_checks(tag, g.GltModel(graph, weights, g.make_beta(3, 1)))
         for s_max in (1, 2):
             report = g.check_identifiability(graph, g.SeedDistribution.uniform_by_size(s_max))
             for v, node in sorted(report.nodes.items()):

@@ -231,6 +231,17 @@ def _mask_to_set(mask):
     return frozenset(out)
 
 
+def _exact_scan(model: GltModel, budget: int, node_cap: int):
+    """The exact spread of each seed set of up to ``budget + 1`` nodes, keyed
+    by bitmask, and the ``(S, S + v)`` bitmask pairs with ``|S| <= budget``
+    and v outside S, S in increasing bitmask order, then v."""
+    n = model.graph.n
+    table = _spread_table(exact_evaluator(model, "exact", node_cap), n, range(min(budget + 1, n) + 1))
+    sigma = {_node_mask(s): value for s, value in table.items()}
+    bases = sorted(m for m in sigma if m.bit_count() <= budget)
+    return sigma, [(s, s | 1 << v) for s in bases for v in range(n) if not s >> v & 1]
+
+
 def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap: int = 10**6) -> list:
     """Exhaustive diminishing-returns check against exact spreads.
 
@@ -242,59 +253,27 @@ def check_submodularity_exact(model: GltModel, max_budget: int = None, node_cap:
     n = model.graph.n
     if max_budget is not None and max_budget < 0:
         raise ValueError(f"max_budget must be nonnegative, got {max_budget}")
-    budget = n if max_budget is None else min(max_budget, n)
-    table = _spread_table(exact_evaluator(model, "exact", node_cap), n, range(min(budget + 1, n) + 1))
-    sigma = {_node_mask(s): value for s, value in table.items()}  # by seed bitmask
-
+    sigma, pairs = _exact_scan(model, n if max_budget is None else min(max_budget, n), node_cap)
     violations = []
-    for s_mask in sorted(m for m in sigma if m.bit_count() <= budget):
-        for v in range(n):
-            bit = 1 << v
-            if s_mask & bit:
-                continue
-            gain_s = sigma[s_mask | bit] - sigma[s_mask]
-            sub = (s_mask - 1) & s_mask
-            while True:
-                gain_sub = sigma[sub | bit] - sigma[sub]
-                if gain_sub < gain_s - SPREAD_TOL:
-                    violations.append(
-                        SubmodularityViolation(
-                            node=v,
-                            subset=_mask_to_set(sub),
-                            superset=_mask_to_set(s_mask),
-                            gain_at_subset=gain_sub,
-                            gain_at_superset=gain_s,
-                        )
-                    )
-                if sub == 0:
-                    break
-                sub = (sub - 1) & s_mask
+    for s_mask, grown in pairs:
+        bit = grown ^ s_mask
+        gain_s = sigma[grown] - sigma[s_mask]
+        sub = s_mask
+        while sub:  # the proper subsets S' of S, in decreasing bitmask order
+            sub = (sub - 1) & s_mask
+            gain_sub = sigma[sub | bit] - sigma[sub]
+            if gain_sub < gain_s - SPREAD_TOL:
+                violations.append(SubmodularityViolation(
+                    bit.bit_length() - 1, _mask_to_set(sub), _mask_to_set(s_mask), gain_sub, gain_s))
     return violations
 
 
 def check_monotonicity_exact(model: GltModel, node_cap: int = 10**6) -> list:
     """Exhaustive sigma(S) <= sigma(S + v) check (should never fail), flagging
     decreases beyond ``SPREAD_TOL``."""
-    n = model.graph.n
-    table = _spread_table(exact_evaluator(model, "exact", node_cap), n, range(n + 1))
-    sigma = {_node_mask(s): value for s, value in table.items()}
-
-    violations = []
-    for s_mask in range(1 << n):
-        for v in range(n):
-            bit = 1 << v
-            if s_mask & bit:
-                continue
-            if sigma[s_mask | bit] < sigma[s_mask] - SPREAD_TOL:
-                violations.append(
-                    MonotonicityViolation(
-                        subset=_mask_to_set(s_mask),
-                        superset=_mask_to_set(s_mask | bit),
-                        spread_subset=sigma[s_mask],
-                        spread_superset=sigma[s_mask | bit],
-                    )
-                )
-    return violations
+    sigma, pairs = _exact_scan(model, model.graph.n, node_cap)
+    return [MonotonicityViolation(_mask_to_set(s), _mask_to_set(t), sigma[s], sigma[t])
+            for s, t in pairs if sigma[t] < sigma[s] - SPREAD_TOL]
 
 
 # -- triggering embedding --------------------------------------------------------

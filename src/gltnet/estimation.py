@@ -530,17 +530,11 @@ def fit_with_threshold_grid(datasets, grid, options: FitOptions = None):
     :func:`fit_all`.  Ties in log-likelihood break toward the earliest grid
     position.  A node whose every grid fit failed gets a result whose
     ``error`` lists the failures and whose ``spec`` is None; only an empty
-    grid raises.  Given one NodeData instead of a dict, it returns that
-    node's result and raises EstimationError if every grid fit failed.
+    grid raises.
     """
     grid = tuple(grid)
     if not grid:
         raise EstimationError("threshold-parameter grid is empty")
-    if isinstance(datasets, NodeData):
-        (result,) = fit_with_threshold_grid({datasets.node: datasets}, grid, options).values()
-        if not result.estimated:
-            raise EstimationError(result.error)
-        return result
     options = options or FitOptions()
     best, failures = {}, {v: [] for v in datasets}
     for phi in grid:

@@ -74,9 +74,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("a root seed is mandatory")
-        for name in ("n", "k", "replications", "n_traces", "mc_replicates", "s_max"):
+        for name in ("n", "k", "replications", "n_traces", "mc_replicates", "s_max", "eval_replicates", "n_test"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0 <= self.p <= 1:
+            raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if not 0 < self.level < 1:
+            raise ValueError(f"level must be in (0, 1), got {self.level}")
+        bound = spec_from_dict(self.family).support_bound
+        for name, d_max in [("d_max", self.d_max)] + [("d_max_grid entry", d) for d in self.d_max_grid]:
+            if not 0 < d_max < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {d_max}")
+            if d_max > bound:
+                raise ValueError(f"{name} {d_max} exceeds the threshold support bound {bound}")
+        # the default budgets suit the default n; only im-comparison reads them
+        if self.budgets != ExperimentConfig.budgets:
+            for b in self.budgets:
+                if not 0 <= b <= self.n:
+                    raise ValueError(f"budgets entry {b} outside [0, {self.n}]")
+        for b in self.beta_grid:
+            if not b >= 1:
+                raise ValueError(f"beta_grid entry {b} is below 1")
 
 
 def _sample(n, k, p, d_max, specs, root, *labels):
@@ -148,6 +166,14 @@ def _aggregate(rows, group_keys, value_key):
 # -- estimation-error studies -------------------------------------------------
 
 
+def _rmae_row(model, traces, **labels):
+    """``labels`` plus the weight error of the fit of ``traces`` under the
+    model's own thresholds and the number of nodes the fit estimated."""
+    fits = fit_all(build_all_node_data(traces, model.graph, validate=False), model.thresholds)
+    est, n_est = _fitted_weight_vector(model.graph, fits)
+    return {**labels, "rmae": rmae(model.weights, est), "nodes_estimated": n_est}
+
+
 def run_rmae_vs_traces(config: ExperimentConfig):
     """Weight-estimation error versus trace count, across d_max values."""
     rows = []
@@ -156,19 +182,8 @@ def run_rmae_vs_traces(config: ExperimentConfig):
         for di, d_max in enumerate(config.d_max_grid):
             model = _sample_model(config, rep, d_max=d_max, tag=f"d{di}")
             traces = _simulate_traces(config, model, n_max, rep, tag=f"d{di}")
-            for count in config.trace_counts:
-                datasets = build_all_node_data(traces[:count], model.graph, validate=False)
-                fits = fit_all(datasets, model.thresholds)
-                est, n_est = _fitted_weight_vector(model.graph, fits)
-                rows.append(
-                    {
-                        "rep": rep,
-                        "d_max": d_max,
-                        "n_traces": count,
-                        "rmae": rmae(model.weights, est),
-                        "nodes_estimated": n_est,
-                    }
-                )
+            rows += [_rmae_row(model, traces[:count], rep=rep, d_max=d_max, n_traces=count)
+                     for count in config.trace_counts]
     return rows, _aggregate(rows, ["d_max", "n_traces"], "rmae")
 
 
@@ -179,19 +194,7 @@ def run_rmae_vs_n(config: ExperimentConfig):
         for gi, (n, k) in enumerate(config.size_grid):
             model = _sample_model(config, rep, n=n, k=k, tag=f"g{gi}")
             traces = _simulate_traces(config, model, config.n_traces, rep, tag=f"g{gi}")
-            datasets = build_all_node_data(traces, model.graph, validate=False)
-            fits = fit_all(datasets, model.thresholds)
-            est, n_est = _fitted_weight_vector(model.graph, fits)
-            rows.append(
-                {
-                    "rep": rep,
-                    "n": n,
-                    "k": k,
-                    "n_traces": config.n_traces,
-                    "rmae": rmae(model.weights, est),
-                    "nodes_estimated": n_est,
-                }
-            )
+            rows.append(_rmae_row(model, traces, rep=rep, n=n, k=k, n_traces=config.n_traces))
     return rows, _aggregate(rows, ["n", "k"], "rmae")
 
 
@@ -408,31 +411,21 @@ def run_spread_comparison(config: ExperimentConfig):
             sample_seed(dist, truth.graph, substream(config.seed, "test-seed", rep, i))
             for i in range(config.n_test)
         ]
-        true_spreads = [
-            estimate_spread_mc(
-                truth, s, config.eval_replicates, substream(config.seed, "ev", rep, i)
-            ).mean
-            for i, s in enumerate(test_seeds)
-        ]
         datasets = build_all_node_data(train, truth.graph, validate=False)
+
+        def spreads(model):  # every model's spreads share the draws of (seed, "ev", rep, i)
+            return [estimate_spread_mc(model, s, config.eval_replicates, substream(config.seed, "ev", rep, i)).mean
+                    for i, s in enumerate(test_seeds)]
+
+        true_spreads = spreads(truth)
         for name, spec in candidates.items():
-            fits = fit_all(datasets, spec)
-            est_weights, _ = _fitted_weight_vector(truth.graph, fits)
-            fitted = GltModel(truth.graph, est_weights, spec)
-            predicted = [
-                estimate_spread_mc(
-                    fitted, s, config.eval_replicates, substream(config.seed, "ev", rep, i)
-                ).mean
-                for i, s in enumerate(test_seeds)
-            ]
+            predicted = spreads(_fitted_model(truth.graph, spec, fit_all(datasets, spec)))
             rows.append(
                 {
                     "rep": rep,
                     "candidate": name,
                     "rmae": rmae(true_spreads, predicted),
-                    "mean_bias": float(
-                        np.mean(np.asarray(predicted) - np.asarray(true_spreads))
-                    ),
+                    "mean_bias": float(np.mean(np.asarray(predicted) - np.asarray(true_spreads))),
                     "n_test": len(test_seeds),
                 }
             )

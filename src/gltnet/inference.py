@@ -69,31 +69,19 @@ def node_covariance(node_data: NodeData, theta_hat, spec) -> CovarianceResult:
     information matrix is not positive definite.
     """
     info = -node_hessian(node_data, theta_hat, spec)
-    eigvals = np.linalg.eigvalsh(info)
-    min_eig = float(eigvals[0])
+    min_eig = float(np.linalg.eigvalsh(info)[0])
     sigma = None
     if np.isfinite(min_eig) and min_eig > 0.0:
         # an exactly singular matrix can still get a tiny positive smallest
         # eigenvalue from eigvalsh; inv then finds the zero pivot
         try:
-            sigma = np.linalg.inv(info)
+            inverse = np.linalg.inv(info)
+            sigma = 0.5 * (inverse + inverse.T)
         except np.linalg.LinAlgError:
             pass
-    if sigma is None:
-        return CovarianceResult(
-            node=node_data.node,
-            sigma=None,
-            valid=False,
-            min_eigenvalue=min_eig,
-            message="observed information is singular or indefinite",
-        )
-    sigma = 0.5 * (sigma + sigma.T)
-    return CovarianceResult(
-        node=node_data.node,
-        sigma=sigma,
-        valid=True,
-        min_eigenvalue=min_eig,
-    )
+    valid = sigma is not None
+    message = "" if valid else "observed information is singular or indefinite"
+    return CovarianceResult(node_data.node, sigma, valid, min_eig, message)
 
 
 def _require_valid(covariance: CovarianceResult):

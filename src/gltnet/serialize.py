@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, is_node_id
 from .likelihood import PseudoTrace
 from .model import GltModel, Trace, validate_trace
 from .thresholds import spec_from_dict, spec_to_dict
@@ -116,13 +116,19 @@ def model_to_dict(model: GltModel) -> dict:
 
 
 def model_from_dict(d: dict, where: str = "model") -> GltModel:
-    graph = graph_from_dict(d, where=where)
-    weights = _need(d, "weights", where)
+    n = _need(d, "n", where)
     thresholds = _need(d, "thresholds", where)
     if not isinstance(thresholds, list):
         raise SchemaError(f"expected a list of threshold objects, got {thresholds!r}", where=where)
     try:
         specs = [spec_from_dict(t) for t in thresholds]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc), where=where) from exc
+    if is_node_id(n) and n > len(specs):  # refused before the graph builds n per-node lists
+        raise SchemaError(f"expected {n} threshold specs, got {len(specs)}", where=where)
+    graph = graph_from_dict(d, where=where)
+    weights = _need(d, "weights", where)
+    try:
         return GltModel(graph, np.asarray(weights, dtype=float), specs)
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(exc), where=where) from exc
@@ -154,9 +160,14 @@ def trace_from_dict(d: dict, where: str = "trace", graph: Graph = None) -> Trace
         raise SchemaError(str(exc), where=where) from exc
 
 
-def write_traces_jsonl(traces, path: str):
-    lines = [json.dumps(trace_to_dict(t)) for t in traces]
+def _write_jsonl(records, path: str):
+    """One JSON object per line, each line ending in a newline."""
+    lines = [json.dumps(record) for record in records]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+
+
+def write_traces_jsonl(traces, path: str):
+    _write_jsonl((trace_to_dict(t) for t in traces), path)
 
 
 def _jsonl_records(path: str):
@@ -181,17 +192,8 @@ def read_traces_jsonl(path: str, graph: Graph = None) -> list:
 
 
 def write_pseudo_jsonl(pseudo_traces, path: str):
-    lines = [
-        json.dumps(
-            {
-                "node": pt.node,
-                "active_parents": sorted(pt.active_parents),
-                "y": pt.y,
-            }
-        )
-        for pt in pseudo_traces
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    _write_jsonl(({"node": pt.node, "active_parents": sorted(pt.active_parents), "y": pt.y}
+                  for pt in pseudo_traces), path)
 
 
 def read_pseudo_jsonl(path: str, graph: Graph = None) -> list:

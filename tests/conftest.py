@@ -22,7 +22,14 @@ from gltnet import (
     make_uniform,
     spread_bipartite_closed_form,
 )
-from gltnet.diagnostics import _frontier_children, _node_mask, child_masks
+from gltnet.diagnostics import (
+    SPREAD_TOL,
+    MonotonicityViolation,
+    SubmodularityViolation,
+    _frontier_children,
+    _node_mask,
+    child_masks,
+)
 from gltnet.influence import ImSolution, SpreadEstimate
 from gltnet.rng import as_generator, substream
 
@@ -1007,6 +1014,34 @@ class ReferenceExactSpreadOracle:
                 total += prob * value
         memo[key] = total
         return total
+
+
+def reference_exact_violations(model, max_budget=None):
+    """The violation lists of ``check_submodularity_exact(model, max_budget)``
+    and ``check_monotonicity_exact(model)``, by a walk over frozensets with
+    ``ReferenceExactSpreadOracle`` spreads: S by increasing bitmask, then v
+    outside S, then each proper subset S' of S by decreasing bitmask."""
+    from itertools import combinations
+
+    n = model.graph.n
+    budget = n if max_budget is None else max_budget
+    oracle = ReferenceExactSpreadOracle(model)
+    sets = sorted((frozenset(c) for r in range(n + 1) for c in combinations(range(n), r)), key=_node_mask)
+    sigma = {s: oracle.spread(s) for s in sets}
+    submodular, monotone = [], []
+    for s in sets:
+        proper = [] if len(s) > budget else sorted(
+            (frozenset(c) for r in range(len(s)) for c in combinations(sorted(s), r)), key=_node_mask, reverse=True)
+        for v in (v for v in range(n) if v not in s):
+            grown = s | {v}
+            if sigma[grown] < sigma[s] - SPREAD_TOL:
+                monotone.append(MonotonicityViolation(s, grown, sigma[s], sigma[grown]))
+            gain = sigma[grown] - sigma[s]
+            for sub in proper:
+                gain_sub = sigma[sub | {v}] - sigma[sub]
+                if gain_sub < gain - SPREAD_TOL:
+                    submodular.append(SubmodularityViolation(v, sub, s, gain_sub, gain))
+    return submodular, monotone
 
 
 def reference_greedy_im(model, budget, spread_evaluator, rng=None, replicates=1000, node_cap=10**6):

@@ -26,6 +26,7 @@ from conftest import (
     random_weights_within,
     reference_achievable_parent_subsets,
     reference_exact_determinant,
+    reference_exact_violations,
 )
 
 
@@ -178,6 +179,27 @@ def test_submodularity_star_matches_interval_characterization():
                     if spec.cdf(x + b) - spec.cdf(x) < spec.cdf(y + b) - spec.cdf(y) - 1e-9:
                         expected = True
         assert bool(violations) == expected
+
+
+@st.composite
+def _exact_scan_cases(draw):
+    n = draw(st.integers(4, 6))
+    seed = draw(st.integers(0, 2**16))
+    graph = random_simple_digraph(n, draw(st.sampled_from([0.3, 0.5])), substream(seed, "g"))
+    # concave cdfs (submodular spread) and convex ones (violations)
+    spec = draw(st.sampled_from([make_uniform(), make_beta(1, 2), make_beta(2, 1), make_beta(3, 1)]))
+    model = GltModel(graph, random_weights_within(graph, substream(seed, "w")), spec)
+    return model, draw(st.one_of(st.none(), st.integers(0, n + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_scan_cases())
+def test_exact_checks_match_a_set_based_walk(case):
+    # whole violation lists, field for field and in order
+    model, max_budget = case
+    submodular, monotone = reference_exact_violations(model, max_budget)
+    assert check_submodularity_exact(model, max_budget=max_budget) == submodular
+    assert check_monotonicity_exact(model) == monotone
 
 
 def test_submodularity_rejects_a_negative_budget():

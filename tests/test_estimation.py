@@ -574,7 +574,7 @@ def test_grid_fit_selects_highest_loglik():
     )
     data = build_node_data(traces, graph, 3)
     grid = tuple((1, b) for b in range(1, 6))
-    best = fit_with_threshold_grid(data, grid, FitOptions())
+    best = fit_with_threshold_grid({3: data}, grid, FitOptions())[3]
     assert best.phi["family"] == "beta"
     for phi in grid:
         single = fit_node(data, make_beta(*phi), FitOptions())
@@ -584,15 +584,9 @@ def test_grid_fit_selects_highest_loglik():
 def test_grid_of_one_reduces_to_fit_node():
     data = _bernoulli_data(20, 7)
     single = fit_node(data, make_beta(1, 2), FitOptions())
-    grid = fit_with_threshold_grid(data, [(1, 2)], FitOptions())
+    grid = fit_with_threshold_grid({1: data}, [(1, 2)], FitOptions())[1]
     assert np.allclose(grid.weights, single.weights, atol=1e-12)
     assert grid.phi == {"family": "beta", "params": (1, 2)}
-
-
-def test_grid_fit_all_failed():
-    data = _bernoulli_data(10, 4)
-    with pytest.raises(EstimationError):
-        fit_with_threshold_grid(data, [(0.5, 0.5)], FitOptions())
 
 
 def test_grid_records_a_node_whose_every_grid_fit_failed():
@@ -702,7 +696,7 @@ def test_fits_match_reference_kernel(monkeypatch):
             fit_node(data, spec) if v in informative else None
             for spec in specs for v, data in datasets.items()
         ]
-        singles += [fit_with_threshold_grid(informative[v], grid) for v in list(informative)[:5]]
+        singles += [fit_with_threshold_grid({v: informative[v]}, grid)[v] for v in list(informative)[:5]]
         batches = [fit for spec in specs for fit in fit_all(datasets, spec).values()]
         batches += list(fit_with_threshold_grid(informative, grid).values())
         return singles, batches

@@ -581,12 +581,34 @@ def test_cli_rejects_each_value_outside_its_boundary(pipeline, capsys, argv, kin
          "SchemaError", "{config}: n must be positive"),
         (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", "[1]"],
          "SchemaError", "{config}: expected a JSON object of config keys, got [1]"),
+        (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", '{"p": 5}'],
+         "SchemaError", "{config}: p must be in [0, 1], got 5"),
+        (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", '{"d_max_grid": [2.0]}'],
+         "SchemaError", "{config}: d_max_grid entry 2.0 exceeds the threshold support bound 1.0"),
+        (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", '{"d_max_grid": [0.5, -1]}'],
+         "SchemaError", "{config}: d_max_grid entry must be finite and positive, got -1"),
+        (["experiment", "--experiment", "im-comparison", "--seed", "1", "--config", '{"d_max": 0.0}'],
+         "SchemaError", "{config}: d_max must be finite and positive, got 0.0"),
+        (["experiment", "--experiment", "rmae-vs-traces", "--seed", "1", "--config", '{"level": 1.5}'],
+         "SchemaError", "{config}: level must be in (0, 1), got 1.5"),
+        (["experiment", "--experiment", "im-comparison", "--seed", "1", "--config", '{"budgets": [-1]}'],
+         "SchemaError", "{config}: budgets entry -1 outside [0, 30]"),
+        (["experiment", "--experiment", "im-comparison", "--seed", "1", "--config", '{"n": 12, "budgets": [13]}'],
+         "SchemaError", "{config}: budgets entry 13 outside [0, 12]"),
+        (["experiment", "--experiment", "im-comparison", "--seed", "1", "--config", '{"eval_replicates": 0}'],
+         "SchemaError", "{config}: eval_replicates must be positive"),
+        (["experiment", "--experiment", "spread-comparison", "--seed", "1", "--config", '{"n_test": 0}'],
+         "SchemaError", "{config}: n_test must be positive"),
+        (["experiment", "--experiment", "im-comparison", "--seed", "1", "--config", '{"beta_grid": [0]}'],
+         "SchemaError", "{config}: beta_grid entry 0 is below 1"),
     ],
 )
 def test_cli_names_the_flag_or_file_of_a_bad_value(pipeline, capsys, argv, kind, message):
-    # each exited with an error that named neither: a bare TypeError, numpy's
-    # "a cannot be empty", a ValueError from ThresholdSpec, a support-bound
-    # ModelError, or an exceeded cap of "-4 states > -5"
+    # each exited with an error that named neither, or with none: a bare
+    # TypeError, numpy's "a cannot be empty", a ValueError from ThresholdSpec,
+    # a support-bound ModelError, a GraphError or InfluenceError naming no
+    # file, an exceeded cap of "-4 states > -5", or exit 0 on an experiment
+    # that does not read the key
     base, model, traces = pipeline
     config = os.path.join(base, "config.json")
     if "--config" in argv:
