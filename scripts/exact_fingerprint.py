@@ -14,8 +14,14 @@ violation count and a sha256 of every field of every violation, in order,
 of `check_submodularity_exact` at max_budget=2 and at the full budget, and
 of `check_monotonicity_exact`.  Last come the graph's identifiability
 reports under uniform-by-size seeds of up to 1 and 2 nodes: per child node,
-the verdict and the sorted achievable parent subsets.  Floats print as
-float.hex.  Run from the root of a checkout:
+the verdict and the sorted achievable parent subsets.  After the 8 graphs
+come 4 random parent-to-child bipartite models (4 parent nodes, 5 child
+nodes, each edge present with probability 0.5, simplex weights with sums at
+most 0.9, beta(1, 2) thresholds), scored by the "bipartite" evaluator: the
+greedy seeds, gains and spread at k=3, `optimal_seed_set` at k=2,
+`im_solution_gap` at k=2 against re-drawn weights, and the
+`spread_bipartite_closed_form` of every seed set of 1 or 2 nodes.  Floats
+print as float.hex.  Run from the root of a checkout:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/exact_fingerprint.py --seed 7
 
@@ -39,20 +45,22 @@ def _nodes(nodes):
     return ",".join(map(str, sorted(nodes)))
 
 
-def im_checks(tag, model, rng):
-    """Print the exact greedy, optimum, submodularity and IM-gap results of ``model``."""
-    greedy = g.greedy_im(model, 3, "exact")
+def im_checks(tag, model, rng, evaluator="exact"):
+    """Print the greedy, optimum and IM-gap results of ``model`` under
+    ``evaluator``, and under "exact" its submodularity violations too."""
+    greedy = g.greedy_im(model, 3, evaluator)
     print(tag, "greedy k=3", ",".join(map(str, greedy.seeds)),
           " ".join(float(x).hex() for x in greedy.gains), float(greedy.spread.mean).hex())
-    best, value = g.optimal_seed_set(model, 2, "exact")
+    best, value = g.optimal_seed_set(model, 2, evaluator)
     print(tag, "optimal k=2", _nodes(best), float(value).hex())
-    violations = g.check_submodularity_exact(model, max_budget=2)
-    print(tag, "submodularity max_budget=2", len(violations), "violations")
-    for viol in violations:
-        print(tag, "violation", viol.node, _nodes(viol.subset), _nodes(viol.superset),
-              float(viol.gain_at_subset).hex(), float(viol.gain_at_superset).hex())
+    if evaluator == "exact":
+        violations = g.check_submodularity_exact(model, max_budget=2)
+        print(tag, "submodularity max_budget=2", len(violations), "violations")
+        for viol in violations:
+            print(tag, "violation", viol.node, _nodes(viol.subset), _nodes(viol.superset),
+                  float(viol.gain_at_subset).hex(), float(viol.gain_at_superset).hex())
     estimate = model.with_weights(g.sample_weights_simplex(model.graph, 0.9, rng))
-    print(tag, "im_solution_gap k=2", float(g.im_solution_gap(model, estimate, 2, "exact")).hex())
+    print(tag, "im_solution_gap k=2", float(g.im_solution_gap(model, estimate, 2, evaluator)).hex())
 
 
 def _field_text(value):
@@ -97,6 +105,17 @@ def main(argv=None):
                 subsets = sorted(sorted(s) for s in node.achievable)
                 print(tag, f"identifiability s_max={s_max}", v, node.verdict,
                       " ".join(",".join(map(str, s)) for s in subsets))
+    for i in range(4):
+        tag = f"bipartite-{i}"
+        rng = substream(args.seed, "graph", tag)
+        graph = g.build_graph(9, [(u, c) for c in range(4, 9) for u in range(4) if rng.random() < 0.5])
+        weights = g.sample_weights_simplex(graph, 0.9, substream(args.seed, "weights", tag))
+        model = g.GltModel(graph, weights, SPECS[0][1])
+        im_checks(tag, model, substream(args.seed, "estimate", tag), "bipartite")
+        for size in (1, 2):
+            for seed_set in combinations(range(graph.n), size):
+                value = g.spread_bipartite_closed_form(model, set(seed_set))
+                print(tag, "closed form", ",".join(map(str, seed_set)), float(value).hex())
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ from dataclasses import asdict, fields, replace
 from . import __version__
 from .diagnostics import check_identifiability, check_submodularity_exact
 from .estimation import DEFAULT_EPSILON, EstimationError, FitOptions, fit_all, fit_with_threshold_grid
-from .experiments import EXPERIMENTS, ExperimentConfig, _fitted_model, _sample, _simulate, run_experiment
+from .experiments import EXPERIMENTS, ExperimentConfig, _check_study, _fitted_model, _sample, _simulate, run_experiment
 from .graph import SeedDistribution
-from .inference import node_covariance, weight_intervals
+from .inference import _covariances, weight_intervals
 from .influence import estimate_spread_mc, exact_evaluator, greedy_im
 from .likelihood import build_all_node_data, build_pseudo_node_data
 from .rng import substream
@@ -162,13 +162,10 @@ def cmd_fit(args):
 
 def cmd_infer(args):
     _, _, results, datasets = _run_fits(args)
-    intervals = {}
-    for v, fit in results.items():
-        if not fit.estimated:
-            continue
-        cov = node_covariance(datasets[v], fit.weights, fit.spec)
-        ints = weight_intervals(fit, cov, args.level) if cov.valid else []
-        intervals[v] = (cov, ints)
+    intervals = {
+        v: (cov, weight_intervals(results[v], cov, args.level) if cov.valid else [])
+        for v, cov in _covariances(datasets, results).items()
+    }
     dump_json(fit_results_to_dict(results, intervals), args.out)
     return {"out": args.out, "nodes": len(results)}
 
@@ -260,7 +257,7 @@ def cmd_spread(args):
         )
         doc = {"mean": est.mean, "se": est.std_error, "replicates": est.replicates}
     else:
-        value = exact_evaluator(model, args.evaluator, args.node_cap)(seed_set)
+        value = exact_evaluator(model, args.evaluator, args.node_cap)([seed_set])[0]
         doc = {"mean": value, "se": 0.0, "replicates": 0}
     dump_json(doc, args.out)
     return doc
@@ -356,6 +353,7 @@ def cmd_experiment(args):
             raw[key] = _config_value(key, value, getattr(config, key), args.config)
         try:
             config = replace(config, **raw)
+            _check_study(args.experiment, config)
         except ValueError as exc:
             raise SchemaError(str(exc), where=args.config) from exc
     os.makedirs(args.out_dir, exist_ok=True)

@@ -21,11 +21,7 @@ from .estimation import (
     fit_with_threshold_grid,
 )
 from .graph import SeedDistribution, generate_cws, sample_seed, sample_weights_simplex
-from .inference import (
-    activation_probability_interval,
-    node_covariance,
-    weight_intervals,
-)
+from .inference import _covariances, activation_probability_interval, weight_intervals
 from .likelihood import _node_rows, build_all_node_data
 from .metrics import rmae
 from .model import (
@@ -87,11 +83,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and positive, got {d_max}")
             if d_max > bound:
                 raise ValueError(f"{name} {d_max} exceeds the threshold support bound {bound}")
-        # the default budgets suit the default n; only im-comparison reads them
-        if self.budgets != ExperimentConfig.budgets:
-            for b in self.budgets:
-                if not 0 <= b <= self.n:
-                    raise ValueError(f"budgets entry {b} outside [0, {self.n}]")
         for b in self.beta_grid:
             if not b >= 1:
                 raise ValueError(f"beta_grid entry {b} is below 1")
@@ -206,10 +197,8 @@ def run_ci_coverage(config: ExperimentConfig):
         traces = _simulate_traces(config, model, config.n_traces, rep)
         datasets = build_all_node_data(traces, model.graph, validate=False)
         fits = fit_all(datasets, model.thresholds)
-        for v, fit in sorted(fits.items()):
-            if not fit.estimated:
-                continue
-            cov = node_covariance(datasets[v], fit.weights, fit.spec)
+        for v, cov in sorted(_covariances(datasets, fits).items()):
+            fit = fits[v]
             interior = not fit.at_boundary and cov.valid
             covered = total = 0
             if interior:
@@ -272,12 +261,9 @@ def run_activation_prediction(config: ExperimentConfig):
         last_inactive = np.where(rounds == NEVER, horizons[:, None], rounds - 1)
         for name, spec in _candidate_specs().items():
             fits = fit_all(datasets, spec)
-            covs = {}
-            for v, fit in fits.items():
-                # boundary fits are kept: losing coverage there is exactly how
-                # a misspecified threshold family shows up
-                if fit.estimated:
-                    covs[v] = node_covariance(datasets[v], fit.weights, spec)
+            # boundary fits are kept: losing coverage there is exactly how
+            # a misspecified threshold family shows up
+            covs = _covariances(datasets, fits)
             true_p, pred_p, covered, lengths = [], [], 0, []
             for trace, last in zip(test, last_inactive.tolist()):
                 active = trace.active(trace.horizon)
@@ -363,13 +349,8 @@ def run_im_comparison(config: ExperimentConfig):
         for name in sorted(candidates):
             model = candidates[name]
             for k in config.budgets:
-                root = int(
-                    substream(config.seed, "im-root", rep, name, k).integers(
-                        0, 2**63 - 1
-                    )
-                )
                 solution = greedy_im(
-                    model, k, "mc", root, replicates=config.mc_replicates
+                    model, k, "mc", substream(config.seed, "im-root", rep, name, k), replicates=config.mc_replicates
                 )
                 est = estimate_spread_mc(
                     truth,
@@ -442,9 +423,23 @@ EXPERIMENTS = {
 }
 
 
+def _check_study(name: str, config: ExperimentConfig):
+    """Refuse the ``config`` values that study ``name`` cannot run on: a
+    budget outside [0, n] in im-comparison, the only study that reads
+    ``budgets``, and a ``d_max`` above the support bound 1 of the beta
+    thresholds that three studies' truths have, whatever ``family`` says."""
+    if name == "im-comparison":
+        for b in config.budgets:
+            if not 0 <= b <= config.n:
+                raise ValueError(f"budgets entry {b} outside [0, {config.n}]")
+    if name in ("activation-prediction", "im-comparison", "spread-comparison") and config.d_max > 1.0:
+        raise ValueError(f"d_max {config.d_max} exceeds the support bound 1.0 of {name}'s beta thresholds")
+
+
 def run_experiment(name: str, config: ExperimentConfig):
     if name not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
+    _check_study(name, config)
     return EXPERIMENTS[name](config)

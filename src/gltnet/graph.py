@@ -32,6 +32,7 @@ __all__ = [
 _INTEGER_TYPES = (int, np.integer)
 CWS_MAX_ATTEMPTS = 100  # generate_cws draws before giving up on connectivity
 SUPPORT_MAX_SETS = 200_000  # largest uniform-by-size support explicit_support enumerates
+_MAX_NODES = 10**6  # largest node count a Graph or generate_cws takes; Graph(_MAX_NODES, []) peaks near 0.25 GB
 
 
 def is_node_id(v) -> bool:
@@ -41,6 +42,17 @@ def is_node_id(v) -> bool:
 
 class GraphError(ValueError):
     """Invalid graph construction or query."""
+
+
+def _check_node_count(n):
+    """Refuse a node count that is not an integer in [0, _MAX_NODES], before
+    anything is allocated per node."""
+    if not is_node_id(n):
+        raise GraphError(f"node count {n!r} is not an integer")
+    if n < 0:
+        raise GraphError(f"node count must be nonnegative, got {n}")
+    if n > _MAX_NODES:
+        raise GraphError(f"node count n={n} exceeds the ceiling {_MAX_NODES}")
 
 
 class Graph:
@@ -53,10 +65,7 @@ class Graph:
     __slots__ = ("n", "edges", "_parents", "_children", "_child_offsets", "_parent_index")
 
     def __init__(self, n: int, edge_list):
-        if not is_node_id(n):
-            raise GraphError(f"node count {n!r} is not an integer")
-        if n < 0:
-            raise GraphError(f"node count must be nonnegative, got {n}")
+        _check_node_count(n)
         edges = []
         for e in edge_list:
             for v in (e[0], e[1]):
@@ -217,6 +226,7 @@ def generate_cws(n: int, k: int, p: float, rng) -> Graph:
         raise GraphError(f"ring-lattice degree k must be even, got {k}")
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"rewiring probability p must be in [0, 1], got {p}")
+    _check_node_count(n)
     rng = as_generator(rng)
     for _ in range(CWS_MAX_ATTEMPTS):
         undirected = _watts_strogatz_edges(n, k, p, rng)

@@ -84,6 +84,12 @@ def node_covariance(node_data: NodeData, theta_hat, spec) -> CovarianceResult:
     return CovarianceResult(node_data.node, sigma, valid, min_eig, message)
 
 
+def _covariances(datasets, fits) -> dict:
+    """``{v: node_covariance(datasets[v], fit.weights, fit.spec)}`` over the
+    estimated ``fits``, in their order."""
+    return {v: node_covariance(datasets[v], fit.weights, fit.spec) for v, fit in fits.items() if fit.estimated}
+
+
 def _require_valid(covariance: CovarianceResult):
     if not covariance.valid:
         raise InferenceError(

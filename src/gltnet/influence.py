@@ -10,8 +10,10 @@ across all candidate seeds (common random numbers), closes the step's base
 set S once on it, and closes each candidate v from closure(S) + v, which is
 exact: on fixed thresholds closure(S + v) = closure(closure(S) + v).  A
 step's candidates close side by side in column chunks, with the same bits.
-The exact evaluators take sigma from :func:`exact_evaluator`, trace
-enumeration or, for bipartite graphs, a closed form, one batch per scan.
+The exact evaluators take sigma from :func:`exact_evaluator`, a batch
+function from a list of seed sets to their spreads by trace enumeration or,
+for bipartite graphs, a closed form; greedy and the exhaustive scans each
+call it once per step or scan.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def spread_bipartite_closed_form(model: GltModel, seed_set) -> float:
     Raises when some node has both parents and children (not bipartite in
     the required orientation).
     """
-    return exact_evaluator(model, "bipartite")(seed_set)
+    return exact_evaluator(model, "bipartite")([seed_set])[0]
 
 
 def _bipartite_spread(model: GltModel, seed_set) -> float:
@@ -125,35 +127,17 @@ def _bipartite_spread(model: GltModel, seed_set) -> float:
     return total
 
 
-class _ExactSpread:
-    """An exact spread function ``sigma(seed_set)``; ``spreads(seed_sets)``
-    evaluates a list of seed sets at once, and ``gains`` and ``spread`` make
-    it a greedy evaluator."""
-
-    def __init__(self, spreads):
-        self.spreads = spreads
-
-    def __call__(self, seed_set) -> float:
-        return self.spreads([seed_set])[0]
-
-    def gains(self, seeds, candidates):
-        """sigma(S + v) - sigma(S) for each candidate v, from one batch."""
-        base, *values = self.spreads([seeds] + [seeds + [v] for v in candidates])
-        return [value - base for value in values]
-
-    def spread(self, seeds) -> SpreadEstimate:
-        return SpreadEstimate(mean=self(seeds), std_error=0.0, replicates=0)
-
-
 def exact_evaluator(model: GltModel, evaluator: str, node_cap: int = 10**6):
-    """The exact spread function ``sigma`` of the named evaluator (see :class:`_ExactSpread`).
+    """The exact spread function of the named evaluator, as a batch function
+    from a list of seed sets to the list of their spreads (0.0 for an empty
+    set), in input order.
 
     The "exact" oracle is memoized, so it shares work across seed sets and
     batches; the "bipartite" graph orientation is checked once, here, not
     per seed set.
     """
     if evaluator == "exact":
-        return _ExactSpread(ExactSpreadOracle(model, node_cap=node_cap).spreads)
+        return ExactSpreadOracle(model, node_cap=node_cap).spreads
     if evaluator == "bipartite":
         graph = model.graph
         for v in range(graph.n):
@@ -162,7 +146,7 @@ def exact_evaluator(model: GltModel, evaluator: str, node_cap: int = 10**6):
                     f"node {v} has both parents and children; graph is not "
                     f"bipartite in the parent-to-child orientation"
                 )
-        return _ExactSpread(lambda seed_sets: [_bipartite_spread(model, s) for s in seed_sets])
+        return lambda seed_sets: [_bipartite_spread(model, s) for s in seed_sets]
     raise InfluenceError(f"not an exact evaluator: {evaluator!r}")
 
 
@@ -236,9 +220,9 @@ def greedy_im(model: GltModel, budget: int, spread_evaluator: str = "mc", rng=No
             root = int(rng)
         else:
             root = int(as_generator(rng).integers(0, 2**63 - 1))
-        evaluator = _MonteCarloGains(model, root, replicates)
+        mc = _MonteCarloGains(model, root, replicates)
     elif spread_evaluator in ("exact", "bipartite"):
-        evaluator = exact_evaluator(model, spread_evaluator, node_cap)
+        mc, sigma = None, exact_evaluator(model, spread_evaluator, node_cap)
     else:
         raise InfluenceError(f"unknown spread evaluator {spread_evaluator!r}")
 
@@ -246,13 +230,16 @@ def greedy_im(model: GltModel, budget: int, spread_evaluator: str = "mc", rng=No
     gains = []
     for _ in range(budget):
         candidates = [v for v in range(n) if v not in seeds]
-        step_gains = evaluator.gains(seeds, candidates)
+        if mc is None:  # sigma(S + v) - sigma(S) for each candidate v, from one batch
+            base, *values = sigma([seeds] + [seeds + [v] for v in candidates])
+            step_gains = [value - base for value in values]
+        else:
+            step_gains = mc.gains(seeds, candidates)
         best = max(range(len(candidates)), key=step_gains.__getitem__)
         seeds.append(candidates[best])
         gains.append(float(step_gains[best]))
-    return ImSolution(
-        seeds=tuple(seeds), gains=tuple(gains), spread=evaluator.spread(seeds)
-    )
+    spread = SpreadEstimate(sigma([seeds])[0], 0.0, 0) if mc is None else mc.spread(seeds)
+    return ImSolution(seeds=tuple(seeds), gains=tuple(gains), spread=spread)
 
 
 def _spread_table(sigma, n, sizes) -> dict:
@@ -260,7 +247,7 @@ def _spread_table(sigma, n, sizes) -> dict:
     ``combinations`` order, mapped to its spread by one lazily read batch,
     which the "exact" oracle refuses past ``node_cap`` nonempty sets."""
     keys, batch = tee(c for r in sizes for c in combinations(range(n), r))
-    return dict(zip(keys, sigma.spreads(batch)))
+    return dict(zip(keys, sigma(batch)))
 
 
 def optimal_seed_set(model: GltModel, budget: int, spread_evaluator: str = "exact", node_cap: int = 10**6):

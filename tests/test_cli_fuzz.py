@@ -35,7 +35,7 @@ _ERRORS |= {"SchemaError", "ValueError"}
 _MODEL, _TRACES, _PSEUDO, _CONFIG = "{model}", "{traces}", "{pseudo}", "{config}"
 _FIT = ["--model", _MODEL, "--traces", _TRACES]
 _FLAGS = [
-    (["generate", "--n", "6", "--k", "2", "--seed", "3"], "--n", _SIZES, "n"),
+    (["generate", "--n", "6", "--k", "2", "--seed", "3"], "--n", _INTS, "n"),
     (["generate", "--n", "6", "--k", "2", "--seed", "3"], "--k", _INTS, "k"),
     (["generate", "--n", "6", "--k", "2", "--seed", "3"], "--p", _FLOATS, "p"),
     (["generate", "--n", "6", "--k", "2", "--seed", "3"], "--d-max", _FLOATS, "d_max|--d-max"),

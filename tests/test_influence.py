@@ -189,6 +189,18 @@ def test_greedy_mc_deterministic_and_tie_break():
     assert sol.seeds == (0, 1, 2)
 
 
+def test_greedy_derives_the_mc_root_from_a_generator():
+    # a Generator is used once, for the root int(gen.integers(0, 2**63 - 1)),
+    # so handing greedy a substream equals handing it the root it yields
+    g = random_simple_digraph(8, 0.3, substream(79, "g"))
+    model = GltModel(g, random_weights_within(g, substream(79, "w")), make_beta(1, 2))
+    for budget in range(4):
+        got = greedy_im(model, budget, "mc", substream(79, "root", budget), replicates=50)
+        root = int(substream(79, "root", budget).integers(0, 2**63 - 1))
+        want = greedy_im(model, budget, "mc", root, replicates=50)
+        assert (got.seeds, got.gains, got.spread) == (want.seeds, want.gains, want.spread)
+
+
 def test_greedy_validation():
     g = build_graph(2, [(0, 1)])
     model = from_lt(g, [0.5])
@@ -283,9 +295,18 @@ def test_exact_evaluator_dispatch():
     from gltnet.influence import exact_evaluator
 
     model = _random_bipartite(3, 3, substream(73, "m"))
-    a = exact_evaluator(model, "exact")({0, 1})
-    b = exact_evaluator(model, "bipartite")({0, 1})
+    a = exact_evaluator(model, "exact")([{0, 1}])[0]
+    b = exact_evaluator(model, "bipartite")([{0, 1}])[0]
     assert a == pytest.approx(b, abs=1e-9)
+    # one value per set of a batch, in input order; the empty set spreads to
+    # 0.0, and a repeated or permuted set gets the same value
+    batch = [{0, 1}, set(), {2, 4}, {0, 1}, [4, 2], (5,)]
+    for kind in ("exact", "bipartite"):
+        values = exact_evaluator(model, kind)(batch)
+        singles = [exact_evaluator(model, kind)([s])[0] for s in batch]
+        assert values == pytest.approx(singles, abs=1e-12)
+        assert values[1] == 0.0 and values[3] == values[0] and values[4] == values[2]
+        assert len(set(values)) == 4
     with pytest.raises(InfluenceError):
         exact_evaluator(model, "mc")
 

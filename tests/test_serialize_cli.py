@@ -601,6 +601,15 @@ def test_cli_rejects_each_value_outside_its_boundary(pipeline, capsys, argv, kin
          "SchemaError", "{config}: n_test must be positive"),
         (["experiment", "--experiment", "im-comparison", "--seed", "1", "--config", '{"beta_grid": [0]}'],
          "SchemaError", "{config}: beta_grid entry 0 is below 1"),
+        (["experiment", "--experiment", "im-comparison", "--seed", "1", "--config",
+          '{"n": 12, "replications": 1, "n_traces": 20, "mc_replicates": 5, "eval_replicates": 5}'],
+         "SchemaError", "{config}: budgets entry 13 outside [0, 12]"),
+        *[(["experiment", "--experiment", study, "--seed", "1", "--config",
+            '{"family": {"family": "exponential"}, "d_max": 2.0, "n": 12, "budgets": [2]}'],
+           "SchemaError", f"{{config}}: d_max 2.0 exceeds the support bound 1.0 of {study}'s beta thresholds")
+          for study in ("activation-prediction", "im-comparison", "spread-comparison")],
+        (["diagnose", "--graph", '{"n": 1000000000000000000, "edges": [[0, 1]]}'],
+         "SchemaError", "{config}: node count n=1000000000000000000 exceeds the ceiling 1000000"),
     ],
 )
 def test_cli_names_the_flag_or_file_of_a_bad_value(pipeline, capsys, argv, kind, message):
@@ -611,7 +620,7 @@ def test_cli_names_the_flag_or_file_of_a_bad_value(pipeline, capsys, argv, kind,
     # that does not read the key
     base, model, traces = pipeline
     config = os.path.join(base, "config.json")
-    if "--config" in argv:
+    if argv[-2] in ("--config", "--graph"):  # the last value is the file's text
         with open(config, "w") as fh:
             fh.write(argv[-1])
         argv = argv[:-1] + [config]
