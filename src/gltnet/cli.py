@@ -23,7 +23,7 @@ from . import __version__
 from .diagnostics import check_identifiability, check_submodularity_exact
 from .estimation import DEFAULT_EPSILON, EstimationError, FitOptions, fit_all, fit_with_threshold_grid
 from .experiments import EXPERIMENTS, ExperimentConfig, _check_study, _fitted_model, _sample, _simulate, run_experiment
-from .graph import SeedDistribution
+from .graph import _MAX_REALIZATIONS, SeedDistribution
 from .inference import _covariances, weight_intervals
 from .influence import estimate_spread_mc, exact_evaluator, greedy_im
 from .likelihood import build_all_node_data, build_pseudo_node_data
@@ -145,6 +145,8 @@ def cmd_generate(args):
 def cmd_simulate(args):
     if args.count < 0:
         raise SchemaError(f"--count must be nonnegative, got {args.count}")
+    if args.count > _MAX_REALIZATIONS:
+        raise SchemaError(f"--count {args.count} exceeds the ceiling {_MAX_REALIZATIONS}")
     model = model_from_dict(load_json(args.model), where=args.model)
     traces = _simulate(model, args.count, args.s_max, args.seed)
     write_traces_jsonl(traces, args.out)

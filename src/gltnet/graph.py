@@ -33,6 +33,9 @@ _INTEGER_TYPES = (int, np.integer)
 CWS_MAX_ATTEMPTS = 100  # generate_cws draws before giving up on connectivity
 SUPPORT_MAX_SETS = 200_000  # largest uniform-by-size support explicit_support enumerates
 _MAX_NODES = 10**6  # largest node count a Graph or generate_cws takes; Graph(_MAX_NODES, []) peaks near 0.25 GB
+_MAX_REALIZATIONS = 10**6  # most traces `simulate --count` takes and most replicates of
+# estimate_spread_mc and greedy MC, refused before anything is drawn: time, the traces kept and
+# greedy's n x R block grow with the count, while a closure batch stays within model._CHUNK
 
 
 def is_node_id(v) -> bool:

@@ -1,19 +1,25 @@
 """Spread estimation and greedy influence maximization.
 
-The Monte Carlo estimator closes many replicates at once with the closure
-kernel of :mod:`gltnet.model`: uniforms ``u`` are drawn as one
-replicate-by-node matrix, thresholds are ``max(F^-1(u), tiny)``, and a node
-activates once its summed active-parent weight reaches its threshold
-(``b >= threshold``).  Greedy selection is one loop over an evaluator's
-marginal gains.  The Monte Carlo evaluator reuses one draw matrix per step
-across all candidate seeds (common random numbers), closes the step's base
-set S once on it, and closes each candidate v from closure(S) + v, which is
-exact: on fixed thresholds closure(S + v) = closure(closure(S) + v).  A
-step's candidates close side by side in column chunks, with the same bits.
-The exact evaluators take sigma from :func:`exact_evaluator`, a batch
-function from a list of seed sets to their spreads by trace enumeration or,
-for bipartite graphs, a closed form; greedy and the exhaustive scans each
-call it once per step or scan.
+The Monte Carlo estimator closes its replicates with the closure kernel of
+:mod:`gltnet.model`, ``max(1, _CHUNK // n)`` at a time, so a batch holds
+about ``_CHUNK`` (node, replicate) elements whatever n is: uniforms ``u``
+are drawn as one replicate-by-node matrix, thresholds are
+``max(F^-1(u), tiny)``, and a node activates once its summed active-parent
+weight reaches its threshold (``b >= threshold``).  That test is one
+comparison per entry, so unlike simulation, which evaluates ``F_v`` only
+where ``b`` grew, its rounds keep no mask of where ``b`` grew.  Replicate
+counts above ``graph._MAX_REALIZATIONS`` are refused before anything is
+drawn.  Greedy selection is one loop over an evaluator's marginal gains.
+The Monte Carlo evaluator reuses one draw matrix per step across all
+candidate seeds (common random numbers), closes the step's base set S once
+on it, and closes each candidate v from closure(S) + v, which is exact: on
+fixed thresholds closure(S + v) = closure(closure(S) + v).  A step's
+candidates close side by side in column chunks, with the same bits; the
+step's base block stays n x R for the user's R.  The exact evaluators take
+sigma from :func:`exact_evaluator`, a batch function from a list of seed
+sets to their spreads by trace enumeration or, for bipartite graphs, a
+closed form; greedy and the exhaustive scans each call it once per step or
+scan.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from itertools import combinations, tee
 
 import numpy as np
 
+from .graph import _MAX_REALIZATIONS
 from .model import _CHUNK, ExactSpreadOracle, GltModel, _closure_rounds, _parent_weights, _spec_groups
 from .rng import as_generator, substream
 
@@ -61,11 +68,19 @@ class ImSolution:
         return frozenset(self.seeds)
 
 
-def _thresholds(model, rng, replicates):
-    """C-ordered (n x R) thresholds from a replicate-by-node matrix of U(0, 1] draws."""
-    draws = 1.0 - rng.random((replicates, model.graph.n))
+def _check_replicates(replicates):
+    if replicates < 1:
+        raise InfluenceError(f"need at least one replicate, got {replicates}")
+    if replicates > _MAX_REALIZATIONS:
+        raise InfluenceError(f"replicate count {replicates} exceeds the ceiling {_MAX_REALIZATIONS}")
+
+
+def _thresholds(groups, n, rng, replicates):
+    """C-ordered (n x R) thresholds from a replicate-by-node matrix of U(0, 1]
+    draws; ``groups`` are the model's :func:`_spec_groups`."""
+    draws = 1.0 - rng.random((replicates, n))
     out = np.empty_like(draws)
-    for spec, nodes in _spec_groups(model):
+    for spec, nodes in groups:
         out[:, nodes] = spec.inverse_cdf(draws[:, nodes])
     # a threshold rounded to exactly 0 would let a zero-influence node
     # self-activate; the true thresholds are almost surely positive
@@ -87,20 +102,22 @@ def estimate_spread_mc(model: GltModel, seed_set, replicates: int, rng) -> Sprea
     """Monte Carlo spread estimate with its standard error.
 
     ``rng`` may be a Generator or an integer root seed; results are a pure
-    function of it.  Replicates are processed in fixed-size chunks, so the
-    estimate does not depend on execution interleaving.
+    function of it.  Replicates are drawn and closed ``max(1, _CHUNK // n)``
+    at a time, consecutive rows of one stream, so the estimate does not
+    depend on the chunk size.
     """
-    if replicates < 1:
-        raise InfluenceError(f"need at least one replicate, got {replicates}")
+    _check_replicates(replicates)
     seed_list = sorted(model.graph._check(v) for v in seed_set)
     if not seed_list:
         raise InfluenceError("seed set must be nonempty")
     rng = as_generator(rng)
-    weights = _parent_weights(model)
-    chunks = [min(_CHUNK, replicates - done) for done in range(0, replicates, _CHUNK)]
-    sizes = np.concatenate(
-        [_final_sizes(weights, _thresholds(model, rng, rows), seed_list) for rows in chunks]
-    )
+    weights, groups = _parent_weights(model), _spec_groups(model)
+    n = model.graph.n
+    width = max(1, _CHUNK // n)
+    sizes = np.concatenate([
+        _final_sizes(weights, _thresholds(groups, n, rng, min(width, replicates - done)), seed_list)
+        for done in range(0, replicates, width)
+    ])
     mean = float(sizes.mean())
     se = float(sizes.std(ddof=1) / np.sqrt(replicates)) if replicates > 1 else 0.0
     return SpreadEstimate(mean=mean, std_error=se, replicates=replicates)
@@ -161,20 +178,23 @@ class _MonteCarloGains:
     sums ``b`` are the same, so every size is bit-identical to a fresh one.
     Every candidate's cold columns (where closure(S) lacks v), each with its
     v set, close together in column chunks of max(R, _CHUNK // n); closure
-    is column by column, so the sizes do not change, and no chunk is larger
-    than the step's own n x R block or _CHUNK elements.
+    is column by column, so the sizes do not change, and no chunk holds more
+    elements than the step's own n x R block or _CHUNK.  That base block and
+    its thresholds are as large as the user's R.  As in spread estimation,
+    the rounds test ``b >= threshold`` on the whole block, with no mask of
+    where ``b`` grew.
     """
 
     def __init__(self, model, root, replicates):
         self.model = model
         self.root = root
         self.replicates = replicates
-        self.weights = _parent_weights(model)
+        self.weights, self.groups = _parent_weights(model), _spec_groups(model)
 
     def gains(self, seeds, candidates):
         """mean(S + v) - mean(S) on the step's shared draws."""
         rng = substream(self.root, "im-step", len(seeds))
-        thresholds = _thresholds(self.model, rng, self.replicates)
+        thresholds = _thresholds(self.groups, self.model.graph.n, rng, self.replicates)
         base = np.zeros(thresholds.shape)
         base_sizes = _final_sizes(self.weights, thresholds, seeds, base)
         n, replicates = thresholds.shape
@@ -212,8 +232,7 @@ def greedy_im(model: GltModel, budget: int, spread_evaluator: str = "mc", rng=No
     if not (0 <= budget <= n):
         raise InfluenceError(f"budget {budget} outside [0, {n}]")
     if spread_evaluator == "mc":
-        if replicates < 1:
-            raise InfluenceError(f"need at least one replicate, got {replicates}")
+        _check_replicates(replicates)
         if rng is None:
             raise InfluenceError("the MC evaluator needs an rng or root seed")
         if isinstance(rng, (int, np.integer)):

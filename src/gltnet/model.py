@@ -9,11 +9,13 @@ the final active set a deterministic function of the threshold vector.
 A :class:`Trace` is the one history type: :func:`transition_probability`
 conditions on a trace prefix, checked once with :func:`validate_trace`.
 
-One closure kernel propagates every batch of realizations: it reads the
-canonical edge storage as a child-by-parent CSR matrix, and each consumer
-passes its own threshold test.  Simulation (:func:`simulate_traces`, and
-:func:`simulate_trace` as its one-trace case) tests ``F_v(b) >= u``; Monte
-Carlo spread (:mod:`gltnet.influence`) tests ``b >= max(F_v^-1(u), tiny)``.
+One closure kernel propagates every batch of realizations, each batch about
+``_CHUNK`` (node, realization) elements: it reads the canonical edge storage
+as a child-by-parent CSR matrix, and each consumer passes its own threshold
+test.  Simulation (:func:`simulate_traces`, and :func:`simulate_trace` as its
+one-trace case) tests ``F_v(b) >= u``, after the first round only where
+``b`` grew; Monte Carlo spread (:mod:`gltnet.influence`) tests
+``b >= max(F_v^-1(u), tiny)``.
 
 Exact quantities (per-trace probabilities, expected spread) are available by
 exhaustive enumeration of feasible traces.  :class:`ExactSpreadOracle` sums
@@ -51,7 +53,9 @@ __all__ = [
 ]
 
 NEVER = np.iinfo(np.int64).max  # activation round of a node that never activates
-_CHUNK = 16384  # realizations per closure batch, bounding its memory
+_CHUNK = 1 << 15  # (node, realization) elements per closure batch, bounding its memory: a batch
+# closes max(1, _CHUNK // n) realizations; 1 << 14 made MC spreads at n=1,000 ~20 % slower and
+# 1 << 16 greedy's cold pieces at n=100 ~15 % slower
 _BLOCK = 8192  # successor terms per exact-oracle block, bounding its memory
 _STATE_BLOCK = 4096  # states per exact-oracle discovery block, bounding its memory; an exact-small
 # pass is no faster with larger blocks and ~20 % slower with 512 (its peak RSS 1.4 MB lower)
@@ -304,8 +308,10 @@ def _closure_rounds(weights, state, levels, crosses):
     weights in ascending parent order, bit for bit as
     :meth:`GltModel.influence`.  A column that gains nothing is final.  Once
     at most a third of the block grows, the block is written back to
-    ``state`` and its growing columns, with their ``levels``, become the
-    block, so later rounds multiply only those in one block's memory.
+    ``state`` and its growing columns become the block, so later rounds
+    multiply only those in one block's memory.  ``levels`` may have any
+    number of rows; the block's levels are compacted from the live ones, so
+    ``crosses`` may keep per-entry state in them across rounds.
     """
     cols = np.arange(state.shape[1])
     live, live_levels = state, levels
@@ -320,51 +326,68 @@ def _closure_rounds(weights, state, levels, crosses):
             if live is not state:
                 state[:, cols] = live
             cols = cols[gained]
-            live = live_levels = None  # free the old block before copying
-            live, live_levels = state.take(cols, axis=1), levels.take(cols, axis=1)
+            live = None  # free the old block before copying
+            live, live_levels = state.take(cols, axis=1), live_levels.compress(gained, axis=1)
     if live is not state:
         state[:, cols] = live
 
 
 def simulate_traces(model: GltModel, seed_sets, rngs) -> list:
-    """Simulate one trace per (seed set, rng) pair, in batches of ``_CHUNK``.
+    """Simulate one trace per (seed set, rng) pair, closing
+    ``max(1, _CHUNK // n)`` traces per batch.
 
     Trace j draws each node's threshold once (persistence) from ``rngs[j]``
     as a ``U(0, 1]`` variate ``u``: node v activates once ``F_v(B_v) >= u_v``.
-    The result equals ``[simulate_trace(model, s, r) for s, r in ...]``, so a
-    Generator repeated in ``rngs`` is consumed in list order.
+    The first round tests every node; later rounds evaluate ``F_v`` only
+    where ``B_v`` grew since the last round: weights are nonnegative, so
+    ``B_v`` never falls, and an inactive node whose ``B_v`` did not grow
+    failed the same test then.  The result equals
+    ``[simulate_trace(model, s, r) for s, r in ...]``, so a Generator
+    repeated in ``rngs`` is consumed in list order.
     """
     seeds = [{model.graph._check(v) for v in seed_set} for seed_set in seed_sets]
     rngs = list(rngs)
     if len(rngs) != len(seeds):
         raise ModelError(f"{len(seeds)} seed sets but {len(rngs)} rngs")
+    n = model.graph.n
+    groups = []  # (spec, node mask) pairs
+    for spec, nodes in _spec_groups(model):
+        members = np.zeros(n, dtype=bool)
+        members[nodes] = True
+        groups.append((spec, members))
+    weights, width = _parent_weights(model), max(1, _CHUNK // max(1, n))
     traces = []
-    for start in range(0, len(seeds), _CHUNK):
-        stop = start + _CHUNK
-        traces += _simulate_batch(model, seeds[start:stop], rngs[start:stop])
+    for start in range(0, len(seeds), width):
+        stop = start + width
+        traces += _simulate_batch(weights, groups, seeds[start:stop], rngs[start:stop])
     return traces
 
 
-def _simulate_batch(model, seeds, rngs) -> list:
-    graph = model.graph
-    state = np.zeros((graph.n, len(seeds)))
-    draws = np.empty_like(state)
+def _simulate_batch(weights, groups, seeds, rngs) -> list:
+    n = weights.shape[0]
+    state = np.zeros((n, len(seeds)))
+    # rows 0..n-1 hold the draws u; rows n..2n-1 the b each entry was last tested at
+    levels = np.full((2 * n, len(seeds)), -np.inf)
     for j, (seed, rng) in enumerate(zip(seeds, rngs)):
         if not seed:
             raise ModelError("seed set must be nonempty")
         state[list(seed), j] = 1.0
         # U(0, 1]: an exact-zero draw cannot activate a node with F_v(B_v) = 0
-        draws[:, j] = 1.0 - as_generator(rng).random(graph.n)
-    groups = _spec_groups(model)
+        levels[:n, j] = 1.0 - as_generator(rng).random(n)
 
-    def crosses(b, u):
-        hit = np.empty(b.shape, dtype=bool)
-        for spec, nodes in groups:
-            hit[nodes] = spec._cdf(b[nodes]) >= u[nodes]
+    def crosses(b, levels):
+        u, tested = levels[:n], levels[n:]
+        rows, cols = np.nonzero(b > tested)
+        x = tested[rows, cols] = b[rows, cols]
+        hit = np.zeros(b.shape, dtype=bool)
+        for spec, members in groups:
+            pick = members[rows]
+            r, c = rows[pick], cols[pick]
+            hit[r, c] = spec._cdf(x[pick]) >= u[r, c]
         return hit
 
     steps = [[seed] for seed in seeds]
-    for cols, newly in _closure_rounds(_parent_weights(model), state, draws, crosses):
+    for cols, newly in _closure_rounds(weights, state, levels, crosses):
         for j in np.flatnonzero(newly.any(axis=0)):
             steps[cols[j]].append(np.flatnonzero(newly[:, j]).tolist())
     return [Trace(s) for s in steps]

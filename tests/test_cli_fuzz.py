@@ -22,8 +22,6 @@ from gltnet.cli import main
 
 _HUGE = str(10**18)
 _INTS = ["0", "-1", "-7", "1", "3", _HUGE]
-# a work size is a job, not an invalid value: huge ones are not drawn
-_SIZES = ["0", "-1", "-7", "1", "3"]
 _FLOATS = ["0", "-0", "-1", "-0.5", "1e-320", "0.5", "1", "2", "nan", "inf", "-inf", "1e308"]
 
 # the package's own error types; ValueError is the type of its parameter checks
@@ -40,7 +38,7 @@ _FLAGS = [
     (["generate", "--n", "6", "--k", "2", "--seed", "3"], "--p", _FLOATS, "p"),
     (["generate", "--n", "6", "--k", "2", "--seed", "3"], "--d-max", _FLOATS, "d_max|--d-max"),
     (["generate", "--n", "6", "--k", "2", "--seed", "3"], "--seed", _INTS, "seed"),
-    (["simulate", "--model", _MODEL, "--count", "5", "--seed", "4"], "--count", _SIZES, "--count"),
+    (["simulate", "--model", _MODEL, "--count", "5", "--seed", "4"], "--count", _INTS, "--count"),
     (["simulate", "--model", _MODEL, "--count", "5", "--seed", "4"], "--s-max", _INTS, "s_max"),
     (["simulate", "--model", _MODEL, "--count", "5", "--seed", "4"], "--seed", _INTS, "seed"),
     (["fit", *_FIT], "--epsilon", _FLOATS, "epsilon"),
@@ -60,10 +58,10 @@ _FLAGS = [
     (["diagnose", "--model", _MODEL], "--max-budget", _INTS, "max_budget"),
     (["diagnose", "--model", _MODEL, "--max-budget", "1"], "--node-cap", _INTS, "node_cap"),
     (["im", "--model", _MODEL, "--k", "1", "--replicates", "20", "--seed", "1"], "--k", _INTS, "budget"),
-    (["im", "--model", _MODEL, "--k", "1", "--replicates", "20", "--seed", "1"], "--replicates", _SIZES, "replicate"),
+    (["im", "--model", _MODEL, "--k", "1", "--replicates", "20", "--seed", "1"], "--replicates", _INTS, "replicate"),
     (["im", "--model", _MODEL, "--k", "1", "--replicates", "20", "--seed", "1"], "--seed", _INTS, "seed"),
     (["im", "--model", _MODEL, "--k", "1", "--evaluator", "exact", "--seed", "1"], "--node-cap", _INTS, "node_cap"),
-    (["spread", "--model", _MODEL, "--seed-set", "0", "--replicates", "20"], "--replicates", _SIZES, "replicate"),
+    (["spread", "--model", _MODEL, "--seed-set", "0", "--replicates", "20"], "--replicates", _INTS, "replicate"),
     (["spread", "--model", _MODEL, "--seed-set", "0", "--replicates", "20"], "--seed", _INTS, "seed"),
     (["spread", "--model", _MODEL, "--seed-set", "0", "--evaluator", "exact"], "--node-cap", _INTS, "node_cap"),
     (["experiment", "--experiment", "rmae-vs-traces", "--config", _CONFIG], "--seed", _INTS, "seed"),

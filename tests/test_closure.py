@@ -172,6 +172,22 @@ def test_mc_sizes_match_dense_reference(model, data):
     assert got == reference_estimate_spread_mc(model, seeds, replicates, root)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_models(), st.data())
+def test_mc_spread_in_element_chunks_matches_reference(model, data):
+    # chunks of max(1, _CHUNK // n) replicates, as small as one column and
+    # splitting the replicates unevenly, draw consecutive rows of one stream
+    n = model.graph.n
+    seeds = sorted(_seed_sets(data.draw, n, 1)[0])
+    root = data.draw(st.integers(0, 2**32 - 1))
+    replicates = data.draw(st.integers(1, 40))
+    want = reference_estimate_spread_mc(model, seeds, replicates, root)
+    for chunk in (1, n - 1, n, n + 1, 3 * n + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gltnet.influence, "_CHUNK", chunk)
+            assert estimate_spread_mc(model, seeds, replicates, root) == want, chunk
+
+
 def test_mc_spread_within_four_se_of_exact():
     # fixed random graphs of at most 8 nodes, one shared spec or mixed specs
     for index, shared in enumerate([make_uniform(), make_exponential_unit(), make_beta(2, 2), None]):
@@ -254,6 +270,29 @@ def test_simulation_with_staggered_stops_matches_reference():
     assert got == want
     horizons = sorted(t.horizon for t in want)
     assert horizons[0] == 0 and horizons[-1] >= 20 and len(set(horizons)) >= 10
+
+
+def test_simulation_evaluates_the_cdf_only_where_b_grew(monkeypatch):
+    # on a path from node 0 with weights 0.8 and uniform thresholds, round 1
+    # tests all n x 40 entries; each later round evaluates F only at the
+    # node after each column's last activation, so the later evaluations
+    # number the activations after the seed
+    n, count = 60, 40
+    g = gltnet.build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    model = GltModel(g, np.full(g.edge_count(), 0.8), make_uniform())
+    want = [reference_simulate_trace(model, {0}, substream(93, i)) for i in range(count)]
+    sizes = []
+    cdf = gltnet.ThresholdSpec._cdf
+
+    def counted(spec, x):
+        sizes.append(x.size)
+        return cdf(spec, x)
+
+    monkeypatch.setattr(gltnet.ThresholdSpec, "_cdf", counted)
+    assert simulate_traces(model, [{0}] * count, [substream(93, i) for i in range(count)]) == want
+    assert sizes[0] == n * count
+    assert max(sizes[1:]) <= count
+    assert sum(sizes[1:]) == sum(trace.horizon for trace in want) > 2 * count
 
 
 def test_reference_sums_parents_in_the_kernels_order():

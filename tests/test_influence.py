@@ -224,6 +224,20 @@ def test_greedy_mc_rejects_bad_replicate_counts():
                 greedy_im(model, budget, "mc", 1, replicates=replicates)
 
 
+def test_replicate_counts_above_the_ceiling_are_refused():
+    # the ceiling itself is a job; one more replicate is refused before any draw
+    from gltnet.graph import _MAX_REALIZATIONS
+
+    model = from_lt(build_graph(2, [(0, 1)]), [0.5])
+    assert estimate_spread_mc(model, {0}, _MAX_REALIZATIONS, 1).replicates == _MAX_REALIZATIONS
+    for replicates in (_MAX_REALIZATIONS + 1, 10**18):
+        match = f"replicate count {replicates} exceeds the ceiling"
+        with pytest.raises(InfluenceError, match=match):
+            estimate_spread_mc(model, {0}, replicates, 1)
+        with pytest.raises(InfluenceError, match=match):
+            greedy_im(model, 1, "mc", 1, replicates=replicates)
+
+
 def test_im_solution_gap_zero_for_equal_models():
     model = _random_bipartite(4, 4, substream(70, "m"))
     assert im_solution_gap(model, model, 2, "bipartite") == pytest.approx(0.0, abs=1e-12)
@@ -349,6 +363,7 @@ def test_greedy_mc_closes_pieces_of_several_candidates_bit_for_bit(monkeypatch):
 
     g = random_simple_digraph(64, 0.06, substream(97, "g"))
     model = GltModel(g, random_weights_within(g, substream(97, "w")), make_beta(1, 2))
+    monkeypatch.setattr(influence, "_CHUNK", 16384)
     calls = count_calls(monkeypatch, influence._final_sizes)
     got = greedy_im(model, 2, "mc", 98, replicates=20)
     widths = [call["thresholds"].shape[1] for call in calls]

@@ -530,6 +530,11 @@ def test_cli_spread_rejects_bad_seed_set_tokens(tmp_path, capsys):
         (["diagnose", "--model", "{model}", "--state-cap", "0"], "ValueError", "state_cap"),
         (["diagnose", "--model", "{model}", "--state-cap", "-5"], "ValueError", "state_cap"),
         (["simulate", "--model", "{model}", "--count", "-1", "--seed", "1"], "SchemaError", "--count"),
+        (["simulate", "--model", "{model}", "--count", "1000001", "--seed", "1"], "SchemaError", "--count 1000001"),
+        (["im", "--model", "{model}", "--k", "1", "--seed", "1", "--replicates", str(10**18)], "InfluenceError",
+         "replicate count"),
+        (["spread", "--model", "{model}", "--seed-set", "0", "--replicates", "1000001"], "InfluenceError",
+         "replicate count"),
     ],
 )
 def test_cli_rejects_each_value_outside_its_boundary(pipeline, capsys, argv, kind, names):
